@@ -2,6 +2,7 @@
 
 from .analysis import (
     PathLengthReport,
+    PlRatio,
     SelfContractedVerdict,
     effective_lipschitz,
     effective_pkl_mu,

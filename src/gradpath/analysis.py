@@ -14,8 +14,6 @@ from .objectives import (
     ObjectiveSpec,
     OptimalSet,
     QuadraticSpec,
-    batched_gradients,
-    batched_values,
 )
 from .optimizers import Trajectory
 from .quadrature import adaptive_quadrature
@@ -190,33 +188,68 @@ def self_contracted_check(points, tol: float = 1e-12) -> SelfContractedVerdict:
 # ---------------------------------------------------------------------------
 
 
-def effective_pkl_mu(traj: Trajectory, obj: ObjectiveSpec, mode: str = "min") -> float:
-    """Aggregate of ||grad f(x_k)||^2 / (2 (f(x_k) - f*)) over the iterates.
+def _require_every_iterate(traj: Trajectory):
+    """Refuse trajectories that skipped iterates: a thinned record would
+    silently shrink the set a min/max or a consecutive-pair quantity runs over."""
+    if traj.record_every != 1:
+        raise InputError(
+            f"this analysis needs every iterate (record_every=1), got record_every={traj.record_every}"
+        )
 
-    ``mode="min"`` returns the largest constant valid on the observed
-    set (the mathematically meaningful choice); ``mode="paper_max"``
-    returns the maximum instead, reproducing a published experimental
-    protocol verbatim.
+
+class PlRatio:
+    """Running min and max of the PL ratio ||g||^2 / (2 (f(x) - f*)).
+
+    Call it as ``observe(x, g)`` with each iterate and its gradient, e.g.
+    ``gd_run(..., record_every=0, observe=PlRatio(obj))``, so the ratio is
+    taken inside the loop that already holds g.  Points with
+    f(x) - f* <= 1e-300 are skipped.
     """
-    if mode not in ("min", "paper_max"):
-        raise InputError(f"unknown mode {mode!r}")
-    if obj.f_star is None:
-        raise InputError("effective PL constant requires a declared minimum value")
-    vals = batched_values(obj, traj.points) - obj.f_star
-    grads = batched_gradients(obj, traj.points)
-    sq = np.sum(grads**2, axis=1)
-    keep = vals > 1e-300
-    if not np.any(keep):
-        raise InputError("ratio undefined: all iterates are at the optimum")
-    ratios = sq[keep] / (2.0 * vals[keep])
-    return float(ratios.min() if mode == "min" else ratios.max())
+
+    def __init__(self, obj: ObjectiveSpec):
+        if obj.f_star is None:
+            raise InputError("effective PL constant requires a declared minimum value")
+        self._value_at = obj.value_at
+        self._f_star = obj.f_star
+        self.lo = math.inf
+        self.hi = -math.inf
+        self.count = 0
+
+    def __call__(self, x: Array, g: Array):
+        gap = self._value_at(x) - self._f_star
+        if gap > 1e-300:
+            ratio = float(np.sum(g**2)) / (2.0 * gap)
+            self.lo = min(self.lo, ratio)
+            self.hi = max(self.hi, ratio)
+            self.count += 1
+
+    def aggregate(self, mode: str = "min") -> float:
+        """``mode="min"`` returns the largest constant valid on the observed
+        set (the mathematically meaningful choice); ``mode="paper_max"``
+        returns the maximum instead, reproducing a published experimental
+        protocol verbatim."""
+        if mode not in ("min", "paper_max"):
+            raise InputError(f"unknown mode {mode!r}")
+        if not self.count:
+            raise InputError("ratio undefined: all iterates are at the optimum")
+        return self.lo if mode == "min" else self.hi
+
+
+def effective_pkl_mu(traj: Trajectory, obj: ObjectiveSpec, mode: str = "min") -> float:
+    """:class:`PlRatio` aggregate over the stored iterates of a full record."""
+    _require_every_iterate(traj)
+    pl = PlRatio(obj)
+    for point in traj.points:
+        pl(point, obj.gradient_at(point))
+    return pl.aggregate(mode)
 
 
 def effective_lipschitz(traj: Trajectory, obj: ObjectiveSpec) -> float:
     """Max gradient-difference quotient over consecutive iterate pairs."""
+    _require_every_iterate(traj)
     if len(traj.points) < 2:
         raise InputError("need at least two iterates")
-    grads = batched_gradients(obj, traj.points)
+    grads = np.array([obj.gradient_at(p) for p in traj.points])
     dx = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
     dg = np.linalg.norm(np.diff(grads, axis=0), axis=1)
     keep = dx >= 1e-14
@@ -232,6 +265,7 @@ def linear_convergence_fit(traj: Trajectory, optimal_set: OptimalSet) -> tuple[f
     smallest admissible prefactor (at least 1).  The fitted pair is
     re-verified on every recorded step before being returned.
     """
+    _require_every_iterate(traj)
     dists = np.array([optimal_set.distance(p) for p in traj.points])
     if dists.size < 2:
         raise InputError("need at least two iterates to fit a rate")
@@ -266,6 +300,7 @@ def separable_no_overshoot_check(traj: Trajectory, optimal_set: IntervalProductS
     """
     if not isinstance(optimal_set, IntervalProductSet):
         raise InputError("requires per-coordinate interval optimal sets")
+    _require_every_iterate(traj)
     pts = np.asarray(traj.points, dtype=float)
     dev = pts - np.clip(pts, optimal_set.lo, optimal_set.hi)
     signs = np.sign(dev)

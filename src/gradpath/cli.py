@@ -97,8 +97,10 @@ def _cmd_run(args) -> int:
     instance = parse_instance(args.objective)
     x0 = _parse_x0(args.x0, instance)
     stop = parse_stop_rule(args.stop)
+    # discrete runs keep only their endpoints unless the trajectory is written out
+    every = 1 if args.csv_out else 0
     if args.command == "run-gd":
-        traj = gd_run(instance.objective, x0, _parse_eta(args.eta, instance), stop)
+        traj = gd_run(instance.objective, x0, _parse_eta(args.eta, instance), stop, record_every=every)
     elif args.command == "run-gf":
         traj = gf_integrate(instance.objective, x0, args.tol, stop)
     elif args.command == "run-hb":
@@ -109,10 +111,11 @@ def _cmd_run(args) -> int:
             if obj.mu is None or obj.L is None:
                 raise InputError("objective lacks (mu, L); pass --alpha and --beta")
             alpha, beta = hb_params(obj.mu, obj.L)
-        traj = heavy_ball_run(instance.objective, x0, alpha, beta, stop)
+        traj = heavy_ball_run(instance.objective, x0, alpha, beta, stop, record_every=every)
     else:  # run-pgd
         projector = _parse_projector(args.project, instance.objective.dim)
-        traj = pgd_run(instance.objective, projector, x0, _parse_eta(args.eta, instance), stop)
+        traj = pgd_run(instance.objective, projector, x0, _parse_eta(args.eta, instance), stop,
+                       record_every=every)
     _report_run(traj, instance, args.csv_out)
     return 0
 

@@ -84,7 +84,15 @@ class PklConstruction:
             default=2.0 * self.quad_coeff * x,
         )
 
-    def to_objective(self, name: str) -> ObjectiveSpec:
+    def to_objective(self, name: str, dim: int | None = None) -> ObjectiveSpec:
+        """The separable objective sum_i g(x_i) in dimension ``dim``.
+
+        ``dim`` defaults to ``d``; a larger ``dim`` lifts a reduced
+        construction, whose extra coordinates then stay idle at 0.
+        """
+        dim = self.d if dim is None else int(dim)
+        if dim < self.d:
+            raise InputError(f"cannot embed the d={self.d} construction in dimension {dim}")
         kind = self
 
         def value(x):
@@ -94,14 +102,14 @@ class PklConstruction:
             return kind.g_deriv(np.asarray(x, dtype=float))
 
         return ObjectiveSpec(
-            dim=self.d,
+            dim=dim,
             value=value,
             gradient=gradient,
             L=self.L,
             mu=self.mu,
             f_star=0.0,
             optimal_set=IntervalProductSet(
-                lo=np.full(self.d, -math.inf), hi=np.zeros(self.d)
+                lo=np.full(dim, -math.inf), hi=np.zeros(dim)
             ),
             name=name,
         )
@@ -145,9 +153,7 @@ def build_pkl_gf_instance(d: int, target_kappa: float | None = None) -> PklGfIns
     spacing = kind.delta * math.log(1.0 / (2.0 * kind.delta))
     for i in range(2, active + 1):
         x0[i - 1] = (1.0 - kind.delta) + spacing * (i - 2)
-    obj = kind.to_objective(name=f"pkl-lower-gf(d={d})")
-    if active != d:
-        obj = _reembed(obj, d, kind)
+    obj = kind.to_objective(name=f"pkl-lower-gf(d={d})", dim=d)
     return PklGfInstance(objective=obj, x0=x0, construction=kind)
 
 
@@ -183,23 +189,6 @@ class PklGdInstance:
         return self.init.eta
 
 
-def _reembed(obj: ObjectiveSpec, d: int, kind: PklConstruction) -> ObjectiveSpec:
-    """Lift a reduced construction to dimension d (extra coordinates idle)."""
-
-    def value(x):
-        return kind.g(np.asarray(x, dtype=float)).sum(axis=-1)
-
-    def gradient(x):
-        return kind.g_deriv(np.asarray(x, dtype=float))
-
-    return ObjectiveSpec(
-        dim=d, value=value, gradient=gradient,
-        L=obj.L, mu=obj.mu, f_star=0.0,
-        optimal_set=IntervalProductSet(lo=np.full(d, -math.inf), hi=np.zeros(d)),
-        name=obj.name,
-    )
-
-
 def select_gd_stage(d: int) -> tuple[float, int]:
     """Smallest k1 with eta = ((d/2)^(1/k1) - 1)/2 in [1/4, 1/2]."""
     _require_dim(d)
@@ -222,9 +211,7 @@ def build_pkl_gd_instance(d: int, target_kappa: float | None = None) -> PklGdIns
     spacing = 2.0 * eta * k1 * kind.delta
     for i in range(2, active + 1):
         x0[i - 1] = (1.0 - kind.delta) + spacing * (i - 2)
-    obj = kind.to_objective(name=f"pkl-lower-gd(d={d})")
-    if active != d:
-        obj = _reembed(obj, d, kind)
+    obj = kind.to_objective(name=f"pkl-lower-gd(d={d})", dim=d)
     return PklGdInstance(
         objective=obj,
         init=GdPklInit(eta=eta, k1=k1, x0=x0),

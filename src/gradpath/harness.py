@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, constructions
-from .analysis import effective_pkl_mu, path_length_discrete, path_length_quadratic_gf
+from .analysis import PlRatio, path_length_discrete, path_length_quadratic_gf
+from .analysis import effective_pkl_mu  # noqa: F401  (re-exported; bench/workloads.py traces it)
 from .errors import InputError, InvariantViolation
 from .optimizers import StopRule, gd_run
 from .properties import run_property_suite  # noqa: F401  (re-exported)
@@ -216,12 +217,14 @@ def _parallel(points, worker, n_workers: int):
 def _pkl_point(d: int, cfg: ExperimentConfig) -> ResultRow:
     start = time.perf_counter()
     inst = constructions.build_pkl_gd_instance(d)
+    pl = PlRatio(inst.objective)
     traj = gd_run(
         inst.objective, inst.x0, inst.eta,
         StopRule.norm_below(cfg.stop_norm), safety_cap=cfg.safety_cap,
+        record_every=0, observe=pl,
     )
     rep = path_length_discrete(traj, inst.objective.optimal_set)
-    mu_eff = effective_pkl_mu(traj, inst.objective, mode=cfg.mu_mode)
+    mu_eff = pl.aggregate(cfg.mu_mode)
     kappa_nom = 3.0 * d * d
     # the instance's own guarantee is the dimension branch of the PL
     # lower bound; the kappa branch only enters via dimension reduction
@@ -285,7 +288,7 @@ def _quad_point(point, cfg: ExperimentConfig) -> ResultRow:
         traj = gd_run(
             c.to_objective(), c.x0, c.eta,
             StopRule.coords_below_except_last(cfg.stop_coords),
-            safety_cap=cfg.safety_cap,
+            safety_cap=cfg.safety_cap, record_every=0,
         )
         rep = path_length_discrete(traj, spec.optimal_set())
         steps, stop_reason = traj.n_steps, traj.stop_reason

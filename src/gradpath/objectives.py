@@ -9,7 +9,6 @@ flow and bound computation for them works per eigencomponent.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -100,10 +99,8 @@ class ObjectiveSpec:
     """An evaluatable objective with declared smoothness/curvature metadata.
 
     ``value`` maps a point of shape ``(dim,)`` to a float and ``gradient``
-    to a vector of the same shape.  Zoo objectives additionally accept
-    stacked inputs of shape ``(..., dim)`` (reduction over the last axis),
-    which batch-oriented diagnostics exploit opportunistically.
-    Evaluations are pure; instances may be shared freely across workers.
+    to a vector of the same shape.  Evaluations are pure; instances may
+    be shared freely across workers.
     """
 
     dim: int
@@ -425,43 +422,3 @@ def build_fsep_quartic(d: int, quartic_coeff: float = 0.1, box_halfwidth: float 
         name=f"fsep-quartic(d={d})",
         box_halfwidth=float(box_halfwidth),
     )
-
-
-def batched_values(obj: ObjectiveSpec, points: Array) -> Array:
-    """Objective values at a stack of points, batching when supported.
-
-    The batched result is cross-checked against a scalar evaluation of
-    the first point; objectives that merely happen to return the right
-    shape fall back to the row-by-row path.
-    """
-    points = np.asarray(points, dtype=float)
-    if len(points):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                vals = np.asarray(obj.value(points), dtype=float)
-            if vals.shape == points.shape[:-1] and np.isclose(
-                vals[0], obj.value_at(points[0]), rtol=1e-12, atol=0.0
-            ):
-                return vals
-        except Exception:
-            pass
-    return np.array([obj.value_at(p) for p in points])
-
-
-def batched_gradients(obj: ObjectiveSpec, points: Array) -> Array:
-    """Gradients at a stack of points, batching when supported (see
-    :func:`batched_values` for the cross-check)."""
-    points = np.asarray(points, dtype=float)
-    if len(points):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                grads = np.asarray(obj.gradient(points), dtype=float)
-            if grads.shape == points.shape and np.allclose(
-                grads[0], obj.gradient_at(points[0]), rtol=1e-12, atol=0.0
-            ):
-                return grads
-        except Exception:
-            pass
-    return np.array([obj.gradient_at(p) for p in points])

@@ -1,7 +1,10 @@
 """Trajectory producers: gradient descent, gradient flow, heavy ball, PGD.
 
-Discrete runs record every iterate by default; a thinning option keeps
-every m-th point while the running path-length accumulator stays exact.
+Discrete runs record every iterate by default; ``record_every=m`` keeps
+every m-th point and ``record_every=0`` only the two endpoints, so memory
+stays O(d), while the running path-length accumulator stays exact.  An
+``observe(x, g)`` callback sees every iterate with its gradient inside
+the loop, so diagnostics need no stored points.
 The continuous runner wraps the adaptive integrator in :mod:`.ode` and
 reports the arc length carried as an augmented ODE state.
 """
@@ -100,8 +103,10 @@ class Trajectory:
     """Ordered record of an optimization curve.
 
     ``times`` holds iterate indices (discrete) or ODE times (continuous)
-    for the *recorded* points.  ``n_steps`` counts every update taken and
-    ``path_sum`` accumulates the full step-norm sum even when thinning
+    for the *recorded* points.  Discrete runs record every
+    ``record_every``-th iterate plus the last one (``record_every=0``:
+    only the first and the last).  ``n_steps`` counts every update taken
+    and ``path_sum`` accumulates the full step-norm sum even when thinning
     drops intermediate points.  Continuous trajectories additionally
     carry the arc length integrated as an ODE state, the chord-sum
     cross-check, per-step local error estimates and dense-output
@@ -151,11 +156,11 @@ class Trajectory:
 
 
 class _Recorder:
-    """Accumulates iterates, honouring the thinning interval."""
+    """Accumulates iterates, honouring the thinning interval (0: endpoints only)."""
 
     def __init__(self, x0: Array, record_every: int):
-        if record_every < 1:
-            raise InputError("record_every must be >= 1")
+        if record_every < 0:
+            raise InputError("record_every must be >= 0")
         self.every = int(record_every)
         self.indices = [0]
         self.points = [np.array(x0, dtype=float)]
@@ -165,7 +170,7 @@ class _Recorder:
     def step(self, x_new: Array, step_norm: float):
         self.k += 1
         self.path_sum += step_norm
-        if self.k % self.every == 0:
+        if self.every and self.k % self.every == 0:
             self.indices.append(self.k)
             self.points.append(np.array(x_new, dtype=float))
 
@@ -195,12 +200,14 @@ def _discrete_run(
     rule: dict,
     safety_cap: int,
     record_every: int,
+    observe: Callable[[Array, Array], None] | None,
 ) -> Trajectory:
     if stop.kind == "horizon":
         raise InputError("horizon stop rules apply to flows only")
     x = as_vector(x0, obj.dim)
     rec = _Recorder(x, record_every)
     reason = None
+    g = None  # gradient at x, once evaluated
     while True:
         if stop.point_satisfied(x):
             reason = stop.kind
@@ -213,6 +220,8 @@ def _discrete_run(
             break
         g = obj.gradient_at(x)
         _check_finite(g, rec.k)
+        if observe is not None:
+            observe(x, g)
         if stop.kind == "grad_below" and float(np.linalg.norm(g)) <= stop.threshold:
             reason = "grad_below"
             break
@@ -224,7 +233,11 @@ def _discrete_run(
             break
         rec.step(x_new, step_norm)
         _check_divergence(x_new, rec.k)
-        x = x_new
+        x, g = x_new, None
+    if observe is not None and g is None:
+        g = obj.gradient_at(x)
+        _check_finite(g, rec.k)
+        observe(x, g)
     rec.finish(x)
     return Trajectory(
         kind="discrete",
@@ -247,15 +260,22 @@ def gd_run(
     *,
     safety_cap: int = MAX_DISCRETE_STEPS,
     record_every: int = 1,
+    observe: Callable[[Array, Array], None] | None = None,
 ) -> Trajectory:
-    """Gradient descent x_{k+1} = x_k - eta * grad f(x_k)."""
+    """Gradient descent x_{k+1} = x_k - eta * grad f(x_k).
+
+    ``record_every`` thins the stored iterates (0: endpoints only).
+    ``observe(x, g)``, if given, is called with every iterate x_0 ... x_N
+    and its gradient, the last one included; :func:`heavy_ball_run` and
+    :func:`pgd_run` take both options too.
+    """
     if eta <= 0:
         raise InputError("step size must be positive")
     return _discrete_run(
         obj, x0, stop,
         lambda x, g, k: x - eta * g,
         eta=eta, rule={"rule": "gd", "eta": eta},
-        safety_cap=safety_cap, record_every=record_every,
+        safety_cap=safety_cap, record_every=record_every, observe=observe,
     )
 
 
@@ -277,6 +297,7 @@ def heavy_ball_run(
     *,
     safety_cap: int = MAX_DISCRETE_STEPS,
     record_every: int = 1,
+    observe: Callable[[Array, Array], None] | None = None,
 ) -> Trajectory:
     """Polyak heavy ball: x+ = x - alpha * grad f(x) + beta (x - x-).
 
@@ -300,7 +321,7 @@ def heavy_ball_run(
     return _discrete_run(
         obj, x0, stop, update,
         eta=alpha, rule={"rule": "hb", "alpha": alpha, "beta": beta},
-        safety_cap=safety_cap, record_every=record_every,
+        safety_cap=safety_cap, record_every=record_every, observe=observe,
     )
 
 
@@ -330,6 +351,7 @@ def pgd_run(
     *,
     safety_cap: int = MAX_DISCRETE_STEPS,
     record_every: int = 1,
+    observe: Callable[[Array, Array], None] | None = None,
 ) -> Trajectory:
     """Projected gradient descent x_{k+1} = P(x_k - eta * grad f(x_k))."""
     if eta <= 0:
@@ -340,7 +362,7 @@ def pgd_run(
         obj, x0, stop,
         lambda x, g, k: np.asarray(projector(x - eta * g), dtype=float),
         eta=eta, rule={"rule": "pgd", "eta": eta},
-        safety_cap=safety_cap, record_every=record_every,
+        safety_cap=safety_cap, record_every=record_every, observe=observe,
     )
 
 

@@ -8,10 +8,12 @@ from gradpath import (
     InputError,
     IntervalProductSet,
     ObjectiveSpec,
+    PlRatio,
     QuadraticSpec,
     SingletonSet,
     StopRule,
     Trajectory,
+    build_pkl_gd_instance,
     effective_lipschitz,
     effective_pkl_mu,
     gd_run,
@@ -287,3 +289,58 @@ class TestNoOvershoot:
         traj = discrete_traj([1.0, 0.5])
         with pytest.raises(InputError):
             separable_no_overshoot_check(traj, SingletonSet(point=np.zeros(1)))
+
+
+class TestPlRatio:
+    @pytest.mark.parametrize("d", [6, 148])
+    def test_streamed_equals_stored(self, d):
+        inst = build_pkl_gd_instance(d)
+        stop = StopRule.norm_below(1e-6)
+        pl = PlRatio(inst.objective)
+        streamed = gd_run(inst.objective, inst.x0, inst.eta, stop, record_every=0, observe=pl)
+        stored = gd_run(inst.objective, inst.x0, inst.eta, stop)
+        assert streamed.n_steps == stored.n_steps
+        assert pl.count == len(stored.points)
+        for mode in ("min", "paper_max"):
+            assert pl.aggregate(mode) == effective_pkl_mu(stored, inst.objective, mode)
+
+    def test_skips_points_at_the_optimum(self):
+        obj = ObjectiveSpec(
+            dim=1, value=lambda x: float(x[0] ** 2), gradient=lambda x: 2 * x, f_star=0.0
+        )
+        pl = PlRatio(obj)
+        pl(np.zeros(1), np.zeros(1))
+        with pytest.raises(InputError, match="undefined"):
+            pl.aggregate("min")
+        pl(np.ones(1), 2 * np.ones(1))
+        assert (pl.count, pl.aggregate("min"), pl.aggregate("paper_max")) == (1, 2.0, 2.0)
+        with pytest.raises(InputError, match="mode"):
+            pl.aggregate("median")
+
+    def test_requires_declared_minimum(self):
+        obj = ObjectiveSpec(dim=1, value=lambda x: float(x[0] ** 2), gradient=lambda x: 2 * x)
+        with pytest.raises(InputError, match="minimum value"):
+            PlRatio(obj)
+
+
+#: Analyses that need every iterate, called on the PL instance's objective.
+FULL_RECORD_ANALYSES = {
+    "effective_pkl_mu": lambda traj, obj: effective_pkl_mu(traj, obj),
+    "effective_lipschitz": lambda traj, obj: effective_lipschitz(traj, obj),
+    "linear_convergence_fit": lambda traj, obj: linear_convergence_fit(traj, obj.optimal_set),
+    "separable_no_overshoot_check": lambda traj, obj: separable_no_overshoot_check(traj, obj.optimal_set),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_RECORD_ANALYSES))
+def test_thinned_trajectory_refused(name):
+    # a thinned record would take a min over a subset (overstating mu) or
+    # read a multi-step gap as one step; the analyses refuse it instead
+    inst = build_pkl_gd_instance(6)
+    analysis = FULL_RECORD_ANALYSES[name]
+    stop = StopRule.max_steps(12)
+    analysis(gd_run(inst.objective, inst.x0, inst.eta, stop), inst.objective)
+    for every in (3, 0):
+        thinned = gd_run(inst.objective, inst.x0, inst.eta, stop, record_every=every)
+        with pytest.raises(InputError, match="every iterate"):
+            analysis(thinned, inst.objective)

@@ -154,6 +154,17 @@ class TestTargetKappaReduction:
         with pytest.raises(InputError, match="216"):
             build_pkl_gf_instance(10, target_kappa=100.0)
 
+    def test_lifted_objective_keeps_extra_coordinates_idle(self, rng):
+        kind = PklConstruction.build(8)
+        small, lifted = kind.to_objective("small"), kind.to_objective("lifted", dim=12)
+        assert (small.dim, lifted.dim) == (8, 12)
+        assert (lifted.L, lifted.mu, lifted.f_star) == (small.L, small.mu, 0.0)
+        x = np.concatenate([rng.uniform(0.1, 2.0, 8), np.zeros(4)])
+        assert lifted.value_at(x) == pytest.approx(small.value_at(x[:8]), rel=1e-15)
+        assert np.array_equal(lifted.gradient_at(x), np.concatenate([small.gradient_at(x[:8]), np.zeros(4)]))
+        with pytest.raises(InputError, match="embed"):
+            kind.to_objective("too-small", dim=7)
+
 
 class TestQuadLower:
     def test_geometric_spectrum(self):

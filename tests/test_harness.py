@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -36,6 +36,35 @@ GOLDEN_CSV = (
     "quad-lower-gf,6,11.0,161051.0,161051.0,,2.449489742783178,4.837,"
     "1.9747,2.449489742783178,1.5582,585,0.25,,quadrature\n"
 )
+
+
+#: repr() of every field but runtime_s, from the code that stored every
+#: iterate and evaluated the PL ratio on the stored points afterwards;
+#: streaming the ratio and keeping only endpoints must not move a bit.
+PINNED_ROWS = [
+    (ExperimentConfig("pkl-lower-gd", dims=(148,)), {
+        "experiment": "'pkl-lower-gd'", "d": "148", "omega": "None", "kappa_nominal": "65712.0",
+        "kappa_effective": "10820.83671616262", "mu_mode": "'min'",
+        "dist0": "51.89662048161973", "zeta": "157.9307571532542",
+        "ratio": "3.0431799929860306", "bound_upper": "512.6870390403877",
+        "bound_lower": "0.15215389593897574", "steps": "1036", "seed": "None",
+        "stop_reason": "'norm_below'",
+    }),
+    (ExperimentConfig("pkl-lower-gd", dims=(148,), mu_mode="paper_max"), {
+        "experiment": "'pkl-lower-gd'", "d": "148", "omega": "None", "kappa_nominal": "65712.0",
+        "kappa_effective": "1.0", "mu_mode": "'paper_max'", "dist0": "51.89662048161973",
+        "zeta": "157.9307571532542", "ratio": "3.0431799929860306",
+        "bound_upper": "512.6870390403877", "bound_lower": "0.15215389593897574",
+        "steps": "1036", "seed": "None", "stop_reason": "'norm_below'",
+    }),
+    (ExperimentConfig("quad-lower-gd", dims=(6,), omegas=(11.0,)), {
+        "experiment": "'quad-lower-gd'", "d": "6", "omega": "11.0", "kappa_nominal": "161051.0",
+        "kappa_effective": "161051.0", "mu_mode": "''", "dist0": "2.449489742783178",
+        "zeta": "4.879698823070412", "ratio": "1.9921287024970202",
+        "bound_upper": "3.449489742783178", "bound_lower": "1.0387746977854566",
+        "steps": "134847", "seed": "None", "stop_reason": "'coords_below_except_last'",
+    }),
+]
 
 
 def strip_runtime(csv_text: str) -> str:
@@ -192,6 +221,14 @@ class TestExperiments:
         a = render_csv(run_experiment(cfg))
         b = render_csv(run_experiment(cfg))
         assert strip_runtime(a) == strip_runtime(b)
+
+    @pytest.mark.parametrize(
+        "cfg, pinned", PINNED_ROWS, ids=["pkl-148-min", "pkl-148-paper_max", "quad-6-11"]
+    )
+    def test_rows_match_pinned_values(self, cfg, pinned):
+        (row,) = run_experiment(cfg)
+        got = {k: repr(v) for k, v in asdict(row).items() if k != "runtime_s"}
+        assert got == pinned
 
     def test_quad_lower_single_dimension_is_trivial(self):
         gf = run_experiment(ExperimentConfig("quad-lower-gf", dims=(1,), omegas=(7.0,)))
@@ -361,6 +398,24 @@ class TestCli:
         assert code == 0
         assert out.exists()
         assert "path length" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["run-gd", "--objective", "quad-geom:d=3,omega=4", "--stop", "norm_below:1e-6"],
+        ["run-hb", "--objective", "fsep-quartic:d=3", "--stop", "norm_below:1e-10"],
+        ["run-pgd", "--objective", "quad-geom:d=2,omega=2", "--x0", "0.5,0.5", "--eta", "0.2",
+         "--project", "box:0.25,0.75", "--stop", "max_steps:30"],
+    ], ids=lambda argv: argv[0])
+    def test_run_report_same_without_csv(self, argv, capsys, tmp_path):
+        # without --csv-out only the endpoints are kept; the report must not change
+        assert main(argv) == 0
+        lean = capsys.readouterr().out.splitlines()
+        out = tmp_path / "traj.csv"
+        assert main(argv + ["--csv-out", str(out)]) == 0
+        full = capsys.readouterr().out.splitlines()
+        assert full == lean + [f"wrote {out}"]
+        assert [line.split()[0] for line in lean][:2] == ["stop:", "path"]
+        steps = int(lean[0].split()[-2])
+        assert len(out.read_text().splitlines()) == steps + 2  # header, x_0 ... x_N
 
     def test_run_gf(self, capsys):
         code = main(["run-gf", "--objective", "fsep-quartic:d=2", "--stop", "grad_below:1e-8"])

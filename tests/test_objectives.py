@@ -17,7 +17,6 @@ from gradpath import (
     quadratic_from_data,
     quadratic_piece,
 )
-from gradpath.objectives import batched_gradients, batched_values
 
 
 class TestQuadraticFromData:
@@ -232,25 +231,6 @@ class TestObjectiveSpec:
         for _ in range(20):
             x = rng.uniform(-1, 1, 3)
             assert obj.value_at(x) >= obj.f_star - 1e-12
-
-    def test_batched_helpers(self, rng):
-        obj = build_fsep_quartic(3, 0.1, 1.0)
-        pts = rng.uniform(-1, 1, (7, 3))
-        vals = batched_values(obj, pts)
-        grads = batched_gradients(obj, pts)
-        for i, p in enumerate(pts):
-            assert vals[i] == pytest.approx(obj.value_at(p), rel=1e-14)
-            assert np.allclose(grads[i], obj.gradient_at(p))
-
-    def test_batched_fallback_for_scalar_only(self, rng):
-        obj = ObjectiveSpec(
-            dim=2,
-            value=lambda x: float(x[0] ** 2 + x[1] ** 2),
-            gradient=lambda x: 2 * np.asarray(x[:2], dtype=float),
-        )
-        pts = rng.standard_normal((5, 2))
-        vals = batched_values(obj, pts)
-        assert vals == pytest.approx([float(p @ p) for p in pts])
 
 
 def test_declared_lipschitz_holds_on_sampled_pairs(rng):

@@ -258,6 +258,56 @@ class TestPgd:
             pgd_run(obj, proj, [5.0], 0.5, StopRule.max_steps(1))
 
 
+class TestEndpointsOnly:
+    """``record_every=0`` keeps x_0 and x_N; ``observe`` sees every iterate."""
+
+    @staticmethod
+    def run(method, spec, **options):
+        obj = spec.to_objective()
+        if method == "gd":
+            return gd_run(obj, spec.x0, 1.0 / obj.L, StopRule.grad_below(1e-9), **options)
+        if method == "hb":
+            alpha, beta = hb_params(obj.mu, obj.L)
+            return heavy_ball_run(obj, spec.x0, alpha, beta, StopRule.grad_below(1e-9), **options)
+        lo, hi = float(spec.x0.min()), float(spec.x0.max())
+        proj = box_projector(np.full(spec.dim, lo), np.full(spec.dim, hi))
+        return pgd_run(obj, proj, spec.x0, 0.5 / obj.L, StopRule.max_steps(200), **options)
+
+    @pytest.mark.parametrize("method", ["gd", "hb", "pgd"])
+    def test_same_run_as_full_record(self, rng, method):
+        spec = random_convex_quadratic(rng)
+        full = self.run(method, spec)
+        ends = self.run(method, spec, record_every=0)
+        assert ends.points.shape == (2, spec.dim)
+        assert ends.times.tolist() == [0, full.n_steps]
+        assert np.array_equal(ends.points[0], full.points[0])
+        assert np.array_equal(ends.final_point, full.final_point)
+        assert ends.n_steps == full.n_steps > 1
+        assert ends.path_sum == full.path_sum
+        assert ends.stop_reason == full.stop_reason
+
+    @pytest.mark.parametrize("method", ["gd", "hb", "pgd"])
+    def test_observe_sees_every_recorded_point(self, rng, method):
+        spec = random_convex_quadratic(rng)
+        seen = []
+        self.run(method, spec, record_every=0, observe=lambda x, g: seen.append((x.copy(), g.copy())))
+        full = self.run(method, spec)
+        assert np.array_equal(np.array([x for x, _ in seen]), full.points)
+        obj = spec.to_objective()
+        assert all(np.array_equal(g, obj.gradient_at(x)) for x, g in seen)
+
+    def test_observe_at_stationary_stop(self):
+        seen = []
+        traj = gd_run(half_square(), [1.0], 1.0, StopRule.max_steps(5),
+                      observe=lambda x, g: seen.append((float(x[0]), float(g[0]))))
+        assert traj.stop_reason == "stationary"
+        assert seen == [(1.0, 1.0), (0.0, 0.0)]
+
+    def test_negative_interval_rejected(self):
+        with pytest.raises(InputError, match=">= 0"):
+            gd_run(half_square(), [1.0], 0.5, StopRule.max_steps(1), record_every=-1)
+
+
 class TestGfQuadratic:
     def test_scalar_decay(self):
         spec = QuadraticSpec.diagonal([1.0], [5.0])
