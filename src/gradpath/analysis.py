@@ -189,11 +189,12 @@ def self_contracted_check(points, tol: float = 1e-12) -> SelfContractedVerdict:
 
 
 def _require_every_iterate(traj: Trajectory):
-    """Refuse trajectories that skipped iterates: a thinned record would
+    """Refuse records that skipped iterates: a partial record would
     silently shrink the set a min/max or a consecutive-pair quantity runs over."""
-    if traj.record_every != 1:
+    if len(traj.points) != traj.n_steps + 1:
         raise InputError(
-            f"this analysis needs every iterate (record_every=1), got record_every={traj.record_every}"
+            f"this analysis needs every iterate (keep_iterates=True); "
+            f"the record holds {len(traj.points)} of {traj.n_steps + 1}"
         )
 
 
@@ -201,7 +202,7 @@ class PlRatio:
     """Running min and max of the PL ratio ||g||^2 / (2 (f(x) - f*)).
 
     Call it as ``observe(x, g)`` with each iterate and its gradient, e.g.
-    ``gd_run(..., record_every=0, observe=PlRatio(obj))``, so the ratio is
+    ``gd_run(..., keep_iterates=False, observe=PlRatio(obj))``, so the ratio is
     taken inside the loop that already holds g.  Points with
     f(x) - f* <= 1e-300 are skipped.
     """

@@ -98,9 +98,9 @@ def _cmd_run(args) -> int:
     x0 = _parse_x0(args.x0, instance)
     stop = parse_stop_rule(args.stop)
     # discrete runs keep only their endpoints unless the trajectory is written out
-    every = 1 if args.csv_out else 0
+    keep = bool(args.csv_out)
     if args.command == "run-gd":
-        traj = gd_run(instance.objective, x0, _parse_eta(args.eta, instance), stop, record_every=every)
+        traj = gd_run(instance.objective, x0, _parse_eta(args.eta, instance), stop, keep_iterates=keep)
     elif args.command == "run-gf":
         traj = gf_integrate(instance.objective, x0, args.tol, stop)
     elif args.command == "run-hb":
@@ -111,11 +111,11 @@ def _cmd_run(args) -> int:
             if obj.mu is None or obj.L is None:
                 raise InputError("objective lacks (mu, L); pass --alpha and --beta")
             alpha, beta = hb_params(obj.mu, obj.L)
-        traj = heavy_ball_run(instance.objective, x0, alpha, beta, stop, record_every=every)
+        traj = heavy_ball_run(instance.objective, x0, alpha, beta, stop, keep_iterates=keep)
     else:  # run-pgd
         projector = _parse_projector(args.project, instance.objective.dim)
         traj = pgd_run(instance.objective, projector, x0, _parse_eta(args.eta, instance), stop,
-                       record_every=every)
+                       keep_iterates=keep)
     _report_run(traj, instance, args.csv_out)
     return 0
 
@@ -143,13 +143,8 @@ def _cmd_experiment(args) -> int:
             raise InputError(f"config is for {cfg.experiment!r}, not {args.id!r}")
     else:
         cfg = harness.default_config(args.id)
-    overrides = {}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.seed is not None:
-        overrides["seeds"] = tuple(args.seed + s for s in cfg.seeds)
-    if overrides:
-        cfg = replace(cfg, **overrides)
+        cfg = replace(cfg, seeds=tuple(args.seed + s for s in cfg.seeds))
 
     result = harness.run_experiment(cfg)
     if cfg.experiment == "property-suite":
@@ -243,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", choices=harness.EXPERIMENTS)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default="results")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--seed", type=int, default=None, help="offset added to the config seeds")
     p.set_defaults(func=_cmd_experiment)
 

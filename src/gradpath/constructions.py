@@ -115,16 +115,29 @@ class PklConstruction:
         )
 
 
-def _reduced_dimension(d: int, target_kappa: float) -> int:
-    """Largest d' with 3 d'^2 <= target_kappa (at least 6), capped at d.
+def _active_dimension(d: int, target_kappa: float | None) -> int:
+    """d, or with ``target_kappa`` the largest d' with 3 d'^2 <= target_kappa
+    (at least 6), capped at d.
 
     Implements the component-dropping reduction used when the requested
     condition number is below 3 d^2.
     """
+    _require_dim(d)
+    if target_kappa is None:
+        return d
     if target_kappa < 216:
         raise InputError("target_kappa must be at least 216")
     d_prime = int(math.floor(math.sqrt(target_kappa / 3.0)))
     return max(6, min(d, d_prime))
+
+
+def _staggered_x0(d: int, kind: PklConstruction, spacing: float) -> Array:
+    """x0 in dimension d: 0.5, then the other active coordinates from
+    1 - delta on, ``spacing`` apart; coordinates past ``kind.d`` stay 0."""
+    x0 = np.zeros(d)
+    x0[0] = 0.5
+    x0[1:kind.d] = (1.0 - kind.delta) + spacing * np.arange(kind.d - 1)
+    return x0
 
 
 @dataclass(frozen=True)
@@ -145,14 +158,8 @@ def build_pkl_gf_instance(d: int, target_kappa: float | None = None) -> PklGfIns
     ``target_kappa`` (if given) shrinks the number of active components
     so the nominal condition number 3 d'^2 does not exceed it.
     """
-    _require_dim(d)
-    active = d if target_kappa is None else _reduced_dimension(d, target_kappa)
-    kind = PklConstruction.build(active)
-    x0 = np.zeros(d)
-    x0[0] = 0.5
-    spacing = kind.delta * math.log(1.0 / (2.0 * kind.delta))
-    for i in range(2, active + 1):
-        x0[i - 1] = (1.0 - kind.delta) + spacing * (i - 2)
+    kind = PklConstruction.build(_active_dimension(d, target_kappa))
+    x0 = _staggered_x0(d, kind, kind.delta * math.log(1.0 / (2.0 * kind.delta)))
     obj = kind.to_objective(name=f"pkl-lower-gf(d={d})", dim=d)
     return PklGfInstance(objective=obj, x0=x0, construction=kind)
 
@@ -202,15 +209,9 @@ def select_gd_stage(d: int) -> tuple[float, int]:
 
 def build_pkl_gd_instance(d: int, target_kappa: float | None = None) -> PklGdInstance:
     """Descent instance: staggered x0 with spacing 2 eta k1 delta."""
-    _require_dim(d)
-    active = d if target_kappa is None else _reduced_dimension(d, target_kappa)
-    kind = PklConstruction.build(active)
-    eta, k1 = select_gd_stage(active)
-    x0 = np.zeros(d)
-    x0[0] = 0.5
-    spacing = 2.0 * eta * k1 * kind.delta
-    for i in range(2, active + 1):
-        x0[i - 1] = (1.0 - kind.delta) + spacing * (i - 2)
+    kind = PklConstruction.build(_active_dimension(d, target_kappa))
+    eta, k1 = select_gd_stage(kind.d)
+    x0 = _staggered_x0(d, kind, 2.0 * eta * k1 * kind.delta)
     obj = kind.to_objective(name=f"pkl-lower-gd(d={d})", dim=d)
     return PklGdInstance(
         objective=obj,
@@ -246,8 +247,8 @@ class QuadLowerConstruction:
     def build(cls, d: int, omega: float) -> "QuadLowerConstruction":
         if d != int(d) or d < 1:
             raise InputError("dimension must be a positive integer")
-        if omega <= 1:
-            raise InputError("omega must exceed 1")
+        if not 1 < omega < math.inf:
+            raise InputError("omega must be finite and exceed 1")
         powers = np.arange(d - 1, -1, -1, dtype=float)
         return cls(
             d=int(d), omega=float(omega),
@@ -319,8 +320,8 @@ def build_quad_random(d: int, kappa: float, seed: int) -> QuadRandomInstance:
     """
     if d < 2:
         raise InputError("random spectra need d >= 2")
-    if kappa <= 1:
-        raise InputError("kappa must exceed 1")
+    if not 1 < kappa < math.inf:
+        raise InputError("kappa must be finite and exceed 1")
     rng = np.random.Generator(np.random.Philox(seed))
     a = np.empty(d)
     a[0] = 1.0

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-number parser
+that turns malformed or non-finite outside input into :class:`InputError`."""
+
+import math
 
 
 class GradPathError(Exception):
@@ -35,3 +38,14 @@ class QuadratureError(ComputationError):
 
 class InvariantViolation(GradPathError):
     """A runtime invariant (e.g. a bound sandwich) was violated."""
+
+
+def finite_number(value, name: str, kind=float):
+    """``kind(value)`` (``float`` or ``int``) if it is a finite number, else InputError naming ``name``."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name}: expected {'an integer' if kind is int else 'a number'}, got {value!r}") from None
+    if not math.isfinite(number):
+        raise InputError(f"{name} must be finite, got {value!r}")
+    return number

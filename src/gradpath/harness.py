@@ -2,16 +2,15 @@
 
 Experiments are driven by a flat key/value config; every run is a pure
 function of the config and its seeds, so identical configs produce
-identical CSV files up to the runtime column, regardless of the worker
-count.
+identical CSV files up to the runtime column.  Each CSV experiment is a
+grid of independent points, run serially in one loop.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import bounds, constructions
 from .analysis import PlRatio, path_length_discrete, path_length_quadratic_gf
 from .analysis import effective_pkl_mu  # noqa: F401  (re-exported; bench/workloads.py traces it)
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, finite_number
 from .optimizers import StopRule, gd_run
 from .properties import run_property_suite  # noqa: F401  (re-exported)
 
@@ -60,7 +59,6 @@ class ExperimentConfig:
     stop_norm: float = 1e-6
     stop_coords: float = 1e-2
     safety_cap: int = 5_000_000
-    workers: int = 1
     out: str | None = None
 
     def __post_init__(self):
@@ -69,19 +67,10 @@ class ExperimentConfig:
         if self.mu_mode not in ("min", "paper_max"):
             raise InputError(f"unknown mu_mode {self.mu_mode!r}")
         for name in ("quad_abs_tol", "ode_tol", "stop_norm", "stop_coords"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
-        if self.workers < 1 or self.safety_cap < 1:
-            raise InputError("workers and safety_cap must be positive")
-
-    def grid_nonempty(self) -> bool:
-        if self.experiment == "pkl-lower-gd":
-            return bool(self.dims)
-        if self.experiment in ("quad-lower-gf", "quad-lower-gd", "bound-sweep"):
-            return bool(self.dims) and bool(self.omegas)
-        if self.experiment == "quad-random":
-            return bool(self.dims) and bool(self.kappas) and bool(self.seeds)
-        return True
+            if not 0 < getattr(self, name) < math.inf:
+                raise InputError(f"{name} must be positive and finite")
+        if self.safety_cap < 1:
+            raise InputError("safety_cap must be positive")
 
 
 def default_config(experiment: str) -> ExperimentConfig:
@@ -101,7 +90,7 @@ def default_config(experiment: str) -> ExperimentConfig:
 
 
 _LIST_KEYS = {"dims", "omegas", "kappas", "seeds"}
-_INT_KEYS = {"workers", "safety_cap"}
+_INT_KEYS = {"safety_cap"}
 _FLOAT_KEYS = {"quad_abs_tol", "ode_tol", "stop_norm", "stop_coords"}
 _STR_KEYS = {"experiment", "mu_mode", "out"}
 
@@ -117,14 +106,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if not eq:
             raise InputError(f"config line {lineno}: expected 'key = value', got {stripped!r}")
         key, value = key.strip(), value.strip()
+        where = f"config line {lineno}: {key}"
         if key in _LIST_KEYS:
             items = [v for v in (s.strip() for s in value.split(",")) if v]
-            caster = int if key in ("dims", "seeds") else float
-            raw[key] = tuple(caster(v) for v in items)
+            kind = int if key in ("dims", "seeds") else float
+            raw[key] = tuple(finite_number(v, where, kind) for v in items)
         elif key in _INT_KEYS:
-            raw[key] = int(value)
+            raw[key] = finite_number(value, where, int)
         elif key in _FLOAT_KEYS:
-            raw[key] = float(value)
+            raw[key] = finite_number(value, where)
         elif key in _STR_KEYS:
             raw[key] = value
         else:
@@ -202,13 +192,6 @@ def _verify_sandwich(row: ResultRow):
         )
 
 
-def _parallel(points, worker, n_workers: int):
-    if n_workers <= 1:
-        return [worker(p) for p in points]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, points))
-
-
 # ---------------------------------------------------------------------------
 # Experiment runners
 # ---------------------------------------------------------------------------
@@ -221,7 +204,7 @@ def _pkl_point(d: int, cfg: ExperimentConfig) -> ResultRow:
     traj = gd_run(
         inst.objective, inst.x0, inst.eta,
         StopRule.norm_below(cfg.stop_norm), safety_cap=cfg.safety_cap,
-        record_every=0, observe=pl,
+        keep_iterates=False, observe=pl,
     )
     rep = path_length_discrete(traj, inst.objective.optimal_set)
     mu_eff = pl.aggregate(cfg.mu_mode)
@@ -240,15 +223,6 @@ def _pkl_point(d: int, cfg: ExperimentConfig) -> ResultRow:
         steps=traj.n_steps, runtime_s=time.perf_counter() - start,
         seed=None, stop_reason=traj.stop_reason,
     )
-
-
-def run_pkl_lower_gd(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Descent path-length ratios of the PL lower-bound instance per dimension."""
-    rows = _parallel(cfg.dims, lambda d: _pkl_point(d, cfg), cfg.workers)
-    rows.sort(key=ResultRow.sort_key)
-    for row in rows:
-        _verify_sandwich(row)
-    return rows
 
 
 def _projected_gd_steps(c: constructions.QuadLowerConstruction, stop_coords: float) -> int:
@@ -276,19 +250,14 @@ def _quad_point(point, cfg: ExperimentConfig) -> ResultRow:
         rep = path_length_quadratic_gf(spec, cfg.quad_abs_tol)
         steps, stop_reason = rep.steps, rep.stop_reason
         zeta, ratio = rep.length, rep.ratio
+    elif _projected_gd_steps(c, cfg.stop_coords) > cfg.safety_cap:
+        steps, stop_reason = 0, "cap"
+        zeta = ratio = None
     else:
-        if _projected_gd_steps(c, cfg.stop_coords) > cfg.safety_cap:
-            return ResultRow(
-                experiment=cfg.experiment, d=d, omega=omega, kappa_nominal=kappa,
-                kappa_effective=spec.kappa, mu_mode="", dist0=c.dist0,
-                zeta=None, ratio=None, bound_upper=upper, bound_lower=lower,
-                steps=0, runtime_s=time.perf_counter() - start, seed=None,
-                stop_reason="cap",
-            )
         traj = gd_run(
             c.to_objective(), c.x0, c.eta,
             StopRule.coords_below_except_last(cfg.stop_coords),
-            safety_cap=cfg.safety_cap, record_every=0,
+            safety_cap=cfg.safety_cap, keep_iterates=False,
         )
         rep = path_length_discrete(traj, spec.optimal_set())
         steps, stop_reason = traj.n_steps, traj.stop_reason
@@ -300,16 +269,6 @@ def _quad_point(point, cfg: ExperimentConfig) -> ResultRow:
         steps=steps, runtime_s=time.perf_counter() - start, seed=None,
         stop_reason=stop_reason,
     )
-
-
-def run_quad_lower(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Flow or descent ratios of the geometric-spectrum construction."""
-    points = [(d, omega) for d in cfg.dims for omega in cfg.omegas]
-    rows = _parallel(points, lambda p: _quad_point(p, cfg), cfg.workers)
-    rows.sort(key=ResultRow.sort_key)
-    for row in rows:
-        _verify_sandwich(row)
-    return rows
 
 
 def _random_point(point, cfg: ExperimentConfig) -> ResultRow:
@@ -329,50 +288,44 @@ def _random_point(point, cfg: ExperimentConfig) -> ResultRow:
     )
 
 
-def run_quad_random(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Flow ratios of seeded random-spectrum quadratics (comparison set)."""
-    points = [(d, k, s) for d in cfg.dims for k in cfg.kappas for s in cfg.seeds]
-    rows = _parallel(points, lambda p: _random_point(p, cfg), cfg.workers)
-    rows.sort(key=ResultRow.sort_key)
-    for row in rows:
-        _verify_sandwich(row)
-    return rows
+def _bound_point(point, cfg: ExperimentConfig) -> ResultRow:
+    d, omega = point
+    start = time.perf_counter()
+    c = constructions.build_quad_lower(d, omega)
+    spec = c.to_quadratic()
+    kappa = c.kappa
+    lower = bounds.lower_bound_quadratic(d, kappa, "gf") if kappa >= 5 else None
+    return ResultRow(
+        experiment=cfg.experiment, d=d, omega=omega, kappa_nominal=kappa,
+        kappa_effective=None, mu_mode="", dist0=c.dist0,
+        zeta=None, ratio=None,
+        bound_upper=bounds.bound_quadratic(spec, "gf"),
+        bound_lower=lower, steps=0,
+        runtime_s=time.perf_counter() - start, seed=None, stop_reason="",
+    )
 
 
-def run_bound_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Bound values over a (d, omega) grid without any simulation."""
-    rows = []
-    for d in cfg.dims:
-        for omega in cfg.omegas:
-            start = time.perf_counter()
-            c = constructions.build_quad_lower(d, omega)
-            spec = c.to_quadratic()
-            kappa = c.kappa
-            lower = bounds.lower_bound_quadratic(d, kappa, "gf") if kappa >= 5 else None
-            rows.append(ResultRow(
-                experiment=cfg.experiment, d=d, omega=omega, kappa_nominal=kappa,
-                kappa_effective=None, mu_mode="", dist0=c.dist0,
-                zeta=None, ratio=None,
-                bound_upper=bounds.bound_quadratic(spec, "gf"),
-                bound_lower=lower, steps=0,
-                runtime_s=time.perf_counter() - start, seed=None, stop_reason="",
-            ))
-    rows.sort(key=ResultRow.sort_key)
-    return rows
+def _grid(cfg: ExperimentConfig):
+    """The grid points of a CSV experiment and the function that turns one point into a row."""
+    if cfg.experiment == "pkl-lower-gd":
+        return cfg.dims, _pkl_point
+    if cfg.experiment == "quad-random":
+        return [(d, k, s) for d in cfg.dims for k in cfg.kappas for s in cfg.seeds], _random_point
+    point_row = _bound_point if cfg.experiment == "bound-sweep" else _quad_point
+    return [(d, omega) for d in cfg.dims for omega in cfg.omegas], point_row
 
 
 def run_experiment(cfg: ExperimentConfig):
-    if not cfg.grid_nonempty():
+    """Rows of a CSV experiment, sorted and sandwich-checked; the suite report for property-suite."""
+    if cfg.experiment == "property-suite":
+        return run_property_suite(cfg)
+    points, point_row = _grid(cfg)
+    if not points:
         raise InputError(f"experiment {cfg.experiment!r} has an empty grid")
-    if cfg.experiment == "pkl-lower-gd":
-        return run_pkl_lower_gd(cfg)
-    if cfg.experiment in ("quad-lower-gf", "quad-lower-gd"):
-        return run_quad_lower(cfg)
-    if cfg.experiment == "quad-random":
-        return run_quad_random(cfg)
-    if cfg.experiment == "bound-sweep":
-        return run_bound_sweep(cfg)
-    return run_property_suite(cfg)
+    rows = sorted((point_row(p, cfg) for p in points), key=ResultRow.sort_key)
+    for row in rows:
+        _verify_sandwich(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,8 @@ class ObjectiveSpec:
     """An evaluatable objective with declared smoothness/curvature metadata.
 
     ``value`` maps a point of shape ``(dim,)`` to a float and ``gradient``
-    to a vector of the same shape.  Evaluations are pure; instances may
-    be shared freely across workers.
+    to a vector of the same shape.  Evaluations are pure, so instances
+    may be shared freely.
     """
 
     dim: int

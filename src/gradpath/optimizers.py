@@ -1,10 +1,10 @@
 """Trajectory producers: gradient descent, gradient flow, heavy ball, PGD.
 
-Discrete runs record every iterate by default; ``record_every=m`` keeps
-every m-th point and ``record_every=0`` only the two endpoints, so memory
-stays O(d), while the running path-length accumulator stays exact.  An
-``observe(x, g)`` callback sees every iterate with its gradient inside
-the loop, so diagnostics need no stored points.
+Discrete runs record every iterate by default; ``keep_iterates=False``
+keeps only the two endpoints, so memory stays O(d), while the running
+path-length accumulator stays exact.  An ``observe(x, g)`` callback sees
+every iterate with its gradient inside the loop, so diagnostics need no
+stored points.
 The continuous runner wraps the adaptive integrator in :mod:`.ode` and
 reports the arc length carried as an augmented ODE state.
 """
@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import ode
-from .errors import DivergenceError, InputError, NonFiniteError
+from .errors import DivergenceError, InputError, NonFiniteError, finite_number
 from .objectives import Array, ObjectiveSpec, QuadraticSpec, as_vector
 
 #: Default safety caps; exceeding one is an explicit stop reason.
@@ -47,6 +47,7 @@ class StopRule:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise InputError(f"unknown stop rule {self.kind!r}")
+        finite_number(self.threshold, "stop threshold")
         if self.kind == "max_steps":
             if self.threshold < 0 or self.threshold != int(self.threshold):
                 raise InputError("max_steps requires a nonnegative integer")
@@ -89,10 +90,7 @@ def parse_stop_rule(text: str) -> StopRule:
     kind, sep, raw = text.partition(":")
     if not sep:
         raise InputError(f"stop rule {text!r} must look like 'kind:threshold'")
-    try:
-        threshold = float(raw)
-    except ValueError as exc:
-        raise InputError(f"bad stop threshold {raw!r}") from exc
+    threshold = finite_number(raw, f"stop threshold in {text!r}")
     if kind == "max_steps":
         return StopRule.max_steps(int(threshold))
     return StopRule(kind, threshold)
@@ -103,14 +101,13 @@ class Trajectory:
     """Ordered record of an optimization curve.
 
     ``times`` holds iterate indices (discrete) or ODE times (continuous)
-    for the *recorded* points.  Discrete runs record every
-    ``record_every``-th iterate plus the last one (``record_every=0``:
-    only the first and the last).  ``n_steps`` counts every update taken
-    and ``path_sum`` accumulates the full step-norm sum even when thinning
-    drops intermediate points.  Continuous trajectories additionally
-    carry the arc length integrated as an ODE state, the chord-sum
-    cross-check, per-step local error estimates and dense-output
-    segments.
+    for the *recorded* points.  Discrete runs record every iterate, or
+    only the first and the last with ``keep_iterates=False``.  ``n_steps``
+    counts every update taken and ``path_sum`` accumulates the full
+    step-norm sum even when no intermediate point is kept.  Continuous
+    trajectories additionally carry the arc length integrated as an ODE
+    state, the chord-sum cross-check, per-step local error estimates and
+    dense-output segments.
     """
 
     kind: str
@@ -121,10 +118,8 @@ class Trajectory:
     rule: dict = field(default_factory=dict)
     n_steps: int = 0
     path_sum: float = 0.0
-    record_every: int = 1
     # continuous-only fields
     arc_length: float | None = None
-    arc_samples: Array | None = None
     chord_sum: float | None = None
     local_errors: Array | None = None
     dense: list | None = None
@@ -156,12 +151,10 @@ class Trajectory:
 
 
 class _Recorder:
-    """Accumulates iterates, honouring the thinning interval (0: endpoints only)."""
+    """Accumulates the step-norm sum and the iterates (only x_0 and x_N unless ``keep``)."""
 
-    def __init__(self, x0: Array, record_every: int):
-        if record_every < 0:
-            raise InputError("record_every must be >= 0")
-        self.every = int(record_every)
+    def __init__(self, x0: Array, keep: bool):
+        self.keep = keep
         self.indices = [0]
         self.points = [np.array(x0, dtype=float)]
         self.path_sum = 0.0
@@ -170,7 +163,7 @@ class _Recorder:
     def step(self, x_new: Array, step_norm: float):
         self.k += 1
         self.path_sum += step_norm
-        if self.every and self.k % self.every == 0:
+        if self.keep:
             self.indices.append(self.k)
             self.points.append(np.array(x_new, dtype=float))
 
@@ -199,13 +192,13 @@ def _discrete_run(
     eta: float | None,
     rule: dict,
     safety_cap: int,
-    record_every: int,
+    keep_iterates: bool,
     observe: Callable[[Array, Array], None] | None,
 ) -> Trajectory:
     if stop.kind == "horizon":
         raise InputError("horizon stop rules apply to flows only")
     x = as_vector(x0, obj.dim)
-    rec = _Recorder(x, record_every)
+    rec = _Recorder(x, keep_iterates)
     reason = None
     g = None  # gradient at x, once evaluated
     while True:
@@ -248,7 +241,6 @@ def _discrete_run(
         rule=rule,
         n_steps=rec.k,
         path_sum=rec.path_sum,
-        record_every=record_every,
     )
 
 
@@ -259,12 +251,12 @@ def gd_run(
     stop: StopRule,
     *,
     safety_cap: int = MAX_DISCRETE_STEPS,
-    record_every: int = 1,
+    keep_iterates: bool = True,
     observe: Callable[[Array, Array], None] | None = None,
 ) -> Trajectory:
     """Gradient descent x_{k+1} = x_k - eta * grad f(x_k).
 
-    ``record_every`` thins the stored iterates (0: endpoints only).
+    ``keep_iterates=False`` stores only x_0 and x_N.
     ``observe(x, g)``, if given, is called with every iterate x_0 ... x_N
     and its gradient, the last one included; :func:`heavy_ball_run` and
     :func:`pgd_run` take both options too.
@@ -275,7 +267,7 @@ def gd_run(
         obj, x0, stop,
         lambda x, g, k: x - eta * g,
         eta=eta, rule={"rule": "gd", "eta": eta},
-        safety_cap=safety_cap, record_every=record_every, observe=observe,
+        safety_cap=safety_cap, keep_iterates=keep_iterates, observe=observe,
     )
 
 
@@ -296,7 +288,7 @@ def heavy_ball_run(
     stop: StopRule,
     *,
     safety_cap: int = MAX_DISCRETE_STEPS,
-    record_every: int = 1,
+    keep_iterates: bool = True,
     observe: Callable[[Array, Array], None] | None = None,
 ) -> Trajectory:
     """Polyak heavy ball: x+ = x - alpha * grad f(x) + beta (x - x-).
@@ -321,7 +313,7 @@ def heavy_ball_run(
     return _discrete_run(
         obj, x0, stop, update,
         eta=alpha, rule={"rule": "hb", "alpha": alpha, "beta": beta},
-        safety_cap=safety_cap, record_every=record_every, observe=observe,
+        safety_cap=safety_cap, keep_iterates=keep_iterates, observe=observe,
     )
 
 
@@ -350,7 +342,7 @@ def pgd_run(
     stop: StopRule,
     *,
     safety_cap: int = MAX_DISCRETE_STEPS,
-    record_every: int = 1,
+    keep_iterates: bool = True,
     observe: Callable[[Array, Array], None] | None = None,
 ) -> Trajectory:
     """Projected gradient descent x_{k+1} = P(x_k - eta * grad f(x_k))."""
@@ -362,7 +354,7 @@ def pgd_run(
         obj, x0, stop,
         lambda x, g, k: np.asarray(projector(x - eta * g), dtype=float),
         eta=eta, rule={"rule": "pgd", "eta": eta},
-        safety_cap=safety_cap, record_every=record_every, observe=observe,
+        safety_cap=safety_cap, keep_iterates=keep_iterates, observe=observe,
     )
 
 
@@ -449,7 +441,6 @@ def gf_integrate(
         n_steps=res.n_accepted,
         path_sum=chord,
         arc_length=float(res.arc[-1]),
-        arc_samples=res.arc,
         chord_sum=chord,
         local_errors=res.local_errors,
         dense=res.segments,

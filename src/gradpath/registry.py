@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constructions
-from .errors import InputError
+from .errors import InputError, finite_number
 from .objectives import Array, ObjectiveSpec, QuadraticSpec, build_fsep_quartic
 
 
@@ -113,5 +113,5 @@ def parse_instance(text: str) -> Instance:
                 raise InputError(f"bad parameter {item!r} in {text!r}")
             key = key.strip()
             value = value.strip()
-            params[key] = int(value) if key in ("d", "seed") else float(value)
+            params[key] = finite_number(value, f"{key} in {text!r}", int if key in ("d", "seed") else float)
     return make_instance(name.strip(), **params)

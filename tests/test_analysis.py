@@ -297,7 +297,7 @@ class TestPlRatio:
         inst = build_pkl_gd_instance(d)
         stop = StopRule.norm_below(1e-6)
         pl = PlRatio(inst.objective)
-        streamed = gd_run(inst.objective, inst.x0, inst.eta, stop, record_every=0, observe=pl)
+        streamed = gd_run(inst.objective, inst.x0, inst.eta, stop, keep_iterates=False, observe=pl)
         stored = gd_run(inst.objective, inst.x0, inst.eta, stop)
         assert streamed.n_steps == stored.n_steps
         assert pl.count == len(stored.points)
@@ -334,13 +334,31 @@ FULL_RECORD_ANALYSES = {
 
 @pytest.mark.parametrize("name", sorted(FULL_RECORD_ANALYSES))
 def test_thinned_trajectory_refused(name):
-    # a thinned record would take a min over a subset (overstating mu) or
-    # read a multi-step gap as one step; the analyses refuse it instead
+    # an endpoints-only record would take a min over a subset (overstating
+    # mu) or read a multi-step gap as one step; the analyses refuse it instead
     inst = build_pkl_gd_instance(6)
     analysis = FULL_RECORD_ANALYSES[name]
     stop = StopRule.max_steps(12)
     analysis(gd_run(inst.objective, inst.x0, inst.eta, stop), inst.objective)
-    for every in (3, 0):
-        thinned = gd_run(inst.objective, inst.x0, inst.eta, stop, record_every=every)
-        with pytest.raises(InputError, match="every iterate"):
-            analysis(thinned, inst.objective)
+    ends = gd_run(inst.objective, inst.x0, inst.eta, stop, keep_iterates=False)
+    with pytest.raises(InputError, match="every iterate"):
+        analysis(ends, inst.objective)
+
+
+@pytest.mark.parametrize("steps", [0, 1])
+@pytest.mark.parametrize("name", sorted(FULL_RECORD_ANALYSES))
+def test_short_endpoints_record_accepted(name, steps):
+    # with at most one step, x_0 and x_N are every iterate, so an
+    # endpoints-only record gives the full record's result (or its error)
+    inst = build_pkl_gd_instance(6)
+    analysis = FULL_RECORD_ANALYSES[name]
+
+    def outcome(keep):
+        traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.max_steps(steps), keep_iterates=keep)
+        assert len(traj.points) == steps + 1
+        try:
+            return analysis(traj, inst.objective)
+        except InputError as exc:
+            return str(exc)
+
+    assert outcome(False) == outcome(True)

@@ -207,6 +207,9 @@ class TestQuadLower:
             build_quad_lower(0, 2.0)
         with pytest.raises(InputError):
             build_quad_lower(3, 1.0)
+        for omega in (math.nan, math.inf):  # nan used to build a NaN spectrum
+            with pytest.raises(InputError, match="finite"):
+                build_quad_lower(3, omega)
 
 
 class TestQuadRandom:
@@ -233,6 +236,9 @@ class TestQuadRandom:
             build_quad_random(1, 100.0, 0)
         with pytest.raises(InputError):
             build_quad_random(5, 1.0, 0)
+        for kappa in (math.nan, math.inf):
+            with pytest.raises(InputError, match="finite"):
+                build_quad_random(5, kappa, 0)
 
 
 class TestLinConvConstants:
@@ -276,3 +282,15 @@ def test_descent_instance_capture_progression():
     assert final[1] == pytest.approx(0.5, abs=1e-10)
     for i in range(1, 7):
         assert final[i + 1] == pytest.approx(inst.x0[i], abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [6, 148, 2000])
+def test_staggered_x0_matches_per_coordinate_formula(d):
+    # both PL instances share one x0 helper; each coordinate must keep
+    # the bits of (1 - delta) + spacing * (i - 2), i = 2 .. d
+    gf, gd = build_pkl_gf_instance(d), build_pkl_gd_instance(d)
+    delta = 1.0 / d
+    spacings = (delta * math.log(1.0 / (2.0 * delta)), 2.0 * gd.eta * gd.init.k1 * delta)
+    for inst, spacing in zip((gf, gd), spacings):
+        expected = [0.5] + [(1.0 - delta) + spacing * (i - 2) for i in range(2, d + 1)]
+        assert inst.x0.tolist() == expected

@@ -38,9 +38,10 @@ GOLDEN_CSV = (
 )
 
 
-#: repr() of every field but runtime_s, from the code that stored every
-#: iterate and evaluated the PL ratio on the stored points afterwards;
-#: streaming the ratio and keeping only endpoints must not move a bit.
+#: repr() of every field but runtime_s, one row per CSV experiment; the
+#: pkl and quad-lower-gd rows come from the code that stored every iterate
+#: and evaluated the PL ratio on the stored points afterwards, so neither
+#: streaming the ratio nor the shared grid runner may move a bit.
 PINNED_ROWS = [
     (ExperimentConfig("pkl-lower-gd", dims=(148,)), {
         "experiment": "'pkl-lower-gd'", "d": "148", "omega": "None", "kappa_nominal": "65712.0",
@@ -63,6 +64,19 @@ PINNED_ROWS = [
         "zeta": "4.879698823070412", "ratio": "1.9921287024970202",
         "bound_upper": "3.449489742783178", "bound_lower": "1.0387746977854566",
         "steps": "134847", "seed": "None", "stop_reason": "'coords_below_except_last'",
+    }),
+    (ExperimentConfig("quad-random", dims=(6,), kappas=(1e4,), seeds=(1,)), {
+        "experiment": "'quad-random'", "d": "6", "omega": "None", "kappa_nominal": "10000.0",
+        "kappa_effective": "10000.0", "mu_mode": "''", "dist0": "2.449489742783178",
+        "zeta": "4.21487861783601", "ratio": "1.720716990244241",
+        "bound_upper": "2.449489742783178", "bound_lower": "None",
+        "steps": "885", "seed": "1", "stop_reason": "'quadrature'",
+    }),
+    (ExperimentConfig("bound-sweep", dims=(20,), omegas=(2.0,)), {
+        "experiment": "'bound-sweep'", "d": "20", "omega": "2.0", "kappa_nominal": "524288.0",
+        "kappa_effective": "None", "mu_mode": "''", "dist0": "4.47213595499958",
+        "zeta": "None", "ratio": "None", "bound_upper": "4.47213595499958",
+        "bound_lower": "1.6330596367568424", "steps": "0", "seed": "None", "stop_reason": "''",
     }),
 ]
 
@@ -110,7 +124,6 @@ class TestConfig:
         dims = 6, 20
         omegas = 1.5, 2.0
         quad_abs_tol = 1e-10
-        workers = 3
         out = somewhere.csv
         """
         cfg = parse_config_text(text)
@@ -118,20 +131,41 @@ class TestConfig:
         assert cfg.dims == (6, 20)
         assert cfg.omegas == (1.5, 2.0)
         assert cfg.quad_abs_tol == 1e-10
-        assert cfg.workers == 3
         assert cfg.out == "somewhere.csv"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InputError, match="unknown key"):
             parse_config_text("experiment = quad-random\nbogus = 3\n")
 
+    def test_workers_key_rejected(self):
+        # experiments run serially; a worker count would be a knob that does nothing
+        with pytest.raises(InputError, match="line 2: unknown key 'workers'"):
+            parse_config_text("experiment = pkl-lower-gd\nworkers = 2\n")
+
+    @pytest.mark.parametrize("line, match", [
+        ("safety_cap = abc", "line 2: safety_cap: expected an integer"),
+        ("dims = 6.5", "line 2: dims: expected an integer"),
+        ("quad_abs_tol = nan", "line 2: quad_abs_tol must be finite"),
+        ("omegas = 2.0, nan", "line 2: omegas must be finite"),
+        ("kappas = inf", "line 2: kappas must be finite"),
+    ], ids=["int-malformed", "dims-not-int", "tol-nan", "omega-nan", "kappa-inf"])
+    def test_malformed_or_non_finite_number_rejected(self, line, match, tmp_path):
+        text = f"experiment = quad-lower-gf\n{line}\n"
+        with pytest.raises(InputError, match=match):
+            parse_config_text(text)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["experiment", "quad-lower-gf", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "quad-lower-gf.csv").exists()
+
     def test_missing_experiment_rejected(self):
         with pytest.raises(InputError, match="experiment"):
             parse_config_text("dims = 6\n")
 
     def test_tolerances_validated(self):
-        with pytest.raises(InputError):
-            ExperimentConfig("quad-random", dims=(2,), kappas=(10.0,), quad_abs_tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(InputError):
+                ExperimentConfig("quad-random", dims=(2,), kappas=(10.0,), quad_abs_tol=tol)
         with pytest.raises(InputError):
             ExperimentConfig("quad-random", mu_mode="median")
         with pytest.raises(InputError):
@@ -223,7 +257,8 @@ class TestExperiments:
         assert strip_runtime(a) == strip_runtime(b)
 
     @pytest.mark.parametrize(
-        "cfg, pinned", PINNED_ROWS, ids=["pkl-148-min", "pkl-148-paper_max", "quad-6-11"]
+        "cfg, pinned", PINNED_ROWS,
+        ids=["pkl-148-min", "pkl-148-paper_max", "quad-6-11", "random-6-1e4-1", "sweep-20-2"],
     )
     def test_rows_match_pinned_values(self, cfg, pinned):
         (row,) = run_experiment(cfg)
@@ -249,12 +284,6 @@ class TestExperiments:
         a = render_csv(run_experiment(cfg))
         b = render_csv(run_experiment(cfg))
         assert strip_runtime(a) == strip_runtime(b)
-
-    def test_worker_count_independence(self):
-        base = ExperimentConfig("quad-lower-gf", dims=(6, 10, 14), omegas=(1.5, 3.0))
-        serial = render_csv(run_experiment(base))
-        parallel = render_csv(run_experiment(replace(base, workers=4)))
-        assert strip_runtime(serial) == strip_runtime(parallel)
 
     def test_bound_sweep(self):
         cfg = ExperimentConfig("bound-sweep", dims=(6, 20), omegas=(2.0, 11.0))
@@ -431,6 +460,20 @@ class TestCli:
 
     def test_unknown_objective_is_exit_two(self, capsys):
         assert main(["run-gd", "--objective", "mystery", "--stop", "max_steps:1"]) == 2
+
+    @pytest.mark.parametrize("objective, stop", [
+        ("quad-geom:d=3,omega=4", "norm_below:nan"),
+        ("quad-geom:omega=nan", "max_steps:1"),
+        ("quad-geom:d=abc", "max_steps:1"),
+    ], ids=["stop-nan", "omega-nan", "d-malformed"])
+    def test_malformed_run_input_is_exit_two(self, objective, stop, capsys):
+        assert main(["run-gd", "--objective", objective, "--stop", stop]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_workers_flag_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "quad-lower-gf", "--out", str(tmp_path), "--workers", "2"])
+        assert exc.value.code == 2
 
     def test_check_self_contracted(self, tmp_path, capsys):
         pts = tmp_path / "pts.txt"

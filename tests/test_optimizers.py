@@ -44,6 +44,14 @@ class TestStopRule:
         with pytest.raises(InputError):
             StopRule.max_steps(2.5)
 
+    @pytest.mark.parametrize("text", ["norm_below:nan", "grad_below:inf", "max_steps:inf", "norm_below:abc"])
+    def test_non_finite_threshold_rejected(self, text):
+        # norm_below:nan would never stop before the 1e8-step cap
+        with pytest.raises(InputError, match="stop threshold"):
+            parse_stop_rule(text)
+        with pytest.raises(InputError, match="finite"):
+            StopRule.norm_below(float("nan"))
+
     def test_coords_rule_trivial_in_one_dim(self):
         rule = StopRule.coords_below_except_last(1e-2)
         assert rule.point_satisfied(np.array([7.0]))
@@ -127,18 +135,6 @@ class TestGdRun:
         obj = scalar_objective(lambda x: -0.5 * x * x, lambda x: -x)
         with pytest.raises(DivergenceError):
             gd_run(obj, [1.0], 1.0, StopRule.max_steps(10**6))
-
-    def test_thinning_keeps_exact_path_sum(self, rng):
-        spec = random_convex_quadratic(rng)
-        obj = spec.to_objective()
-        eta = 0.9 / obj.L
-        full = gd_run(obj, spec.x0, eta, StopRule.max_steps(37))
-        thin = gd_run(obj, spec.x0, eta, StopRule.max_steps(37), record_every=5)
-        assert thin.path_sum == full.path_sum
-        assert thin.n_steps == full.n_steps
-        assert np.array_equal(thin.points[-1], full.points[-1])
-        assert len(thin.points) < len(full.points)
-        assert thin.times[-1] == full.times[-1]
 
     def test_bad_step_size(self):
         with pytest.raises(InputError):
@@ -259,7 +255,7 @@ class TestPgd:
 
 
 class TestEndpointsOnly:
-    """``record_every=0`` keeps x_0 and x_N; ``observe`` sees every iterate."""
+    """``keep_iterates=False`` keeps x_0 and x_N; ``observe`` sees every iterate."""
 
     @staticmethod
     def run(method, spec, **options):
@@ -277,7 +273,7 @@ class TestEndpointsOnly:
     def test_same_run_as_full_record(self, rng, method):
         spec = random_convex_quadratic(rng)
         full = self.run(method, spec)
-        ends = self.run(method, spec, record_every=0)
+        ends = self.run(method, spec, keep_iterates=False)
         assert ends.points.shape == (2, spec.dim)
         assert ends.times.tolist() == [0, full.n_steps]
         assert np.array_equal(ends.points[0], full.points[0])
@@ -290,7 +286,7 @@ class TestEndpointsOnly:
     def test_observe_sees_every_recorded_point(self, rng, method):
         spec = random_convex_quadratic(rng)
         seen = []
-        self.run(method, spec, record_every=0, observe=lambda x, g: seen.append((x.copy(), g.copy())))
+        self.run(method, spec, keep_iterates=False, observe=lambda x, g: seen.append((x.copy(), g.copy())))
         full = self.run(method, spec)
         assert np.array_equal(np.array([x for x, _ in seen]), full.points)
         obj = spec.to_objective()
@@ -302,10 +298,6 @@ class TestEndpointsOnly:
                       observe=lambda x, g: seen.append((float(x[0]), float(g[0]))))
         assert traj.stop_reason == "stationary"
         assert seen == [(1.0, 1.0), (0.0, 0.0)]
-
-    def test_negative_interval_rejected(self):
-        with pytest.raises(InputError, match=">= 0"):
-            gd_run(half_square(), [1.0], 0.5, StopRule.max_steps(1), record_every=-1)
 
 
 class TestGfQuadratic:

@@ -39,3 +39,15 @@ def test_bad_parameter_rejected():
         parse_instance("quad-geom:d~3")
     with pytest.raises(InputError, match="bad parameters"):
         parse_instance("quad-geom:radius=3")
+
+
+@pytest.mark.parametrize("text, match", [
+    ("quad-geom:omega=nan", "omega in .* must be finite"),  # used to report L = 1.0
+    ("quad-geom:omega=inf", "omega in .* must be finite"),
+    ("quad-random:kappa=nan", "kappa in .* must be finite"),
+    ("quad-geom:d=abc", "d in .*: expected an integer"),
+    ("quad-geom:d=6.5", "d in .*: expected an integer"),
+])
+def test_malformed_or_non_finite_parameter_rejected(text, match):
+    with pytest.raises(InputError, match=match):
+        parse_instance(text)
