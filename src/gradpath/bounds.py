@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, finite_number
 from .objectives import QuadraticSpec
 
 DIST_OPT = "dist(x0, X*)"
@@ -219,13 +219,22 @@ BOUND_NAMES = (
 
 def evaluate_bound(name: str, **inputs) -> BoundReport:
     """Evaluate a named bound from keyword inputs (A, c, eta, L, mu, d,
-    kappa, spectrum, ...) and return a :class:`BoundReport`."""
+    kappa, spectrum, ...) and return a :class:`BoundReport`.
+
+    Every given input must be finite (``d`` an integer, ``spectrum`` a
+    sequence of numbers); anything else raises :class:`InputError`.
+    """
+    numbers = {
+        key: [finite_number(v, "spectrum item") for v in value] if key == "spectrum"
+        else finite_number(value, key, int if key == "d" else float)
+        for key, value in inputs.items() if value is not None
+    }
 
     def need(*keys):
-        missing = [k for k in keys if inputs.get(k) is None]
+        missing = [k for k in keys if k not in numbers]
         if missing:
             raise InputError(f"bound {name!r} requires inputs: {', '.join(missing)}")
-        return [inputs[k] for k in keys]
+        return [numbers[k] for k in keys]
 
     base = DIST_OPT
     log2 = False
@@ -260,21 +269,21 @@ def evaluate_bound(name: str, **inputs) -> BoundReport:
         which = {"convex-gf": "gf_quasiconvex",
                  "convex-gd-std": "gd_eta_invL",
                  "convex-gd-small-step": "gd_eta_small"}[name]
-        factor = bound_convex_qc(int(d), which)
+        factor = bound_convex_qc(d, which)
         base = DIST_LIMIT
         log2 = True
     elif name == "separable":
         (d,) = need("d")
-        factor = bound_separable(int(d))
+        factor = bound_separable(d)
     elif name in ("lower-pkl-gf", "lower-pkl-gd"):
         d, kappa = need("d", "kappa")
-        factor = lower_bound_pkl(int(d), kappa, which=name[-2:])
+        factor = lower_bound_pkl(d, kappa, which=name[-2:])
     elif name in ("lower-linconv-gf", "lower-linconv-gd"):
         (c,) = need("c")
         factor = lower_bound_pkl(which="linconv_" + name[-2:], c=c)
     elif name in ("lower-quadratic-gf", "lower-quadratic-gd"):
         d, kappa = need("d", "kappa")
-        factor = lower_bound_quadratic(int(d), kappa, which=name[-2:])
+        factor = lower_bound_quadratic(d, kappa, which=name[-2:])
     else:
         raise InputError(f"unknown bound {name!r}; known: {', '.join(BOUND_NAMES)}")
 

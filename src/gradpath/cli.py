@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bounds, harness
 from .analysis import path_length_discrete, self_contracted_check
-from .errors import GradPathError, InputError, InvariantViolation
+from .errors import GradPathError, InputError, InvariantViolation, finite_number
 from .objectives import as_vector
 from .optimizers import (
     StopRule,
@@ -34,7 +34,7 @@ from .registry import parse_instance
 def _parse_x0(text: str, instance):
     if text == "auto":
         return instance.x0
-    return as_vector([float(v) for v in text.split(",")])
+    return as_vector([finite_number(v, "--x0 item") for v in text.split(",")])
 
 
 def _parse_eta(text: str, instance) -> float:
@@ -42,19 +42,19 @@ def _parse_eta(text: str, instance) -> float:
         if instance.eta is None:
             raise InputError("objective has no default step size; pass --eta")
         return instance.eta
-    return float(text)
+    return finite_number(text, "--eta")
 
 
 def _parse_projector(text: str, dim: int):
     kind, sep, raw = text.partition(":")
     if kind == "box" and sep:
-        parts = [float(v) for v in raw.split(",")]
+        parts = [finite_number(v, "box bound") for v in raw.split(",")]
         if len(parts) != 2:
             raise InputError("box projector takes 'box:lo,hi'")
         lo, hi = parts
         return box_projector(np.full(dim, lo), np.full(dim, hi))
     if kind == "ball" and sep:
-        radius = float(raw)
+        radius = finite_number(raw, "ball radius")
         if radius <= 0:
             raise InputError("ball radius must be positive")
 
@@ -123,7 +123,7 @@ def _cmd_run(args) -> int:
 def _cmd_bounds(args) -> int:
     spectrum = None
     if args.spectrum:
-        spectrum = [float(v) for v in args.spectrum.split(",")]
+        spectrum = [finite_number(v, "--spectrum item") for v in args.spectrum.split(",")]
     report = bounds.evaluate_bound(
         args.name,
         A=args.A, c=args.c, eta=args.eta, L=args.L, mu=args.mu,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, finite_number
 from .objectives import Array, IntervalProductSet, ObjectiveSpec, QuadraticSpec, as_vector
 
 
@@ -61,28 +61,38 @@ class PklConstruction:
             L=2.0, mu=2.0 / (3.0 * d**2),
         )
 
+    def __post_init__(self):
+        # Interval lookup: piece i of g holds the x with b_(i-1) < x <= b_i
+        # (piece 4: x > gamma, and NaN), and g' is slope_i * x + offset_i
+        # there.  In piece 2, -2x + 2 equals 2(1 - x) exactly (both are
+        # exact for x in [0.5, 1]).
+        object.__setattr__(self, "_edges", np.array(self.breakpoints))
+        object.__setattr__(self, "_slope", np.array([0.0, 2.0, -2.0, 0.0, 2.0 * self.quad_coeff]))
+        object.__setattr__(self, "_offset", np.array([0.0, 0.0, 2.0, 2.0 * self.delta, 0.0]))
+
     @property
     def breakpoints(self) -> tuple[float, float, float, float]:
         return (0.0, 0.5, 1.0 - self.delta, self.gamma)
 
     def g(self, x):
         x = np.asarray(x, dtype=float)
-        return np.select(
-            [x <= 0.0, x <= 0.5, x <= 1.0 - self.delta, x <= self.gamma],
-            [0.0,
-             x**2,
-             0.5 - (1.0 - x) ** 2,
-             (0.5 - self.delta**2) + 2.0 * self.delta * (x - (1.0 - self.delta))],
-            default=self.quad_offset + self.quad_coeff * x**2,
-        )
+        piece = np.searchsorted(self._edges, x)
+        out = np.zeros(x.shape)  # piece 0
+        m = piece == 1
+        out[m] = x[m] ** 2
+        m = piece == 2
+        out[m] = 0.5 - (1.0 - x[m]) ** 2
+        m = piece == 3
+        out[m] = (0.5 - self.delta**2) + 2.0 * self.delta * (x[m] - (1.0 - self.delta))
+        m = piece == 4
+        out[m] = self.quad_offset + self.quad_coeff * x[m] ** 2
+        return out
 
     def g_deriv(self, x):
         x = np.asarray(x, dtype=float)
-        return np.select(
-            [x <= 0.0, x <= 0.5, x <= 1.0 - self.delta, x <= self.gamma],
-            [0.0, 2.0 * x, 2.0 * (1.0 - x), 2.0 * self.delta],
-            default=2.0 * self.quad_coeff * x,
-        )
+        piece = np.searchsorted(self._edges, x)
+        # max(x, 0) keeps piece 0 at 0 for x = -inf, where 0 * x is NaN
+        return self._slope[piece] * np.maximum(x, 0.0) + self._offset[piece]
 
     def to_objective(self, name: str, dim: int | None = None) -> ObjectiveSpec:
         """The separable objective sum_i g(x_i) in dimension ``dim``.
@@ -93,18 +103,10 @@ class PklConstruction:
         dim = self.d if dim is None else int(dim)
         if dim < self.d:
             raise InputError(f"cannot embed the d={self.d} construction in dimension {dim}")
-        kind = self
-
-        def value(x):
-            return kind.g(np.asarray(x, dtype=float)).sum(axis=-1)
-
-        def gradient(x):
-            return kind.g_deriv(np.asarray(x, dtype=float))
-
         return ObjectiveSpec(
             dim=dim,
-            value=value,
-            gradient=gradient,
+            value=lambda x: self.g(x).sum(axis=-1),
+            gradient=self.g_deriv,
             L=self.L,
             mu=self.mu,
             f_star=0.0,
@@ -125,6 +127,7 @@ def _active_dimension(d: int, target_kappa: float | None) -> int:
     _require_dim(d)
     if target_kappa is None:
         return d
+    target_kappa = finite_number(target_kappa, "target_kappa")
     if target_kappa < 216:
         raise InputError("target_kappa must be at least 216")
     d_prime = int(math.floor(math.sqrt(target_kappa / 3.0)))

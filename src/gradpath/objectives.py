@@ -24,6 +24,14 @@ RANK_RTOL = 1e-10
 
 
 def as_vector(x, dim: int | None = None) -> Array:
+    """``x`` as a 1-D float64 array of size ``dim`` (any size if None).
+
+    A float64 vector of the right size is returned as is (the same object
+    the conversion below would give), so the repeated calls inside a
+    descent loop convert nothing.
+    """
+    if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1 and (dim is None or x.size == dim):
+        return x
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1:
         raise InputError(f"expected a vector, got shape {x.shape}")

@@ -4,7 +4,9 @@ Discrete runs record every iterate by default; ``keep_iterates=False``
 keeps only the two endpoints, so memory stays O(d), while the running
 path-length accumulator stays exact.  An ``observe(x, g)`` callback sees
 every iterate with its gradient inside the loop, so diagnostics need no
-stored points.
+stored points.  The loop takes one dot product per vector: the squared
+norms of the gradient, the new iterate and the step serve the
+finiteness, stop, step-norm and divergence checks.
 The continuous runner wraps the adaptive integrator in :mod:`.ode` and
 reports the arc length carried as an augmented ODE state.
 """
@@ -81,7 +83,7 @@ class StopRule:
         if self.kind == "coords_below_except_last":
             if x.size <= 1:
                 return True
-            return float(np.max(np.abs(x[:-1]))) < self.threshold
+            return float(np.abs(x[:-1]).max()) < self.threshold
         return False
 
 
@@ -178,11 +180,6 @@ def _check_finite(g: Array, k: int, what: str = "gradient"):
         raise NonFiniteError(f"non-finite {what} at iterate {k}")
 
 
-def _check_divergence(x: Array, k: int):
-    if float(np.linalg.norm(x)) > DIVERGENCE_RADIUS:
-        raise DivergenceError(f"trajectory norm exceeded {DIVERGENCE_RADIUS:g} at iterate {k}")
-
-
 def _discrete_run(
     obj: ObjectiveSpec,
     x0,
@@ -199,36 +196,52 @@ def _discrete_run(
         raise InputError("horizon stop rules apply to flows only")
     x = as_vector(x0, obj.dim)
     rec = _Recorder(x, keep_iterates)
+    gradient_at = obj.gradient_at
+    kind, eps = stop.kind, stop.threshold
+    norm_stop = kind == "norm_below"
+    coords_stop = kind == "coords_below_except_last"
+    grad_stop = kind == "grad_below"
+    limit, limit_reason = safety_cap, "cap"
+    if kind == "max_steps" and int(eps) <= safety_cap:
+        limit, limit_reason = int(eps), "max_steps"
+    # Each vector's squared norm is taken once and serves every check on
+    # it: sqrt(v.dot(v)) is what np.linalg.norm(v) computes for a real
+    # vector, and a vector with a NaN or an infinite entry has a
+    # non-finite square (a finite one may overflow; the exact check decides).
+    xsq = float(x.dot(x))
     reason = None
     g = None  # gradient at x, once evaluated
     while True:
-        if stop.point_satisfied(x):
-            reason = stop.kind
+        if (norm_stop and math.sqrt(xsq) <= eps) or (coords_stop and stop.point_satisfied(x)):
+            reason = kind
             break
-        if stop.kind == "max_steps" and rec.k >= int(stop.threshold):
-            reason = "max_steps"
+        if rec.k >= limit:
+            reason = limit_reason
             break
-        if rec.k >= safety_cap:
-            reason = "cap"
-            break
-        g = obj.gradient_at(x)
-        _check_finite(g, rec.k)
+        g = gradient_at(x)
+        gsq = float(g.dot(g))
+        if not math.isfinite(gsq):
+            _check_finite(g, rec.k)
         if observe is not None:
             observe(x, g)
-        if stop.kind == "grad_below" and float(np.linalg.norm(g)) <= stop.threshold:
-            reason = "grad_below"
+        if grad_stop and math.sqrt(gsq) <= eps:
+            reason = kind
             break
         x_new = update(x, g, rec.k)
-        _check_finite(x_new, rec.k + 1, "iterate")
-        step_norm = float(np.linalg.norm(x_new - x))
+        xsq = float(x_new.dot(x_new))
+        if not math.isfinite(xsq):
+            _check_finite(x_new, rec.k + 1, "iterate")
+        d = x_new - x
+        step_norm = math.sqrt(float(d.dot(d)))
         if step_norm == 0.0:
             reason = "stationary"
             break
         rec.step(x_new, step_norm)
-        _check_divergence(x_new, rec.k)
+        if math.sqrt(xsq) > DIVERGENCE_RADIUS:
+            raise DivergenceError(f"trajectory norm exceeded {DIVERGENCE_RADIUS:g} at iterate {rec.k}")
         x, g = x_new, None
     if observe is not None and g is None:
-        g = obj.gradient_at(x)
+        g = gradient_at(x)
         _check_finite(g, rec.k)
         observe(x, g)
     rec.finish(x)
@@ -261,7 +274,7 @@ def gd_run(
     and its gradient, the last one included; :func:`heavy_ball_run` and
     :func:`pgd_run` take both options too.
     """
-    if eta <= 0:
+    if finite_number(eta, "step size") <= 0:
         raise InputError("step size must be positive")
     return _discrete_run(
         obj, x0, stop,
@@ -297,7 +310,7 @@ def heavy_ball_run(
     plain gradient step.  With beta = 0 the run is bitwise identical to
     :func:`gd_run` at step size alpha.
     """
-    if alpha <= 0:
+    if finite_number(alpha, "alpha") <= 0:
         raise InputError("alpha must be positive")
     if not (0 <= beta < 1):
         raise InputError("beta must lie in [0, 1)")
@@ -346,7 +359,7 @@ def pgd_run(
     observe: Callable[[Array, Array], None] | None = None,
 ) -> Trajectory:
     """Projected gradient descent x_{k+1} = P(x_k - eta * grad f(x_k))."""
-    if eta <= 0:
+    if finite_number(eta, "step size") <= 0:
         raise InputError("step size must be positive")
     x0 = as_vector(x0, obj.dim)
     _spot_check_projector(projector, x0)
@@ -401,6 +414,7 @@ def gf_integrate(
     The running arc length is integrated as an augmented state; the
     chord sum over accepted steps is recorded as a cross-check.
     """
+    finite_number(tol, "tol")
     x0 = as_vector(x0, obj.dim)
     if stop is None:
         stop = StopRule.grad_below(1e-10)

@@ -268,3 +268,34 @@ class TestEvaluateBound:
     def test_unknown_name(self):
         with pytest.raises(InputError, match="unknown bound"):
             evaluate_bound("nonsense")
+
+    # one bound per input kind, each with valid values for the other inputs
+    VALID = {
+        "A": ("linconv-gd", dict(A=2.0, c=0.1, eta=0.5, L=1.0)),
+        "c": ("linconv-general", dict(A=2.0, c=0.1)),
+        "eta": ("pgd", dict(eta=0.5, L=1.0, A=2.0, c=0.1)),
+        "L": ("heavy-ball", dict(mu=1.0, L=4.0)),
+        "mu": ("pkl-gf", dict(mu=1.0, L=4.0)),
+        "d": ("separable", dict(d=4)),
+        "kappa": ("lower-pkl-gd", dict(d=10, kappa=1e4)),
+    }
+
+    @pytest.mark.parametrize("key", sorted(VALID))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "abc"])
+    def test_non_finite_input_rejected(self, key, bad):
+        name, inputs = self.VALID[key]
+        evaluate_bound(name, **inputs)
+        with pytest.raises(InputError, match=f"^{key}"):
+            evaluate_bound(name, **{**inputs, key: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "abc"])
+    def test_non_finite_spectrum_item_rejected(self, bad):
+        with pytest.raises(InputError, match="spectrum item"):
+            evaluate_bound("quadratic-gf", spectrum=[4.0, bad, 1.0])
+
+    def test_unused_inputs_are_checked_and_echoed(self):
+        with pytest.raises(InputError, match="^A must be finite"):
+            evaluate_bound("heavy-ball", mu=1.0, L=4.0, A=math.inf)
+        rep = evaluate_bound("separable", d=4, A=1)
+        assert rep.inputs == {"d": 4, "A": 1}
+        assert rep.factor == 2.0

@@ -65,6 +65,66 @@ class TestPklConstruction:
             PklConstruction.build(5)
 
 
+def _select_g(kind, x):
+    """g as a 4-way np.select over the unchanged piece formulas (reference)."""
+    x = np.asarray(x, dtype=float)
+    return np.select(
+        [x <= 0.0, x <= 0.5, x <= 1.0 - kind.delta, x <= kind.gamma],
+        [0.0,
+         x**2,
+         0.5 - (1.0 - x) ** 2,
+         (0.5 - kind.delta**2) + 2.0 * kind.delta * (x - (1.0 - kind.delta))],
+        default=kind.quad_offset + kind.quad_coeff * x**2,
+    )
+
+
+def _select_g_deriv(kind, x):
+    x = np.asarray(x, dtype=float)
+    return np.select(
+        [x <= 0.0, x <= 0.5, x <= 1.0 - kind.delta, x <= kind.gamma],
+        [0.0, 2.0 * x, 2.0 * (1.0 - x), 2.0 * kind.delta],
+        default=2.0 * kind.quad_coeff * x,
+    )
+
+
+class TestPklIntervalLookup:
+    """g and g' take one interval lookup; their bits must equal the select's."""
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("d", [6, 148, 2000])
+    def test_edges_and_special_values(self, d):
+        kind = PklConstruction.build(d)
+        xs = [0.0, -0.0, math.nan, math.inf, -math.inf, -1.0, 1e300]
+        for b in kind.breakpoints:
+            xs += [b, float(np.nextafter(b, -math.inf)), float(np.nextafter(b, math.inf))]
+        xs = np.array(xs)
+        self._assert_same_bits(kind.g(xs), _select_g(kind, xs))
+        self._assert_same_bits(kind.g_deriv(xs), _select_g_deriv(kind, xs))
+
+    @pytest.mark.parametrize("d", [6, 148, 2000])
+    def test_seeded_uniforms(self, d):
+        kind = PklConstruction.build(d)
+        xs = np.random.default_rng(d).uniform(-1.0, 40.0, 10**5)
+        self._assert_same_bits(kind.g(xs), _select_g(kind, xs))
+        self._assert_same_bits(kind.g_deriv(xs), _select_g_deriv(kind, xs))
+        # batches of points (value sums over the last axis) see the same bits
+        self._assert_same_bits(kind.g(xs.reshape(100, -1)), _select_g(kind, xs.reshape(100, -1)))
+
+    def test_zero_dimensional_input(self):
+        kind = PklConstruction.build(6)
+        for x in (-0.5, 0.3, 0.7, 1.0, 5.0, 20.0, math.nan):
+            self._assert_same_bits(kind.g(np.asarray(x)), _select_g(kind, x))
+            self._assert_same_bits(kind.g_deriv(np.asarray(x)), _select_g_deriv(kind, x))
+            assert float(kind.g(x)) == float(kind.g(np.asarray(x))) or math.isnan(x)
+
+
 class TestFlowInstance:
     def test_staggered_start_for_six(self):
         inst = build_pkl_gf_instance(6)
@@ -153,6 +213,12 @@ class TestTargetKappaReduction:
     def test_small_budget_rejected(self):
         with pytest.raises(InputError, match="216"):
             build_pkl_gf_instance(10, target_kappa=100.0)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, "abc"])
+    def test_non_finite_budget_rejected(self, budget):
+        for build in (build_pkl_gd_instance, build_pkl_gf_instance):
+            with pytest.raises(InputError, match="target_kappa"):
+                build(50, target_kappa=budget)
 
     def test_lifted_objective_keeps_extra_coordinates_idle(self, rng):
         kind = PklConstruction.build(8)

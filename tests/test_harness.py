@@ -470,6 +470,27 @@ class TestCli:
         assert main(["run-gd", "--objective", objective, "--stop", stop]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "heavy-ball", "--L", "inf", "--mu", "1"],
+        ["bounds", "pkl-gd", "--L", "4", "--mu", "nan"],
+        ["bounds", "linconv-gf", "--A", "1", "--c", "nan", "--L", "1"],
+        ["bounds", "quadratic-gd", "--spectrum", "4,inf,1"],
+        ["bounds", "quadratic-gd", "--spectrum", "4,abc,1"],
+        ["run-gd", "--objective", "quad-geom:d=3,omega=4", "--eta", "abc"],
+        ["run-gd", "--objective", "quad-geom:d=3,omega=4", "--eta", "nan"],
+        ["run-gd", "--objective", "quad-geom:d=3,omega=4", "--x0", "1,abc,2"],
+        ["run-gd", "--objective", "quad-geom:d=3,omega=4", "--x0", "1,inf,2"],
+        ["run-hb", "--objective", "quad-geom:d=3,omega=4", "--alpha", "nan", "--beta", "0.5"],
+        ["run-gf", "--objective", "quad-geom:d=3,omega=4", "--tol", "nan"],
+        ["run-pgd", "--objective", "quad-geom:d=2,omega=2", "--x0", "0.5,0.5", "--eta", "0.2",
+         "--project", "box:0.25,abc"],
+        ["run-pgd", "--objective", "quad-geom:d=2,omega=2", "--x0", "0.5,0.5", "--eta", "0.2",
+         "--project", "ball:nan"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_non_finite_number_is_exit_two(self, argv, capsys):
+        assert main(argv + ([] if argv[0] == "bounds" else ["--stop", "max_steps:3"])) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_workers_flag_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "quad-lower-gf", "--out", str(tmp_path), "--workers", "2"])

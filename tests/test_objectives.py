@@ -17,6 +17,7 @@ from gradpath import (
     quadratic_from_data,
     quadratic_piece,
 )
+from gradpath.objectives import as_vector
 
 
 class TestQuadraticFromData:
@@ -213,6 +214,39 @@ class TestFsepQuartic:
             build_fsep_quartic(2, -0.1, 1.0)
         with pytest.raises(InputError):
             build_fsep_quartic(2, 0.1, 0.0)
+
+
+class TestAsVector:
+    def test_float64_vector_returned_as_is(self):
+        x = np.array([1.0, 2.0, 3.0])
+        assert as_vector(x) is x
+        assert as_vector(x, 3) is x
+        view = np.arange(6.0)[::2]
+        assert as_vector(view, 3) is view
+
+    def test_converts_lists_ints_and_other_dtypes(self):
+        for raw in ([1, 2], (1.0, 2.0), np.array([1, 2]), np.array([1.0, 2.0], dtype=np.float32)):
+            x = as_vector(raw, 2)
+            assert x is not raw
+            assert x.dtype == np.float64 and x.tolist() == [1.0, 2.0]
+        assert as_vector(3).tolist() == [3.0]
+        assert as_vector(np.float64(3.0), 1).tolist() == [3.0]
+
+    def test_rejects_matrices_and_wrong_sizes(self):
+        with pytest.raises(InputError, match="vector"):
+            as_vector(np.zeros((2, 2)))
+        with pytest.raises(InputError, match="dimension 3"):
+            as_vector(np.zeros(2), 3)
+        with pytest.raises(InputError, match="dimension 3"):
+            as_vector([1.0, 2.0], 3)
+
+    def test_gradient_at_validates(self):
+        obj = build_fsep_quartic(3, 0.1, 1.0)
+        assert obj.gradient_at([0.5, 0.5, 0.5]).tolist() == obj.gradient_at(np.full(3, 0.5)).tolist()
+        with pytest.raises(InputError, match="dimension 3"):
+            obj.gradient_at(np.zeros(2))
+        with pytest.raises(InputError, match="dimension 3"):
+            obj.value_at(np.zeros(4))
 
 
 class TestObjectiveSpec:

@@ -12,6 +12,7 @@ from gradpath import (
     QuadraticSpec,
     StopRule,
     box_projector,
+    build_pkl_gd_instance,
     build_fsep_quartic,
     gd_run,
     gf_integrate,
@@ -139,6 +140,95 @@ class TestGdRun:
     def test_bad_step_size(self):
         with pytest.raises(InputError):
             gd_run(half_square(), [1.0], 0.0, StopRule.max_steps(1))
+
+
+def vector_objective(dim, gradient):
+    return ObjectiveSpec(dim=dim, value=lambda x: 0.0, gradient=gradient)
+
+
+class TestLoopChecks:
+    """The loop's checks share one squared norm per vector; the errors,
+    their iterate indices and the stop reasons stay those of exact
+    per-vector checks."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_nan_gradient_reported_at_its_iterate(self):
+        # x: 1, 0.5, 0.25; the gradient is NaN below 0.3
+        obj = vector_objective(1, lambda x: np.where(x > 0.3, x, np.nan))
+        with pytest.raises(NonFiniteError, match="^non-finite gradient at iterate 2$"):
+            gd_run(obj, [1.0], 0.5, StopRule.max_steps(10))
+        with pytest.raises(NonFiniteError, match="^non-finite gradient at iterate 2$"):
+            heavy_ball_run(obj, [1.0], 0.5, 0.0, StopRule.max_steps(10))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_iterate_reported_as_iterate(self):
+        # x0 and g are finite, but their squares overflow: the exact
+        # check must pass them and then catch the infinite x_1
+        obj = vector_objective(2, lambda x: np.array([-1e308, 0.0]))
+        with pytest.raises(NonFiniteError, match="^non-finite iterate at iterate 1$"):
+            gd_run(obj, [1e308, 1.0], 1.0, StopRule.max_steps(10))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_infinite_coordinate_of_pkl_start(self):
+        # g' is 0 at -inf, so the gradient passes and x_1 is caught
+        inst = build_pkl_gd_instance(6)
+        x0 = inst.x0.copy()
+        x0[3] = -math.inf
+        with pytest.raises(NonFiniteError, match="^non-finite iterate at iterate 1$"):
+            gd_run(inst.objective, x0, inst.eta, StopRule.norm_below(1e-6))
+
+    def test_projector_clipping_an_infinite_step(self):
+        # x_1 = 0.4, where the gradient is infinite; the box would clip
+        # the step to a finite point, so the gradient check must catch it
+        obj = vector_objective(1, lambda x: np.where(x < 0.5, np.inf, 1.0))
+        with pytest.raises(NonFiniteError, match="^non-finite gradient at iterate 1$"):
+            pgd_run(obj, box_projector([-1.0], [1.0]), [1.0], 0.6, StopRule.max_steps(10))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_finite_gradient_with_overflowing_square_runs(self):
+        obj = vector_objective(2, lambda x: np.full(2, 1e200))
+        box = box_projector([-1.0, -1.0], [1.0, 1.0])
+        traj = pgd_run(obj, box, [0.0, 0.0], 1.0, StopRule.grad_below(1e-8))
+        assert traj.stop_reason == "stationary"
+        assert traj.n_steps == 1
+        assert traj.path_sum == math.sqrt(2.0)
+        assert traj.final_point.tolist() == [-1.0, -1.0]
+
+    def test_divergence_reported_at_its_iterate(self):
+        # x_k = 2^k; the first k with 2^k > 1e12
+        first = next(k for k in range(1, 100) if 2.0**k > 1e12)
+        obj = scalar_objective(lambda x: -0.5 * x * x, lambda x: -x)
+        with pytest.raises(DivergenceError, match=f"at iterate {first}$"):
+            gd_run(obj, [1.0], 1.0, StopRule.max_steps(10**6))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_finite_iterate_with_overflowing_square_diverges(self):
+        obj = vector_objective(1, lambda x: np.array([-1e200]))
+        with pytest.raises(DivergenceError, match="at iterate 1$"):
+            gd_run(obj, [0.0], 1.0, StopRule.max_steps(10))
+
+    @pytest.mark.parametrize("limit, cap, reason", [(3, 2, "cap"), (2, 2, "max_steps"), (2, 3, "max_steps")])
+    def test_step_limit_reason(self, limit, cap, reason):
+        traj = gd_run(half_square(), [1.0], 0.5, StopRule.max_steps(limit), safety_cap=cap)
+        assert (traj.stop_reason, traj.n_steps, traj.path_sum) == (reason, 2, 0.75)
+
+    def test_grad_and_norm_stops_at_exact_threshold(self):
+        # ||g(x_1)|| = ||x_1|| = 0.5 exactly; "<=" stops there
+        for stop in (StopRule.grad_below(0.5), StopRule.norm_below(0.5)):
+            traj = gd_run(half_square(), [1.0], 0.5, stop)
+            assert (traj.stop_reason, traj.n_steps) == (stop.kind, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "abc"])
+    def test_non_finite_parameters_rejected_at_entry(self, bad):
+        stop = StopRule.max_steps(3)
+        with pytest.raises(InputError, match="step size"):
+            gd_run(half_square(), [1.0], bad, stop)
+        with pytest.raises(InputError, match="alpha"):
+            heavy_ball_run(half_square(), [1.0], bad, 0.1, stop)
+        with pytest.raises(InputError, match="step size"):
+            pgd_run(half_square(), box_projector([-2.0], [2.0]), [1.0], bad, stop)
+        with pytest.raises(InputError, match="tol"):
+            gf_integrate(half_square(), [1.0], bad)
 
 
 class TestHeavyBall:
