@@ -86,6 +86,8 @@ def _report_run(traj, instance, out):
             print(f"ratio: {rep.ratio!r} over dist0 {rep.dist0!r}")
     else:
         print(f"arc length: {traj.arc_length!r} (chord sum {traj.chord_sum!r})")
+        print(f"integrator: {traj.n_steps} accepted, {traj.n_rejected} rejected, "
+              f"{traj.n_feval} gradient calls")
     if not instance.objective.in_declared_box(traj.final_point):
         warnings.warn("trajectory left the box on which L was declared")
     if out:
@@ -170,13 +172,17 @@ def _cmd_experiment(args) -> int:
 def _cmd_check(args) -> int:
     if args.what != "self-contracted":
         raise InputError(f"unknown check {args.what!r}")
+    tol = finite_number(args.tol, "--tol")
     rows = []
-    for line in Path(args.points).read_text().splitlines():
+    for number, line in enumerate(Path(args.points).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([float(v) for v in line.replace(",", " ").split()])
-    verdict = self_contracted_check(np.asarray(rows), tol=args.tol)
+        where = f"{args.points} line {number}"
+        rows.append([finite_number(v, where) for v in line.replace(",", " ").split()])
+        if len(rows[-1]) != len(rows[0]):
+            raise InputError(f"{where}: expected {len(rows[0])} coordinates, got {len(rows[-1])}")
+    verdict = self_contracted_check(np.asarray(rows), tol=tol)
     if verdict.holds:
         print(f"self-contracted: yes (slack {verdict.slack!r})")
         return 0

@@ -4,8 +4,16 @@ The flow dx/dt = -grad(x) is integrated together with an extra state
 s(t) obeying ds/dt = ||grad(x)||, so the arc length of the curve is
 produced by the same error-controlled integration as the curve itself.
 A PI step-size controller keeps the estimated local error of each
-accepted step below the requested tolerance; dense-output coefficients
-are retained for every accepted step.
+accepted step below the requested tolerance.  Only the accepted points
+are kept; there is no dense output.
+
+Each stage row of the work array holds the *negated* augmented field,
+(+grad, -||grad||), written in place from one gradient call, and the
+tableau is negated once at import to match.  Negation is exact, so the
+stage points, error estimates and steps are bit-identical to stepping
+with the field itself.  A step's stages are checked for finiteness with
+one reduction (their sum, which is non-finite whenever an entry is);
+the element-wise test runs only when the sum is not finite.
 """
 
 from __future__ import annotations
@@ -17,31 +25,20 @@ import numpy as np
 
 from .errors import DivergenceError, InputError, NonFiniteError, StepSizeUnderflowError
 
-# Dormand-Prince 5(4) tableau (stage times are implicit: the field is
-# autonomous).
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+# Dormand-Prince 5(4) tableau, negated because the stage rows hold the
+# negated field (stage times are implicit: the field is autonomous).
+_A = [-np.array(row) for row in (
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+)]
 # The propagated 5th-order weights coincide with the last row of _A (FSAL);
-# _E is the difference between the 5th- and 4th-order weights.
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-
-# Dense-output interpolation matrix (quartic in the step fraction).
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+# _E is the difference between the 5th- and 4th-order weights (negated too).
+_E = -np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -51,46 +48,26 @@ _ALPHA = 0.2 - 0.75 * _BETA
 
 
 @dataclass
-class DenseSegment:
-    """Dense output over one accepted step: y(t0 + theta*h) for theta in [0, 1]."""
-
-    t0: float
-    h: float
-    y0: np.ndarray
-    q: np.ndarray  # (n, 4) interpolation coefficients
-
-    def __call__(self, t: float) -> np.ndarray:
-        theta = (t - self.t0) / self.h
-        powers = np.array([theta, theta**2, theta**3, theta**4])
-        return self.y0 + self.h * (self.q @ powers)
-
-
-@dataclass
 class FlowResult:
     times: np.ndarray        # accepted times, t[0] = 0
     states: np.ndarray       # (m, d) points at accepted times
     arc: np.ndarray          # running arc length at accepted times
     local_errors: np.ndarray  # scaled error estimate of each accepted step
-    segments: list[DenseSegment]
     stop_reason: str
     n_accepted: int
     n_rejected: int
     n_feval: int
 
 
-def _augmented_field(gradient, y: np.ndarray) -> np.ndarray:
-    g = np.asarray(gradient(y[:-1]), dtype=float)
-    return np.concatenate([-g, [float(np.linalg.norm(g))]])
-
-
-def _initial_step(f, y0, f0, tol, t_max):
+def _initial_step(write_field, y0, k0, probe, tol, t_max):
+    """Hairer's starting step; ``k0`` is the negated field at ``y0``,
+    ``probe`` a scratch row for the negated field at the Euler probe."""
     scale = tol  # pure absolute scaling
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+    d1 = np.sqrt(np.mean((k0 / scale) ** 2))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    f1 = f(y1)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+    write_field(y0 - h0 * k0, probe)
+    d2 = np.sqrt(np.mean(((probe - k0) / scale) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -113,6 +90,7 @@ def integrate_flow(
 ) -> FlowResult:
     """Integrate dx/dt = -gradient(x) from ``x0`` with local error <= ``tol``.
 
+    ``gradient(x)`` returns a float64 array of x's shape.
     ``stop_check(t, x, grad_norm)`` is consulted after every accepted
     step and may return a stop-reason string.  ``horizon`` stops the
     integration exactly at the given time.
@@ -125,24 +103,31 @@ def integrate_flow(
     y = np.concatenate([x0, [0.0]])
     n = y.size
 
-    f = lambda yy: _augmented_field(gradient, yy)
-    k1 = f(y)
+    def write_field(yy, row):
+        """Store the negated augmented field at ``yy`` in ``row``: (+g, -||g||)."""
+        g = gradient(yy[:-1])
+        if g.shape != x0.shape:
+            raise InputError(f"gradient returned shape {g.shape} at a point of shape {x0.shape}")
+        row[:-1] = g
+        row[-1] = -math.sqrt(g.dot(g))
+
+    K = np.empty((7, n))
+    write_field(y, K[0])
     n_feval = 1
-    if not np.all(np.isfinite(k1)):
+    if not np.all(np.isfinite(K[0])):
         raise NonFiniteError("non-finite gradient at t=0.0")
 
+    ys = [y]
     times = [0.0]
-    states = [x0.copy()]
-    arc = [0.0]
     local_errors = [0.0]
-    segments: list[DenseSegment] = []
     stop_reason = None
 
+    grad_norm = -float(K[0, -1])
     if stop_check is not None:
-        reason = stop_check(0.0, x0, float(k1[-1]))
+        reason = stop_check(0.0, x0, grad_norm)
         if reason:
             stop_reason = reason
-    if stop_reason is None and k1[-1] == 0.0:
+    if stop_reason is None and grad_norm == 0.0:
         stop_reason = "stationary"
     if stop_reason is None and horizon == 0.0:
         stop_reason = "horizon"
@@ -150,12 +135,14 @@ def integrate_flow(
     t = 0.0
     h = 1.0
     if stop_reason is None:
-        h = _initial_step(f, y, k1, tol, horizon)
+        h = _initial_step(write_field, y, K[0], K[1], tol, horizon)
         n_feval += 1  # the Euler probe inside the step-size guess
     err_old = 1e-4
     n_accepted = 0
     n_rejected = 0
-    K = np.empty((7, n))
+    # (weights, earlier rows, row to write) of stages 2..7; the slices are
+    # views of K made once
+    stages = [(_A[i], K[:i], K[i]) for i in range(1, 7)]
 
     while stop_reason is None:
         if n_accepted >= max_steps:
@@ -166,37 +153,41 @@ def integrate_flow(
         if h <= 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflowError(t)
 
-        K[0] = k1
-        for i in range(1, 7):
-            yi = y + h * (_A[i] @ K[:i])
-            K[i] = f(yi)
+        for a, earlier, row in stages:
+            # y + h * (a @ earlier), computed in the stage point's own buffer
+            yi = a @ earlier
+            yi *= h
+            yi += y
+            write_field(yi, row)
         n_feval += 6
-        y_new = yi  # stage 7 uses the 5th-order solution point
-        if not np.all(np.isfinite(K)):
+        if not math.isfinite(K.sum()) and not np.all(np.isfinite(K)):
             raise NonFiniteError(f"non-finite gradient near t={t + h!r}")
 
-        err_vec = h * (_E @ K)
-        err = math.sqrt(float(np.mean((err_vec / tol) ** 2)))
+        # sqrt(mean((h * (E @ K) / tol)**2)), operation by operation
+        e = _E @ K
+        e *= h
+        e /= tol
+        e *= e
+        err = math.sqrt(float(np.add.reduce(e)) / n)
 
         if err <= 1.0:
-            t_new = t + h
-            segments.append(DenseSegment(t, h, y.copy(), K.T @ _P))
-            times.append(t_new)
-            states.append(y_new[:-1].copy())
-            arc.append(float(y_new[-1]))
+            t += h
+            y = yi  # stage 7 uses the 5th-order solution point
+            ys.append(y)
+            times.append(t)
             local_errors.append(err)
             n_accepted += 1
 
-            grad_norm = float(K[6, -1])
-            x_new = y_new[:-1]
-            if float(np.linalg.norm(x_new)) > divergence_radius:
-                raise DivergenceError(f"trajectory norm exceeded {divergence_radius:g} at t={t_new!r}")
+            grad_norm = -float(K[6, -1])
+            x = y[:-1]
+            if math.sqrt(x.dot(x)) > divergence_radius:
+                raise DivergenceError(f"trajectory norm exceeded {divergence_radius:g} at t={t!r}")
             if stop_check is not None:
-                stop_reason = stop_check(t_new, x_new, grad_norm)
+                stop_reason = stop_check(t, x, grad_norm)
             if stop_reason is None and horizon is not None:
                 # absorb the final rounding ulp so the closing step cannot
                 # leave an unintegrable sliver before the horizon
-                if t_new >= horizon - 1e-12 * max(1.0, abs(horizon)):
+                if t >= horizon - 1e-12 * max(1.0, abs(horizon)):
                     stop_reason = "horizon"
             if stop_reason is None and grad_norm == 0.0:
                 stop_reason = "stationary"
@@ -206,17 +197,17 @@ def integrate_flow(
             factor = _SAFETY * err_floor**(-_ALPHA) * err_old**_BETA
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
             err_old = err_floor
-            t, y, k1 = t_new, y_new, K[6].copy()
+            K[0] = K[6]  # FSAL
         else:
             n_rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * err**(-0.2))
 
+    path = np.asarray(ys)
     return FlowResult(
         times=np.asarray(times),
-        states=np.asarray(states),
-        arc=np.asarray(arc),
+        states=path[:, :-1].copy(),
+        arc=path[:, -1].copy(),
         local_errors=np.asarray(local_errors),
-        segments=segments,
         stop_reason=stop_reason,
         n_accepted=n_accepted,
         n_rejected=n_rejected,

@@ -109,7 +109,9 @@ class Trajectory:
     step-norm sum even when no intermediate point is kept.  Continuous
     trajectories additionally carry the arc length integrated as an ODE
     state, the chord-sum cross-check, per-step local error estimates and
-    dense-output segments.
+    the integrator's counts: ``n_steps`` accepted and ``n_rejected``
+    rejected steps, ``n_feval`` gradient calls.  They keep the accepted
+    points only; there is no dense output between them.
     """
 
     kind: str
@@ -124,7 +126,6 @@ class Trajectory:
     arc_length: float | None = None
     chord_sum: float | None = None
     local_errors: Array | None = None
-    dense: list | None = None
     n_rejected: int = 0
     n_feval: int = 0
 
@@ -139,17 +140,6 @@ class Trajectory:
     @property
     def final_time(self) -> float:
         return float(self.times[-1])
-
-    def interpolate(self, t: float) -> Array:
-        """Dense-output evaluation of a continuous trajectory at time t."""
-        if self.kind != "continuous" or not self.dense:
-            raise InputError("dense output is only available for continuous trajectories")
-        if t < self.times[0] or t > self.times[-1]:
-            raise InputError(f"time {t} outside the integrated range")
-        starts = np.array([seg.t0 for seg in self.dense])
-        idx = min(int(np.searchsorted(starts, t, side="right")) - 1, len(self.dense) - 1)
-        idx = max(idx, 0)
-        return self.dense[idx](t)[:-1]
 
 
 class _Recorder:
@@ -457,7 +447,6 @@ def gf_integrate(
         arc_length=float(res.arc[-1]),
         chord_sum=chord,
         local_errors=res.local_errors,
-        dense=res.segments,
         n_rejected=res.n_rejected,
         n_feval=res.n_feval,
     )

@@ -4,7 +4,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from gradpath import InputError, InvariantViolation
+from gradpath import InputError, InvariantViolation, StopRule, gf_integrate
 from gradpath.cli import main
 from gradpath.harness import (
     CSV_HEADER,
@@ -21,6 +21,7 @@ from gradpath.harness import (
     run_experiment,
     run_property_suite,
 )
+from gradpath.registry import parse_instance
 
 GOLDEN_ROW = ResultRow(
     experiment="quad-lower-gf", d=6, omega=11.0, kappa_nominal=161051.0,
@@ -451,6 +452,17 @@ class TestCli:
         assert code == 0
         assert "arc length" in capsys.readouterr().out
 
+    def test_run_gf_reports_integrator_counts(self, capsys):
+        assert main(["run-gf", "--objective", "pkl-lower-gf:d=6", "--stop", "norm_below:1e-6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        instance = parse_instance("pkl-lower-gf:d=6")
+        traj = gf_integrate(instance.objective, instance.x0, 1e-10, StopRule.norm_below(1e-6))
+        assert traj.n_rejected > 0
+        assert lines[2] == (
+            f"integrator: {traj.n_steps} accepted, {traj.n_rejected} rejected, "
+            f"{traj.n_feval} gradient calls"
+        )
+
     def test_bounds_subcommand(self, capsys):
         assert main(["bounds", "pkl-gd", "--mu", "1", "--L", "4"]) == 0
         assert "4.0" in capsys.readouterr().out
@@ -504,6 +516,26 @@ class TestCli:
         assert "10.5" in out and "3.5" in out
         pts.write_text("1 0\n0.5 0\n0.25 0\n")
         assert main(["check", "self-contracted", "--points", str(pts)]) == 0
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 0\n1 nan\n0 0\n", "line 2 must be finite, got 'nan'"),
+        ("1 0\n# note\n1 abc\n", "line 3: expected a number, got 'abc'"),
+        ("1 0\n0.5\n", "line 2: expected 2 coordinates, got 1"),
+    ], ids=["nan", "malformed", "ragged"])
+    def test_check_bad_points_is_exit_two(self, text, message, tmp_path, capsys):
+        pts = tmp_path / "pts.txt"
+        pts.write_text(text)
+        assert main(["check", "self-contracted", "--points", str(pts)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {pts} {message}\n"
+
+    def test_check_non_finite_tol_is_exit_two(self, tmp_path, capsys):
+        # a NaN tolerance used to pass every triple: "8, -6, 4.5" was reported self-contracted
+        pts = tmp_path / "pts.txt"
+        pts.write_text("8\n-6\n4.5\n")
+        assert main(["check", "self-contracted", "--points", str(pts), "--tol", "nan"]) == 2
+        assert capsys.readouterr().err == "error: --tol must be finite, got nan\n"
 
     def test_experiment_subcommand(self, tmp_path, capsys):
         code = main([
