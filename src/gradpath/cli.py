@@ -85,7 +85,7 @@ def _report_run(traj, instance, out):
         if rep.dist0 == rep.dist0 and rep.dist0 > 0:  # not NaN
             print(f"ratio: {rep.ratio!r} over dist0 {rep.dist0!r}")
     else:
-        print(f"arc length: {traj.arc_length!r} (chord sum {traj.chord_sum!r})")
+        print(f"arc length: {traj.arc_length!r} (chord sum {traj.path_sum!r})")
         print(f"integrator: {traj.n_steps} accepted, {traj.n_rejected} rejected, "
               f"{traj.n_feval} gradient calls")
     if not instance.objective.in_declared_box(traj.final_point):

@@ -11,6 +11,7 @@ diagonal.  The quadratic instance has a geometric spectrum.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,6 +326,8 @@ def build_quad_random(d: int, kappa: float, seed: int) -> QuadRandomInstance:
         raise InputError("random spectra need d >= 2")
     if not 1 < kappa < math.inf:
         raise InputError("kappa must be finite and exceed 1")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     a = np.empty(d)
     a[0] = 1.0

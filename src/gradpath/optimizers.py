@@ -7,8 +7,9 @@ every iterate with its gradient inside the loop, so diagnostics need no
 stored points.  The loop takes one dot product per vector: the squared
 norms of the gradient, the new iterate and the step serve the
 finiteness, stop, step-norm and divergence checks.
-The continuous runner wraps the adaptive integrator in :mod:`.ode` and
-reports the arc length carried as an augmented ODE state.
+The continuous runner, :func:`gf_integrate`, is an adaptive
+Dormand-Prince 5(4) integrator that carries the arc length as an
+augmented ODE state and accumulates the chord sum in its loop.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import ode
-from .errors import DivergenceError, InputError, NonFiniteError, finite_number
+from .errors import DivergenceError, InputError, NonFiniteError, StepSizeUnderflowError, finite_number
 from .objectives import Array, ObjectiveSpec, QuadraticSpec, as_vector
 
 #: Default safety caps; exceeding one is an explicit stop reason.
@@ -93,9 +93,15 @@ def parse_stop_rule(text: str) -> StopRule:
     if not sep:
         raise InputError(f"stop rule {text!r} must look like 'kind:threshold'")
     threshold = finite_number(raw, f"stop threshold in {text!r}")
-    if kind == "max_steps":
-        return StopRule.max_steps(int(threshold))
     return StopRule(kind, threshold)
+
+
+def _step_limit(stop: StopRule, cap: int) -> tuple[int, str]:
+    """A run's step limit and the stop reason it reports: a ``max_steps``
+    rule up to ``cap``, else the safety cap itself."""
+    if stop.kind == "max_steps" and int(stop.threshold) <= cap:
+        return int(stop.threshold), "max_steps"
+    return cap, "cap"
 
 
 @dataclass
@@ -107,11 +113,12 @@ class Trajectory:
     only the first and the last with ``keep_iterates=False``.  ``n_steps``
     counts every update taken and ``path_sum`` accumulates the full
     step-norm sum even when no intermediate point is kept.  Continuous
-    trajectories additionally carry the arc length integrated as an ODE
-    state, the chord-sum cross-check, per-step local error estimates and
-    the integrator's counts: ``n_steps`` accepted and ``n_rejected``
-    rejected steps, ``n_feval`` gradient calls.  They keep the accepted
-    points only; there is no dense output between them.
+    trajectories record every accepted point (there is no dense output
+    between them); their ``path_sum`` is the chord sum over accepted
+    steps, a cross-check on ``arc_length``, the arc length integrated as
+    an ODE state.  They also carry per-step local error estimates and the
+    integrator's counts: ``n_steps`` accepted and ``n_rejected`` rejected
+    steps, ``n_feval`` gradient calls.
     """
 
     kind: str
@@ -124,7 +131,6 @@ class Trajectory:
     path_sum: float = 0.0
     # continuous-only fields
     arc_length: float | None = None
-    chord_sum: float | None = None
     local_errors: Array | None = None
     n_rejected: int = 0
     n_feval: int = 0
@@ -191,9 +197,7 @@ def _discrete_run(
     norm_stop = kind == "norm_below"
     coords_stop = kind == "coords_below_except_last"
     grad_stop = kind == "grad_below"
-    limit, limit_reason = safety_cap, "cap"
-    if kind == "max_steps" and int(eps) <= safety_cap:
-        limit, limit_reason = int(eps), "max_steps"
+    limit, limit_reason = _step_limit(stop, safety_cap)
     # Each vector's squared norm is taken once and serves every check on
     # it: sqrt(v.dot(v)) is what np.linalg.norm(v) computes for a real
     # vector, and a vector with a NaN or an infinite entry has a
@@ -391,62 +395,196 @@ def gf_quadratic(spec: QuadraticSpec, t):
     return spec.projection + decay @ spec.basis.T
 
 
-def gf_integrate(
-    obj: ObjectiveSpec,
-    x0,
-    tol: float = 1e-10,
-    stop: StopRule | None = None,
-    *,
-    max_steps: int = MAX_ODE_STEPS,
-) -> Trajectory:
-    """Adaptive integration of the gradient flow dx/dt = -grad f(x).
+# Dormand-Prince 5(4) tableau, negated because the stage rows hold the
+# negated field (stage times are implicit: the field is autonomous).
+_A = [-np.array(row) for row in (
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+)]
+# The propagated 5th-order weights coincide with the last row of _A (FSAL);
+# _E is the difference between the 5th- and 4th-order weights (negated too).
+_E = -np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
-    The running arc length is integrated as an augmented state; the
-    chord sum over accepted steps is recorded as a cross-check.
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_BETA = 0.04          # PI stabilisation exponent
+_ALPHA = 0.2 - 0.75 * _BETA
+
+
+def _initial_step(write_field, y0, k0, probe, tol, t_max):
+    """Hairer's starting step; ``k0`` is the negated field at ``y0``,
+    ``probe`` a scratch row for the negated field at the Euler probe."""
+    scale = tol  # pure absolute scaling
+    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
+    d1 = np.sqrt(np.mean((k0 / scale) ** 2))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    write_field(y0 - h0 * k0, probe)
+    d2 = np.sqrt(np.mean(((probe - k0) / scale) ** 2)) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h = min(100 * h0, h1)
+    if t_max is not None:
+        h = min(h, t_max)
+    return h
+
+
+def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | None = None) -> Trajectory:
+    """Adaptive Dormand-Prince 5(4) integration of dx/dt = -grad f(x).
+
+    The flow is integrated together with an extra state s(t) obeying
+    ds/dt = ||grad f(x)||, so the arc length comes from the same
+    error-controlled integration as the curve; a PI step-size controller
+    keeps each accepted step's scaled local error estimate at or below 1
+    (absolute tolerance ``tol``).  The chord sum over accepted steps is
+    accumulated in the loop as ``path_sum``, a cross-check on the arc.
+
+    Each stage row of the work array holds the *negated* augmented field,
+    (+grad, -||grad||), written in place from one gradient call, and the
+    tableau is negated once at import to match; negation is exact, so
+    every step is bit-identical to stepping with the field itself.  A
+    step's stages are checked for finiteness with one reduction (their
+    sum, non-finite whenever an entry is); the element-wise test runs
+    only when the sum is not finite.  ``horizon`` rules stop exactly at
+    time T; a ``max_steps`` rule counts accepted steps.
     """
-    finite_number(tol, "tol")
+    if finite_number(tol, "tol") <= 0:
+        raise InputError("tol must be positive")
     x0 = as_vector(x0, obj.dim)
     if stop is None:
         stop = StopRule.grad_below(1e-10)
+    gradient_at = obj.gradient_at
+    kind, eps = stop.kind, stop.threshold
+    norm_stop = kind == "norm_below"
+    coords_stop = kind == "coords_below_except_last"
+    grad_stop = kind == "grad_below"
+    horizon = eps if kind == "horizon" else None
+    limit, limit_reason = _step_limit(stop, MAX_ODE_STEPS)
 
-    horizon = None
-    stop_check = None
-    if stop.kind == "horizon":
-        horizon = stop.threshold
-    elif stop.kind == "grad_below":
-        eps = stop.threshold
-        stop_check = lambda t, x, gn: "grad_below" if gn <= eps else None
-    elif stop.kind == "norm_below":
-        eps = stop.threshold
-        stop_check = lambda t, x, gn: "norm_below" if float(np.linalg.norm(x)) <= eps else None
-    elif stop.kind == "coords_below_except_last":
-        rule = stop
-        stop_check = lambda t, x, gn: stop.kind if rule.point_satisfied(x) else None
-    elif stop.kind == "max_steps":
-        max_steps = min(max_steps, int(stop.threshold))
-    else:  # pragma: no cover - guarded by StopRule validation
-        raise InputError(f"unsupported stop rule {stop.kind!r} for flows")
+    def rule_met(x, xsq, grad_norm):
+        return ((grad_stop and grad_norm <= eps) or (norm_stop and math.sqrt(xsq) <= eps)
+                or (coords_stop and stop.point_satisfied(x)))
 
-    res = ode.integrate_flow(
-        obj.gradient_at, x0, tol,
-        stop_check=stop_check, horizon=horizon, max_steps=max_steps,
-        divergence_radius=DIVERGENCE_RADIUS,
-    )
-    stop_reason = res.stop_reason
-    if stop.kind == "max_steps" and stop_reason == "cap":
-        stop_reason = "max_steps"
-    chord = float(np.linalg.norm(np.diff(res.states, axis=0), axis=1).sum())
+    y = np.concatenate([x0, [0.0]])
+    n = y.size
+
+    def write_field(yy, row):
+        """Store the negated augmented field at ``yy`` in ``row``: (+g, -||g||)."""
+        g = gradient_at(yy[:-1])
+        if g.shape != x0.shape:
+            raise InputError(f"gradient returned shape {g.shape} at a point of shape {x0.shape}")
+        row[:-1] = g
+        row[-1] = -math.sqrt(g.dot(g))
+
+    K = np.empty((7, n))
+    write_field(y, K[0])
+    n_feval = 1
+    if not np.all(np.isfinite(K[0])):
+        raise NonFiniteError("non-finite gradient at t=0.0")
+
+    ys = [y]
+    times = [0.0]
+    local_errors = [0.0]
+    x = y[:-1]
+    xsq = float(x.dot(x))
+    grad_norm = -float(K[0, -1])
+    reason = None
+    if rule_met(x, xsq, grad_norm):
+        reason = kind
+    elif grad_norm == 0.0:
+        reason = "stationary"
+    elif horizon == 0.0:
+        reason = "horizon"
+
+    t = 0.0
+    if reason is None:
+        h = _initial_step(write_field, y, K[0], K[1], tol, horizon)
+        n_feval += 1  # the Euler probe inside the step-size guess
+    err_old = 1e-4
+    n_accepted = 0
+    n_rejected = 0
+    chord = 0.0
+    # (weights, earlier rows, row to write) of stages 2..7; the slices are
+    # views of K made once
+    stages = [(_A[i], K[:i], K[i]) for i in range(1, 7)]
+
+    while reason is None:
+        if n_accepted >= limit:
+            reason = limit_reason
+            break
+        if horizon is not None:
+            h = min(h, horizon - t)
+        if h <= 1e-14 * max(1.0, abs(t)):
+            raise StepSizeUnderflowError(t)
+
+        for a, earlier, row in stages:
+            # y + h * (a @ earlier), computed in the stage point's own buffer
+            yi = a @ earlier
+            yi *= h
+            yi += y
+            write_field(yi, row)
+        n_feval += 6
+        if not math.isfinite(K.sum()) and not np.all(np.isfinite(K)):
+            raise NonFiniteError(f"non-finite gradient near t={t + h!r}")
+
+        # sqrt(mean((h * (E @ K) / tol)**2)), operation by operation
+        e = _E @ K
+        e *= h
+        e /= tol
+        e *= e
+        err = math.sqrt(float(np.add.reduce(e)) / n)
+
+        if err <= 1.0:
+            t += h
+            y = yi  # stage 7 uses the 5th-order solution point
+            ys.append(y)
+            times.append(t)
+            local_errors.append(err)
+            n_accepted += 1
+
+            x_prev, x = x, y[:-1]
+            dx = x - x_prev
+            chord += math.sqrt(float(dx.dot(dx)))
+            xsq = float(x.dot(x))
+            grad_norm = -float(K[6, -1])
+            if math.sqrt(xsq) > DIVERGENCE_RADIUS:
+                raise DivergenceError(f"trajectory norm exceeded {DIVERGENCE_RADIUS:g} at t={t!r}")
+            if rule_met(x, xsq, grad_norm):
+                reason = kind
+            # absorb the final rounding ulp so the closing step cannot
+            # leave an unintegrable sliver before the horizon
+            elif horizon is not None and t >= horizon - 1e-12 * max(1.0, abs(horizon)):
+                reason = "horizon"
+            elif grad_norm == 0.0:
+                reason = "stationary"
+
+            # PI controller (accepted step).
+            err_floor = max(err, 1e-10)
+            factor = _SAFETY * err_floor**(-_ALPHA) * err_old**_BETA
+            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            err_old = err_floor
+            K[0] = K[6]  # FSAL
+        else:
+            n_rejected += 1
+            h *= max(_MIN_FACTOR, _SAFETY * err**(-0.2))
+
     return Trajectory(
         kind="continuous",
-        times=res.times,
-        points=res.states,
-        stop_reason=stop_reason,
+        times=np.asarray(times),
+        points=np.asarray(ys)[:, :-1].copy(),
+        stop_reason=reason,
         rule={"rule": "gf", "tol": tol},
-        n_steps=res.n_accepted,
+        n_steps=n_accepted,
         path_sum=chord,
-        arc_length=float(res.arc[-1]),
-        chord_sum=chord,
-        local_errors=res.local_errors,
-        n_rejected=res.n_rejected,
-        n_feval=res.n_feval,
+        arc_length=float(y[-1]),
+        local_errors=np.asarray(local_errors),
+        n_rejected=n_rejected,
+        n_feval=n_feval,
     )

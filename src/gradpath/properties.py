@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bounds, constructions, registry
 from .analysis import (
-    effective_pkl_mu,
+    PlRatio,
     linear_convergence_fit,
     path_length_discrete,
     path_length_quadratic_gf,
@@ -250,8 +250,9 @@ def _check_effective_mu_floor(cfg):
         if d < 6:
             continue
         inst = registry.make_instance("pkl-lower-gd", d=d)
-        traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6))
-        mu = effective_pkl_mu(traj, inst.objective, mode="min")
+        pl = PlRatio(inst.objective)
+        gd_run(inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6), keep_iterates=False, observe=pl)
+        mu = pl.aggregate("min")
         if mu < inst.objective.mu * (1 - 1e-9):
             return f"effective mu {mu} below declared {inst.objective.mu} at d={d}"
 

@@ -305,6 +305,9 @@ class TestQuadRandom:
         for kappa in (math.nan, math.inf):
             with pytest.raises(InputError, match="finite"):
                 build_quad_random(5, kappa, 0)
+        for seed in (-1, 1.5, 2.0):
+            with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+                build_quad_random(5, 100.0, seed)
 
 
 class TestLinConvConstants:

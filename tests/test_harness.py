@@ -550,6 +550,30 @@ class TestCli:
         cfg = _write_config(tmp_path)
         assert main(["experiment", "quad-random", "--out", str(tmp_path), "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("entry", ["cli-offset", "config-file", "registry"])
+    def test_negative_seed_is_exit_two(self, entry, tmp_path, capsys):
+        # each used to end in numpy's "expected non-negative integer" traceback
+        if entry == "registry":
+            argv = ["run-gd", "--objective", "quad-random:seed=-1", "--stop", "max_steps:3"]
+        else:
+            argv = ["experiment", "quad-random", "--out", str(tmp_path)]
+            if entry == "cli-offset":
+                argv += ["--seed", "-5"]
+            else:
+                cfg = tmp_path / "rand.cfg"
+                cfg.write_text("experiment = quad-random\ndims = 4\nkappas = 100.0\nseeds = -1\n")
+                argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be a nonnegative integer")
+        assert not (tmp_path / "quad-random.csv").exists()
+
+    def test_fractional_max_steps_is_exit_two(self, capsys):
+        argv = ["run-gd", "--objective", "quad-geom:d=3,omega=4", "--stop"]
+        assert main(argv + ["max_steps:2.5"]) == 2  # used to run 2 steps
+        assert "max_steps requires a nonnegative integer" in capsys.readouterr().err
+        assert main(argv + ["max_steps:3"]) == 0
+        assert capsys.readouterr().out.startswith("stop: max_steps after 3 steps\n")
+
     def test_suite_small(self, capsys):
         assert main(["suite", "--dims", "6"]) == 0
         out = capsys.readouterr().out

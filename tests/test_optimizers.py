@@ -45,6 +45,8 @@ class TestStopRule:
             StopRule.norm_below(-1.0)
         with pytest.raises(InputError):
             StopRule.max_steps(2.5)
+        with pytest.raises(InputError, match="integer"):
+            parse_stop_rule("max_steps:2.5")  # used to truncate to 2
 
     @pytest.mark.parametrize("text", ["norm_below:nan", "grad_below:inf", "max_steps:inf", "norm_below:abc"])
     def test_non_finite_threshold_rejected(self, text):
@@ -453,8 +455,29 @@ class TestGfIntegrate:
     def test_chord_cross_check_close_to_arc(self, rng):
         spec = random_convex_quadratic(rng)
         traj = gf_integrate(spec.to_objective(), spec.x0, 1e-10, StopRule.grad_below(1e-9))
-        assert traj.chord_sum <= traj.arc_length * (1 + 1e-9)
-        assert traj.chord_sum == pytest.approx(traj.arc_length, rel=1e-4)
+        assert traj.path_sum <= traj.arc_length * (1 + 1e-9)
+        assert traj.path_sum == pytest.approx(traj.arc_length, rel=1e-4)
+
+    @pytest.mark.parametrize("case", ["quadratic", "pkl-flow-d20"])
+    def test_chord_is_the_step_norm_sum(self, rng, case):
+        if case == "quadratic":
+            spec = random_convex_quadratic(rng)
+            obj, x0, stop = spec.to_objective(), spec.x0, StopRule.grad_below(1e-9)
+        else:
+            inst = build_pkl_gf_instance(20)
+            obj, x0, stop = inst.objective, inst.x0, StopRule.norm_below(1e-6)
+        traj = gf_integrate(obj, x0, 1e-10, stop)
+        # the loop's terms, sqrt(dx . dx), recomputed from the stored points
+        norms = [math.sqrt(float(v.dot(v))) for v in np.diff(traj.points, axis=0)]
+        exact = math.fsum(norms)
+        # recursive summation of n nonnegative terms is within gamma_{n-1} of
+        # their exact sum (Higham, Accuracy and Stability, ch. 4) and fsum
+        # within u of it; gamma_n = n u / (1 - n u) covers both
+        u = np.finfo(float).eps / 2
+        n = len(norms)
+        assert n == traj.n_steps > 100
+        gamma = n * u / (1 - n * u)
+        assert abs(traj.path_sum - exact) <= gamma * exact
 
     def test_max_steps_reported(self):
         traj = gf_integrate(half_square(), [1.0], 1e-10, StopRule.max_steps(3))
