@@ -31,7 +31,6 @@ from .bounds import (
     spectral_gap_term,
 )
 from .constructions import (
-    GdPklInit,
     PklConstruction,
     QuadLowerConstruction,
     QuadRandomInstance,

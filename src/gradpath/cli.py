@@ -28,6 +28,7 @@ from .optimizers import (
     parse_stop_rule,
     pgd_run,
 )
+from .properties import SuiteReport
 from .registry import parse_instance
 
 
@@ -149,7 +150,7 @@ def _cmd_experiment(args) -> int:
         cfg = replace(cfg, seeds=tuple(args.seed + s for s in cfg.seeds))
 
     result = harness.run_experiment(cfg)
-    if cfg.experiment == "property-suite":
+    if isinstance(result, SuiteReport):
         print(result.render())
         return 0 if result.ok else 1
 
@@ -157,11 +158,7 @@ def _cmd_experiment(args) -> int:
     csv_path = Path(cfg.out) if cfg.out else out_dir / f"{cfg.experiment}.csv"
     harness.emit_csv(result, csv_path)
     print(f"wrote {csv_path} ({len(result)} rows)")
-    figure = None
-    if cfg.experiment == "pkl-lower-gd":
-        figure = "f1-ratio-vs-kappa"
-    elif cfg.experiment in ("quad-lower-gf", "quad-lower-gd", "quad-random"):
-        figure = "f2-ratio-vs-logkappa"
+    figure = harness.EXPERIMENT_TABLE[cfg.experiment].figure
     if figure:
         script_path = csv_path.with_name(csv_path.stem + "_plot.py")
         harness.emit_plot_script(result, figure, csv_path, script_path)

@@ -169,35 +169,22 @@ def build_pkl_gf_instance(d: int, target_kappa: float | None = None) -> PklGfIns
 
 
 @dataclass(frozen=True)
-class GdPklInit:
-    """Admissible descent step and stage length for the PL instance.
+class PklGdInstance:
+    """Descent instance with its admissible step and stage length.
 
     eta lies in [1/4, 1/2] and satisfies (1 + 2 eta)^k1 = 1/(2 delta)
     exactly, so a staged component reaches 0.5 after k1 steps.
     """
 
+    objective: ObjectiveSpec
+    x0: Array
     eta: float
     k1: int
-    x0: Array
+    construction: PklConstruction
 
     def __post_init__(self):
         if not (0.25 <= self.eta <= 0.5):
             raise InputError("eta must lie in [1/4, 1/2]")
-
-
-@dataclass(frozen=True)
-class PklGdInstance:
-    objective: ObjectiveSpec
-    init: GdPklInit
-    construction: PklConstruction
-
-    @property
-    def x0(self) -> Array:
-        return self.init.x0
-
-    @property
-    def eta(self) -> float:
-        return self.init.eta
 
 
 def select_gd_stage(d: int) -> tuple[float, int]:
@@ -217,11 +204,7 @@ def build_pkl_gd_instance(d: int, target_kappa: float | None = None) -> PklGdIns
     eta, k1 = select_gd_stage(kind.d)
     x0 = _staggered_x0(d, kind, 2.0 * eta * k1 * kind.delta)
     obj = kind.to_objective(name=f"pkl-lower-gd(d={d})", dim=d)
-    return PklGdInstance(
-        objective=obj,
-        init=GdPklInit(eta=eta, k1=k1, x0=x0),
-        construction=kind,
-    )
+    return PklGdInstance(objective=obj, x0=x0, eta=eta, k1=k1, construction=kind)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ grid of independent points, run serially in one loop.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -20,17 +22,7 @@ from .analysis import PlRatio, path_length_discrete, path_length_quadratic_gf
 from .analysis import effective_pkl_mu  # noqa: F401  (re-exported; bench/workloads.py traces it)
 from .errors import InputError, InvariantViolation, finite_number
 from .optimizers import StopRule, gd_run
-from .properties import run_property_suite  # noqa: F401  (re-exported)
-
-EXPERIMENTS = (
-    "pkl-lower-gd", "quad-lower-gf", "quad-lower-gd",
-    "quad-random", "bound-sweep", "property-suite",
-)
-
-CSV_HEADER = (
-    "experiment,d,omega,kappa_nominal,kappa_effective,mu_mode,dist0,zeta,"
-    "ratio,bound_upper,bound_lower,steps,runtime_s,seed,stop_reason"
-)
+from .properties import run_property_suite
 
 #: Relative slack granted to the bound sandwich (quadrature error).
 SANDWICH_SLACK = 1e-9
@@ -55,7 +47,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0,)
     mu_mode: str = "min"
     quad_abs_tol: float = 1e-12
-    ode_tol: float = 1e-10
     stop_norm: float = 1e-6
     stop_coords: float = 1e-2
     safety_cap: int = 5_000_000
@@ -66,7 +57,7 @@ class ExperimentConfig:
             raise InputError(f"unknown experiment {self.experiment!r}; known: {', '.join(EXPERIMENTS)}")
         if self.mu_mode not in ("min", "paper_max"):
             raise InputError(f"unknown mu_mode {self.mu_mode!r}")
-        for name in ("quad_abs_tol", "ode_tol", "stop_norm", "stop_coords"):
+        for name in (key for key, kind in CONFIG_KEYS.items() if kind is float):
             if not 0 < getattr(self, name) < math.inf:
                 raise InputError(f"{name} must be positive and finite")
         if self.safety_cap < 1:
@@ -74,25 +65,18 @@ class ExperimentConfig:
 
 
 def default_config(experiment: str) -> ExperimentConfig:
-    if experiment == "pkl-lower-gd":
-        return ExperimentConfig(experiment, dims=f1_dimension_grid())
-    if experiment == "quad-lower-gf":
-        return ExperimentConfig(experiment, dims=(20,), omegas=(1.1, 1.3, 1.6, 2.0))
-    if experiment == "quad-lower-gd":
-        return ExperimentConfig(experiment, dims=(6,), omegas=(11.0,))
-    if experiment == "quad-random":
-        return ExperimentConfig(experiment, dims=(20,), kappas=(1e6,), seeds=tuple(range(10)))
-    if experiment == "bound-sweep":
-        return ExperimentConfig(experiment, dims=(6, 20, 150), omegas=(1.1, 2.0, 11.0))
-    if experiment == "property-suite":
-        return ExperimentConfig(experiment, dims=(6, 20))
-    raise InputError(f"unknown experiment {experiment!r}; known: {', '.join(EXPERIMENTS)}")
+    cfg = ExperimentConfig(experiment)  # rejects an unknown id
+    return replace(cfg, **EXPERIMENT_TABLE[experiment].grid)
 
 
-_LIST_KEYS = {"dims", "omegas", "kappas", "seeds"}
-_INT_KEYS = {"safety_cap"}
-_FLOAT_KEYS = {"quad_abs_tol", "ode_tol", "stop_norm", "stop_coords"}
-_STR_KEYS = {"experiment", "mu_mode", "out"}
+#: How a config file's value is read, per key; ``(kind,)`` is a
+#: comma-separated list.  The float keys are the positive tolerances.
+CONFIG_KEYS = {
+    "experiment": str, "mu_mode": str, "out": str,
+    "dims": (int,), "seeds": (int,), "omegas": (float,), "kappas": (float,),
+    "safety_cap": int,
+    "quad_abs_tol": float, "stop_norm": float, "stop_coords": float,
+}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -107,18 +91,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise InputError(f"config line {lineno}: expected 'key = value', got {stripped!r}")
         key, value = key.strip(), value.strip()
         where = f"config line {lineno}: {key}"
-        if key in _LIST_KEYS:
+        kind = CONFIG_KEYS.get(key)
+        if kind is None:
+            raise InputError(f"config line {lineno}: unknown key {key!r}")
+        if isinstance(kind, tuple):
             items = [v for v in (s.strip() for s in value.split(",")) if v]
-            kind = int if key in ("dims", "seeds") else float
-            raw[key] = tuple(finite_number(v, where, kind) for v in items)
-        elif key in _INT_KEYS:
-            raw[key] = finite_number(value, where, int)
-        elif key in _FLOAT_KEYS:
-            raw[key] = finite_number(value, where)
-        elif key in _STR_KEYS:
+            raw[key] = tuple(finite_number(v, where, kind[0]) for v in items)
+        elif kind is str:
             raw[key] = value
         else:
-            raise InputError(f"config line {lineno}: unknown key {key!r}")
+            raw[key] = finite_number(value, where, kind)
     if "experiment" not in raw:
         raise InputError("config must set 'experiment'")
     cfg = default_config(raw.pop("experiment"))
@@ -161,19 +143,12 @@ class ResultRow:
         )
 
     def csv_fields(self) -> list[str]:
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                return repr(v)
-            return str(v)
+        """One cell per CSV column: None is empty, a float its repr, anything else its str."""
+        values = (getattr(self, column.name) for column in fields(self))
+        return ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values]
 
-        return [
-            self.experiment, fmt(self.d), fmt(self.omega), fmt(self.kappa_nominal),
-            fmt(self.kappa_effective), self.mu_mode, fmt(self.dist0), fmt(self.zeta),
-            fmt(self.ratio), fmt(self.bound_upper), fmt(self.bound_lower),
-            fmt(self.steps), fmt(self.runtime_s), fmt(self.seed), self.stop_reason,
-        ]
+
+CSV_HEADER = ",".join(column.name for column in fields(ResultRow))
 
 
 def _verify_sandwich(row: ResultRow):
@@ -197,7 +172,8 @@ def _verify_sandwich(row: ResultRow):
 # ---------------------------------------------------------------------------
 
 
-def _pkl_point(d: int, cfg: ExperimentConfig) -> ResultRow:
+def _pkl_point(point, cfg: ExperimentConfig) -> ResultRow:
+    (d,) = point
     start = time.perf_counter()
     inst = constructions.build_pkl_gd_instance(d)
     pl = PlRatio(inst.objective)
@@ -305,24 +281,41 @@ def _bound_point(point, cfg: ExperimentConfig) -> ResultRow:
     )
 
 
-def _grid(cfg: ExperimentConfig):
-    """The grid points of a CSV experiment and the function that turns one point into a row."""
-    if cfg.experiment == "pkl-lower-gd":
-        return cfg.dims, _pkl_point
-    if cfg.experiment == "quad-random":
-        return [(d, k, s) for d in cfg.dims for k in cfg.kappas for s in cfg.seeds], _random_point
-    point_row = _bound_point if cfg.experiment == "bound-sweep" else _quad_point
-    return [(d, omega) for d in cfg.dims for omega in cfg.omegas], point_row
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment id: its default grid fields, the function that turns
+    one grid point into a CSV row, and the figure its plot script draws.
+    The grid is the product of the grid fields, in this order; the
+    property suite has no point function: it reports checks, not rows."""
+
+    grid: dict
+    point_row: Callable[[tuple, ExperimentConfig], ResultRow] | None = None
+    figure: str | None = None
+
+
+EXPERIMENT_TABLE = {
+    "pkl-lower-gd": Experiment(dict(dims=f1_dimension_grid()), _pkl_point, "f1-ratio-vs-kappa"),
+    "quad-lower-gf": Experiment(dict(dims=(20,), omegas=(1.1, 1.3, 1.6, 2.0)),
+                                _quad_point, "f2-ratio-vs-logkappa"),
+    "quad-lower-gd": Experiment(dict(dims=(6,), omegas=(11.0,)), _quad_point, "f2-ratio-vs-logkappa"),
+    "quad-random": Experiment(dict(dims=(20,), kappas=(1e6,), seeds=tuple(range(10))),
+                              _random_point, "f2-ratio-vs-logkappa"),
+    "bound-sweep": Experiment(dict(dims=(6, 20, 150), omegas=(1.1, 2.0, 11.0)), _bound_point),
+    "property-suite": Experiment(dict(dims=(6, 20))),
+}
+
+EXPERIMENTS = tuple(EXPERIMENT_TABLE)
 
 
 def run_experiment(cfg: ExperimentConfig):
     """Rows of a CSV experiment, sorted and sandwich-checked; the suite report for property-suite."""
-    if cfg.experiment == "property-suite":
+    entry = EXPERIMENT_TABLE[cfg.experiment]
+    if entry.point_row is None:
         return run_property_suite(cfg)
-    points, point_row = _grid(cfg)
+    points = list(itertools.product(*(getattr(cfg, name) for name in entry.grid)))
     if not points:
         raise InputError(f"experiment {cfg.experiment!r} has an empty grid")
-    rows = sorted((point_row(p, cfg) for p in points), key=ResultRow.sort_key)
+    rows = sorted((entry.point_row(p, cfg) for p in points), key=ResultRow.sort_key)
     for row in rows:
         _verify_sandwich(row)
     return rows

@@ -125,7 +125,6 @@ class Trajectory:
     times: Array
     points: Array
     stop_reason: str
-    eta: float | None = None
     rule: dict = field(default_factory=dict)
     n_steps: int = 0
     path_sum: float = 0.0
@@ -182,7 +181,6 @@ def _discrete_run(
     stop: StopRule,
     update: Callable[[Array, Array, int], Array],
     *,
-    eta: float | None,
     rule: dict,
     safety_cap: int,
     keep_iterates: bool,
@@ -244,7 +242,6 @@ def _discrete_run(
         times=np.asarray(rec.indices, dtype=np.int64),
         points=np.asarray(rec.points),
         stop_reason=reason,
-        eta=eta,
         rule=rule,
         n_steps=rec.k,
         path_sum=rec.path_sum,
@@ -273,7 +270,7 @@ def gd_run(
     return _discrete_run(
         obj, x0, stop,
         lambda x, g, k: x - eta * g,
-        eta=eta, rule={"rule": "gd", "eta": eta},
+        rule={"rule": "gd", "eta": eta},
         safety_cap=safety_cap, keep_iterates=keep_iterates, observe=observe,
     )
 
@@ -319,7 +316,7 @@ def heavy_ball_run(
 
     return _discrete_run(
         obj, x0, stop, update,
-        eta=alpha, rule={"rule": "hb", "alpha": alpha, "beta": beta},
+        rule={"rule": "hb", "alpha": alpha, "beta": beta},
         safety_cap=safety_cap, keep_iterates=keep_iterates, observe=observe,
     )
 
@@ -360,7 +357,7 @@ def pgd_run(
     return _discrete_run(
         obj, x0, stop,
         lambda x, g, k: np.asarray(projector(x - eta * g), dtype=float),
-        eta=eta, rule={"rule": "pgd", "eta": eta},
+        rule={"rule": "pgd", "eta": eta},
         safety_cap=safety_cap, keep_iterates=keep_iterates, observe=observe,
     )
 
@@ -466,6 +463,10 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
     coords_stop = kind == "coords_below_except_last"
     grad_stop = kind == "grad_below"
     horizon = eps if kind == "horizon" else None
+    # the horizon counts as reached within 1e-12 relative: this absorbs the
+    # final rounding ulp, so the closing step cannot leave an unintegrable
+    # sliver, and a horizon below the step floor stops before any step
+    horizon_reached = None if horizon is None else horizon - 1e-12 * max(1.0, abs(horizon))
     limit, limit_reason = _step_limit(stop, MAX_ODE_STEPS)
 
     def rule_met(x, xsq, grad_norm):
@@ -495,15 +496,17 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
     x = y[:-1]
     xsq = float(x.dot(x))
     grad_norm = -float(K[0, -1])
+    t = 0.0
     reason = None
     if rule_met(x, xsq, grad_norm):
         reason = kind
     elif grad_norm == 0.0:
         reason = "stationary"
-    elif horizon == 0.0:
+    elif horizon is not None and t >= horizon_reached:
         reason = "horizon"
+    elif limit == 0:
+        reason = limit_reason  # before the step-size probe spends a gradient call
 
-    t = 0.0
     if reason is None:
         h = _initial_step(write_field, y, K[0], K[1], tol, horizon)
         n_feval += 1  # the Euler probe inside the step-size guess
@@ -558,9 +561,7 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
                 raise DivergenceError(f"trajectory norm exceeded {DIVERGENCE_RADIUS:g} at t={t!r}")
             if rule_met(x, xsq, grad_norm):
                 reason = kind
-            # absorb the final rounding ulp so the closing step cannot
-            # leave an unintegrable sliver before the horizon
-            elif horizon is not None and t >= horizon - 1e-12 * max(1.0, abs(horizon)):
+            elif horizon is not None and t >= horizon_reached:
                 reason = "horizon"
             elif grad_norm == 0.0:
                 reason = "stationary"

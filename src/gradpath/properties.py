@@ -325,7 +325,7 @@ def _check_pkl_checkpoints(cfg):
         if abs(traj.points[-1][1] - 0.5) > 1e-6:
             return f"flow checkpoint missed: {traj.points[-1][1]!r} (d={d})"
         gd = constructions.build_pkl_gd_instance(d)
-        traj = gd_run(gd.objective, gd.x0, gd.eta, StopRule.max_steps(gd.init.k1))
+        traj = gd_run(gd.objective, gd.x0, gd.eta, StopRule.max_steps(gd.k1))
         if abs(traj.points[-1][1] - 0.5) > 1e-10:
             return f"descent checkpoint missed: {traj.points[-1][1]!r} (d={d})"
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import constructions
 from .errors import InputError, finite_number
-from .objectives import Array, ObjectiveSpec, QuadraticSpec, build_fsep_quartic
+from .objectives import Array, ObjectiveSpec, build_fsep_quartic
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,6 @@ class Instance:
     objective: ObjectiveSpec
     x0: Array
     eta: float | None = None
-    quadratic: QuadraticSpec | None = None
 
 
 def _quad_geom(d: int = 6, omega: float = 11.0) -> Instance:
@@ -34,18 +33,17 @@ def _quad_geom(d: int = 6, omega: float = 11.0) -> Instance:
         objective=built.to_objective(),
         x0=built.x0,
         eta=built.eta,
-        quadratic=built.to_quadratic(),
     )
 
 
 def _quad_random(d: int = 10, kappa: float = 100.0, seed: int = 0) -> Instance:
     built = constructions.build_quad_random(int(d), float(kappa), int(seed))
+    obj = built.to_objective()
     return Instance(
-        label=built.to_objective().name,
-        objective=built.to_objective(),
+        label=obj.name,
+        objective=obj,
         x0=built.x0,
         eta=1.0 / (2.0 * float(built.coefficients.max())),
-        quadratic=built.to_quadratic(),
     )
 
 

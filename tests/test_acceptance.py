@@ -271,7 +271,7 @@ def test_criterion_8_pl_construction_well_formed():
             bad.append(f"grid PL ratio below mu at d={d}")
 
     inst = build_pkl_gd_instance(6)
-    traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.max_steps(inst.init.k1))
+    traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.max_steps(inst.k1))
     checkpoint = abs(traj.points[-1][1] - 0.5)
     if checkpoint > 1e-10:
         bad.append(f"descent checkpoint missed by {checkpoint:.2e}")

@@ -29,7 +29,7 @@ from gradpath import (
 TWO_MODE_ARC = 1.9516717538510267
 
 
-def discrete_traj(points, eta=1.0):
+def discrete_traj(points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 1 and pts.shape[1] > 1 and np.ndim(points) == 1:
         pts = pts.T
@@ -39,7 +39,6 @@ def discrete_traj(points, eta=1.0):
         times=np.arange(len(pts)),
         points=pts,
         stop_reason="max_steps",
-        eta=eta,
         n_steps=len(pts) - 1,
         path_sum=float(steps),
     )

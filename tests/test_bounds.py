@@ -22,6 +22,7 @@ from gradpath import (
     pgd_step_factor,
     spectral_gap_term,
 )
+from gradpath.bounds import BOUND_NAMES
 
 
 class TestLinConv:
@@ -292,6 +293,44 @@ class TestEvaluateBound:
     def test_non_finite_spectrum_item_rejected(self, bad):
         with pytest.raises(InputError, match="spectrum item"):
             evaluate_bound("quadratic-gf", spectrum=[4.0, bad, 1.0])
+
+    SHARED = dict(A=2.0, c=0.001, eta=0.5, L=4.0, mu=0.01, d=10, kappa=1e4, spectrum=[4.0, 2.0, 1.0])
+    OPT, STAR, LIMIT = "dist(x0, X*)", "||x0 - x*||", "||x0 - x_inf||"
+    #: name -> (the bound function called directly on SHARED, distance base, log2 scale)
+    DIRECT = {
+        "linconv-gd": (lambda: bound_linconv_gd(2.0, 0.001, 0.5, 4.0), OPT, False),
+        "linconv-gf": (lambda: bound_linconv_gf(2.0, 0.001, 4.0), OPT, False),
+        "linconv-general": (lambda: bound_linconv_general(2.0, 0.001), OPT, False),
+        "heavy-ball": (lambda: bound_hb(0.01, 4.0), STAR, False),
+        "pgd": (lambda: bound_pgd_factor(0.5, 4.0, 2.0, 0.001), OPT, False),
+        "pkl-gf": (lambda: bound_pkl(0.01, 4.0, "gf"), OPT, False),
+        "pkl-gd": (lambda: bound_pkl(0.01, 4.0, "gd"), OPT, False),
+        "quadratic-gf": (lambda: bound_quadratic(QuadraticSpec.diagonal([4.0, 2.0, 1.0], np.zeros(3)), "gf"),
+                         OPT, False),
+        "quadratic-gd": (lambda: bound_quadratic(QuadraticSpec.diagonal([4.0, 2.0, 1.0], np.zeros(3)), "gd"),
+                         OPT, False),
+        "fsep": (lambda: bound_fsep(0.01, 4.0), OPT, False),
+        "convex-gf": (lambda: bound_convex_qc(10, "gf_quasiconvex"), LIMIT, True),
+        "convex-gd-std": (lambda: bound_convex_qc(10, "gd_eta_invL"), LIMIT, True),
+        "convex-gd-small-step": (lambda: bound_convex_qc(10, "gd_eta_small"), LIMIT, True),
+        "separable": (lambda: bound_separable(10), OPT, False),
+        "lower-pkl-gf": (lambda: lower_bound_pkl(10, 1e4, "gf"), OPT, False),
+        "lower-pkl-gd": (lambda: lower_bound_pkl(10, 1e4, "gd"), OPT, False),
+        "lower-linconv-gf": (lambda: lower_bound_pkl(which="linconv_gf", c=0.001), OPT, False),
+        "lower-linconv-gd": (lambda: lower_bound_pkl(which="linconv_gd", c=0.001), OPT, False),
+        "lower-quadratic-gf": (lambda: lower_bound_quadratic(10, 1e4, "gf"), OPT, False),
+        "lower-quadratic-gd": (lambda: lower_bound_quadratic(10, 1e4, "gd"), OPT, False),
+    }
+
+    def test_every_name_has_a_direct_case(self):
+        assert tuple(self.DIRECT) == BOUND_NAMES
+
+    @pytest.mark.parametrize("name", BOUND_NAMES)
+    def test_named_bound_is_the_direct_call(self, name):
+        direct, base, log2 = self.DIRECT[name]
+        rep = evaluate_bound(name, **self.SHARED)
+        assert rep.factor.hex() == float(direct()).hex()
+        assert (rep.distance_base, rep.log2_scale, rep.inputs) == (base, log2, self.SHARED)
 
     def test_unused_inputs_are_checked_and_echoed(self):
         with pytest.raises(InputError, match="^A must be finite"):

@@ -161,29 +161,29 @@ class TestFlowInstance:
 class TestDescentInstance:
     def test_stage_selection_for_six(self):
         inst = build_pkl_gd_instance(6)
-        assert inst.init.k1 == 2
+        assert inst.k1 == 2
         assert inst.eta == pytest.approx((math.sqrt(3.0) - 1.0) / 2.0, rel=1e-14)
         assert 0.25 <= inst.eta <= 0.5
 
     def test_stage_exactness_and_bound(self):
         for d in (6, 9, 17, 50, 148):
             inst = build_pkl_gd_instance(d)
-            ratio = (1.0 + 2.0 * inst.eta) ** inst.init.k1
+            ratio = (1.0 + 2.0 * inst.eta) ** inst.k1
             assert abs(ratio - d / 2.0) <= 1e-10 * d
-            assert inst.init.k1 <= 3 * math.log(d / 2.0)
+            assert inst.k1 <= 3 * math.log(d / 2.0)
 
     def test_staggered_start_values(self):
         inst = build_pkl_gd_instance(6)
         assert inst.x0[0] == pytest.approx(0.5)
         assert inst.x0[1] == pytest.approx(5 / 6, rel=1e-14)
-        spacing = 2 * inst.eta * inst.init.k1 / 6
+        spacing = 2 * inst.eta * inst.k1 / 6
         assert spacing == pytest.approx(0.244017, abs=1e-6)
         assert inst.x0[2] == pytest.approx(5 / 6 + spacing, rel=1e-12)
         assert inst.x0[2] == pytest.approx(1.07735, abs=1e-5)
 
     def test_descent_checkpoint_exact(self):
         inst = build_pkl_gd_instance(6)
-        traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.max_steps(inst.init.k1))
+        traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.max_steps(inst.k1))
         assert abs(traj.points[-1][1] - 0.5) <= 1e-10
 
     def test_distance_bound(self):
@@ -345,7 +345,7 @@ def test_flow_instance_capture_progression():
 
 def test_descent_instance_capture_progression():
     inst = build_pkl_gd_instance(8)
-    k1 = inst.init.k1
+    k1 = inst.k1
     traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.max_steps(k1))
     final = traj.points[-1]
     assert final[1] == pytest.approx(0.5, abs=1e-10)
@@ -359,7 +359,7 @@ def test_staggered_x0_matches_per_coordinate_formula(d):
     # the bits of (1 - delta) + spacing * (i - 2), i = 2 .. d
     gf, gd = build_pkl_gf_instance(d), build_pkl_gd_instance(d)
     delta = 1.0 / d
-    spacings = (delta * math.log(1.0 / (2.0 * delta)), 2.0 * gd.eta * gd.init.k1 * delta)
+    spacings = (delta * math.log(1.0 / (2.0 * delta)), 2.0 * gd.eta * gd.k1 * delta)
     for inst, spacing in zip((gf, gd), spacings):
         expected = [0.5] + [(1.0 - delta) + spacing * (i - 2) for i in range(2, d + 1)]
         assert inst.x0.tolist() == expected

@@ -1,5 +1,5 @@
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,9 @@ import pytest
 from gradpath import InputError, InvariantViolation, StopRule, gf_integrate
 from gradpath.cli import main
 from gradpath.harness import (
+    CONFIG_KEYS,
     CSV_HEADER,
+    EXPERIMENTS,
     ExperimentConfig,
     ResultRow,
     _verify_sandwich,
@@ -82,6 +84,27 @@ PINNED_ROWS = [
 ]
 
 
+#: id -> (default grid fields, figure of the plot script `gradpath experiment` writes)
+EXPERIMENT_DEFAULTS = {
+    "pkl-lower-gd": (dict(dims=f1_dimension_grid()), "f1-ratio-vs-kappa"),
+    "quad-lower-gf": (dict(dims=(20,), omegas=(1.1, 1.3, 1.6, 2.0)), "f2-ratio-vs-logkappa"),
+    "quad-lower-gd": (dict(dims=(6,), omegas=(11.0,)), "f2-ratio-vs-logkappa"),
+    "quad-random": (dict(dims=(20,), kappas=(1e6,), seeds=tuple(range(10))), "f2-ratio-vs-logkappa"),
+    "bound-sweep": (dict(dims=(6, 20, 150), omegas=(1.1, 2.0, 11.0)), None),
+    "property-suite": (dict(dims=(6, 20)), None),
+}
+
+#: a small grid per id, written as a config file
+SMALL_GRIDS = {
+    "pkl-lower-gd": "dims = 8",
+    "quad-lower-gf": "dims = 6\nomegas = 2.0",
+    "quad-lower-gd": "dims = 4\nomegas = 3.0",
+    "quad-random": "dims = 4\nkappas = 100.0",
+    "bound-sweep": "dims = 6\nomegas = 2.0",
+    "property-suite": "dims = 6",
+}
+
+
 def strip_runtime(csv_text: str) -> str:
     lines = []
     for line in csv_text.splitlines():
@@ -117,6 +140,23 @@ class TestConfig:
         assert cfg.seeds == tuple(range(10))
         with pytest.raises(InputError):
             default_config("nonsense")
+
+    def test_every_id_has_a_default_case(self):
+        assert EXPERIMENTS == tuple(EXPERIMENT_DEFAULTS)
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_default_grid_fields(self, experiment):
+        grid, _ = EXPERIMENT_DEFAULTS[experiment]
+        assert default_config(experiment) == replace(ExperimentConfig(experiment), **grid)
+
+    def test_keys_are_the_config_fields(self):
+        assert set(CONFIG_KEYS) == {f.name for f in fields(ExperimentConfig)}
+        # ode_tol had no reader; it returns with the PL flow experiment
+        with pytest.raises(InputError, match="line 2: unknown key 'ode_tol'"):
+            parse_config_text("experiment = quad-random\node_tol = 1e-10\n")
+        for key in ("quad_abs_tol", "stop_norm", "stop_coords"):
+            with pytest.raises(InputError, match=f"{key} must be positive and finite"):
+                ExperimentConfig("quad-random", **{key: 0.0})
 
     def test_parse_round_trip(self):
         text = """
@@ -545,6 +585,22 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "quad-lower-gf.csv").exists()
         assert (tmp_path / "quad-lower-gf_plot.py").exists()
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_experiment_writes_its_figure(self, experiment, tmp_path, capsys):
+        config = tmp_path / "small.cfg"
+        config.write_text(f"experiment = {experiment}\n{SMALL_GRIDS[experiment]}\n")
+        assert main(["experiment", experiment, "--out", str(tmp_path), "--config", str(config)]) == 0
+        _, figure = EXPERIMENT_DEFAULTS[experiment]
+        written = sorted(path.name for path in tmp_path.iterdir() if path != config)
+        if experiment == "property-suite":
+            assert written == []
+        elif figure is None:
+            assert written == [f"{experiment}.csv"]
+        else:
+            assert written == [f"{experiment}.csv", f"{experiment}_plot.py"]
+            script = (tmp_path / f"{experiment}_plot.py").read_text()
+            assert f"generated by gradpath ({figure})" in script
 
     def test_experiment_config_mismatch(self, tmp_path):
         cfg = _write_config(tmp_path)

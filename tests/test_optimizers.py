@@ -484,6 +484,19 @@ class TestGfIntegrate:
         assert traj.stop_reason == "max_steps"
         assert traj.n_steps == 3
 
+    def test_zero_step_limit_skips_the_step_size_probe(self):
+        traj = gf_integrate(half_square(), [1.0], 1e-10, StopRule.max_steps(0))
+        assert (traj.stop_reason, traj.n_steps, traj.n_feval) == ("max_steps", 0, 1)
+
+    @pytest.mark.parametrize("horizon", [0.0, 1e-15, 1e-14, 1e-13])
+    def test_horizon_within_rounding_of_zero_stops_at_start(self, horizon):
+        # 1e-15 and 1e-14 used to fail the step floor (StepSizeUnderflowError)
+        traj = gf_integrate(half_square(), [1.0], 1e-10, StopRule.horizon(horizon))
+        assert (traj.stop_reason, traj.n_steps, traj.n_feval, traj.final_time) == ("horizon", 0, 1, 0.0)
+        traj = gf_integrate(half_square(), [1.0], 1e-10, StopRule.horizon(horizon + 1e-11))
+        assert (traj.stop_reason, traj.n_steps) == ("horizon", 1)
+        assert traj.final_time == pytest.approx(horizon + 1e-11, rel=1e-12)
+
     def test_stationary_start(self):
         traj = gf_integrate(half_square(), [0.0], 1e-10, StopRule.grad_below(1e-8))
         assert traj.stop_reason in ("stationary", "grad_below")
