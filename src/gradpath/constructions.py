@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -221,6 +221,13 @@ class QuadLowerConstruction:
     passes coordinate i at t_i = log(1/0.07)/a_i, the eta = 1/(2 a_1)
     iteration at k_i = 3 omega^(i-1) steps (delta = e^-3), which are
     integers whenever omega is an integer.
+
+    :meth:`to_objective` evaluates the gradient elementwise as ``a * x``.
+    The spectrum is already descending, so the eigen form's basis is the
+    identity with no permutation: its two products multiply by exact 0s
+    and 1s, and ``a * x`` equals its gradient bit for bit at every finite
+    x (a zero may differ in sign only).  :meth:`to_quadratic` stays the
+    reference.
     """
 
     d: int
@@ -272,7 +279,9 @@ class QuadLowerConstruction:
         return QuadraticSpec.diagonal(self.spectrum, self.x0)
 
     def to_objective(self) -> ObjectiveSpec:
-        return self.to_quadratic().to_objective(name=f"quad-geom(d={self.d},omega={self.omega})")
+        a = self.spectrum
+        obj = self.to_quadratic().to_objective(name=f"quad-geom(d={self.d},omega={self.omega})")
+        return replace(obj, gradient=lambda x: a * x)
 
 
 def build_quad_lower(d: int, omega: float) -> QuadLowerConstruction:

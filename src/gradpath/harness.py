@@ -57,6 +57,8 @@ class ExperimentConfig:
             raise InputError(f"unknown experiment {self.experiment!r}; known: {', '.join(EXPERIMENTS)}")
         if self.mu_mode not in ("min", "paper_max"):
             raise InputError(f"unknown mu_mode {self.mu_mode!r}")
+        if any(d < 1 for d in self.dims):
+            raise InputError("dims must be positive integers")
         for name in (key for key, kind in CONFIG_KEYS.items() if kind is float):
             if not 0 < getattr(self, name) < math.inf:
                 raise InputError(f"{name} must be positive and finite")

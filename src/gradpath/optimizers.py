@@ -83,7 +83,17 @@ class StopRule:
         if self.kind == "coords_below_except_last":
             if x.size <= 1:
                 return True
-            return float(np.abs(x[:-1]).max()) < self.threshold
+            # A head with every |x_i| < eps has head.head < (d-1) eps^2, and
+            # the dot product's rounding stays far below the factor 2, so
+            # head.head >= floor = 2 (d-1) eps^2 rules the stop out with one
+            # dot.  The filter applies only while 1e-300 <= floor < inf: eps^2
+            # clear of underflow and of overflow.  Otherwise, and for a head
+            # that passes, the exact abs-max test decides.
+            head = x[:-1]
+            floor = 2.0 * head.size * self.threshold * self.threshold
+            if 1e-300 <= floor < math.inf and float(head.dot(head)) >= floor:
+                return False
+            return float(np.abs(head).max()) < self.threshold
         return False
 
 

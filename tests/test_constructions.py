@@ -268,6 +268,27 @@ class TestQuadLower:
         assert obj.value_at([1.0, 1.0, 1.0]) == pytest.approx(0.5 * 133.0)
         assert np.allclose(obj.gradient_at([1.0, 1.0, 1.0]), [121.0, 11.0, 1.0])
 
+    @pytest.mark.parametrize("d, omega", [(1, 2.0), (6, 10.0), (6, 11.0), (20, 2.0)])
+    def test_elementwise_gradient_matches_eigen_form(self, d, omega):
+        c = build_quad_lower(d, omega)
+        obj, spec = c.to_objective(), c.to_quadratic()
+        ref = spec.to_objective(name=f"quad-geom(d={d},omega={omega})")
+        rng = np.random.default_rng(20240917)
+        points = [c.x0] + [
+            rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(-150.0, 150.0, d) for _ in range(200)
+        ]
+        for x in points:
+            assert np.array_equal(obj.gradient_at(x), spec.gradient(x))
+            assert obj.value_at(x).hex() == float(spec.value(x)).hex()
+        for bad in (np.nan, np.inf, -np.inf):
+            x = np.ones(d)
+            x[-1] = bad
+            assert not np.all(np.isfinite(obj.gradient_at(x)))
+            with np.errstate(invalid="ignore"):  # the eigen form's 0 * inf
+                assert not np.all(np.isfinite(spec.gradient(x)))
+        assert (obj.L, obj.mu, obj.f_star, obj.name) == (ref.L, ref.mu, ref.f_star, ref.name)
+        assert np.array_equal(obj.optimal_set.point, ref.optimal_set.point)
+
     def test_validation(self):
         with pytest.raises(InputError):
             build_quad_lower(0, 2.0)

@@ -61,6 +61,13 @@ PINNED_ROWS = [
         "bound_upper": "512.6870390403877", "bound_lower": "0.15215389593897574",
         "steps": "1036", "seed": "None", "stop_reason": "'norm_below'",
     }),
+    (ExperimentConfig("quad-lower-gd", dims=(6,), omegas=(10.0,)), {
+        "experiment": "'quad-lower-gd'", "d": "6", "omega": "10.0", "kappa_nominal": "100000.0",
+        "kappa_effective": "100000.0", "mu_mode": "''", "dist0": "2.449489742783178",
+        "zeta": "4.811953833098948", "ratio": "1.9644719261536785",
+        "bound_upper": "3.449489742783178", "bound_lower": "1.0179210636622666",
+        "steps": "92102", "seed": "None", "stop_reason": "'coords_below_except_last'",
+    }),
     (ExperimentConfig("quad-lower-gd", dims=(6,), omegas=(11.0,)), {
         "experiment": "'quad-lower-gd'", "d": "6", "omega": "11.0", "kappa_nominal": "161051.0",
         "kappa_effective": "161051.0", "mu_mode": "''", "dist0": "2.449489742783178",
@@ -103,6 +110,34 @@ SMALL_GRIDS = {
     "bound-sweep": "dims = 6\nomegas = 2.0",
     "property-suite": "dims = 6",
 }
+
+
+@pytest.fixture(scope="module")
+def pinned_row():
+    """The one row of a config, computed once per module: the pinned-row
+    test and the discrete cross-check share the long descent runs."""
+    rows = {}
+
+    def row(cfg):
+        if cfg not in rows:
+            (rows[cfg],) = run_experiment(cfg)
+        return rows[cfg]
+
+    return row
+
+
+def geometric_gd_length(omega: float, d: int, steps: int, chunk: int = 8192) -> float:
+    """Per-mode path length of GD on 0.5 sum_i a_i x_i^2, a_i = omega^(d-i),
+    from x0 = 1 with eta = 1/(2 a_1): the step norms
+    ||eta a (1 - eta a)^k||, k < steps, summed in chunks, plus ||x_steps||."""
+    a = omega ** np.arange(d - 1, -1, -1, dtype=float)
+    eta = 1.0 / (2.0 * a[0])
+    rate = 1.0 - eta * a
+    total = 0.0
+    for k0 in range(0, steps, chunk):
+        k = np.arange(k0, min(k0 + chunk, steps), dtype=float)[:, None]
+        total += float(np.linalg.norm(eta * a * rate**k, axis=1).sum())
+    return total + float(np.linalg.norm(rate**steps))
 
 
 def strip_runtime(csv_text: str) -> str:
@@ -299,12 +334,23 @@ class TestExperiments:
 
     @pytest.mark.parametrize(
         "cfg, pinned", PINNED_ROWS,
-        ids=["pkl-148-min", "pkl-148-paper_max", "quad-6-11", "random-6-1e4-1", "sweep-20-2"],
+        ids=["pkl-148-min", "pkl-148-paper_max", "quad-6-10", "quad-6-11", "random-6-1e4-1", "sweep-20-2"],
     )
-    def test_rows_match_pinned_values(self, cfg, pinned):
-        (row,) = run_experiment(cfg)
+    def test_rows_match_pinned_values(self, cfg, pinned, pinned_row):
+        row = pinned_row(cfg)
         got = {k: repr(v) for k, v in asdict(row).items() if k != "runtime_s"}
         assert got == pinned
+
+    @pytest.mark.parametrize("omega", [10.0, 11.0])
+    def test_quad_lower_gd_rows_match_per_mode_sums(self, omega, pinned_row):
+        # independent of the descent loop: the slowest checked mode
+        # (a_(d-1) = omega) sets the stop, and each step's norm and the
+        # final distance follow from the powers (1 - eta a)^k
+        cfg = ExperimentConfig("quad-lower-gd", dims=(6,), omegas=(omega,))
+        row = pinned_row(cfg)
+        eta = 1.0 / (2.0 * omega**5)
+        assert row.steps == math.ceil(math.log(cfg.stop_coords) / math.log(1.0 - eta * omega))
+        assert row.zeta == pytest.approx(geometric_gd_length(omega, 6, row.steps), rel=1e-9, abs=0)
 
     def test_quad_lower_single_dimension_is_trivial(self):
         gf = run_experiment(ExperimentConfig("quad-lower-gf", dims=(1,), omegas=(7.0,)))
@@ -629,6 +675,20 @@ class TestCli:
         assert "max_steps requires a nonnegative integer" in capsys.readouterr().err
         assert main(argv + ["max_steps:3"]) == 0
         assert capsys.readouterr().out.startswith("stop: max_steps after 3 steps\n")
+
+    @pytest.mark.parametrize("entry", ["zero", "negative", "config-file"])
+    def test_non_positive_dims_is_exit_two(self, entry, tmp_path, capsys):
+        # each used to run the suite and exit 1 with "FAILED (15/19 checks)"
+        if entry == "config-file":
+            cfg = tmp_path / "suite.cfg"
+            cfg.write_text("experiment = property-suite\ndims = 0\n")
+            argv = ["experiment", "property-suite", "--out", str(tmp_path), "--config", str(cfg)]
+        else:
+            argv = ["suite", "--dims", "0" if entry == "zero" else "-4"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dims must be positive integers\n"
 
     def test_suite_small(self, capsys):
         assert main(["suite", "--dims", "6"]) == 0

@@ -61,6 +61,48 @@ class TestStopRule:
         assert rule.point_satisfied(np.array([7.0]))
         assert not rule.point_satisfied(np.array([7.0, 0.0]))
 
+    @staticmethod
+    def _coords_reference(x, eps):
+        return x.size <= 1 or float(np.abs(x[:-1]).max()) < eps
+
+    @pytest.mark.parametrize("eps, head", [
+        (1e-200, [0.0] * 5),  # 2 (d-1) eps^2 underflows to 0
+        (1e-151, [0.0] * 5),
+        (1.7e-162, [np.nextafter(1.7e-162, 0.0)]),  # eps^2 rounds to one subnormal ulp
+        (1e-2, [0.0, 1e-2, 0.0]),
+        (1e-2, [0.0, -np.nextafter(1e-2, 0.0), 0.0]),
+        (1e-2, [np.nextafter(1e-2, 0.0)] * 7),
+        (175942642.13182044, [np.nextafter(175942642.13182044, 0.0)] * 38),  # the dot rounds up to (d-1) eps^2
+        (1e-2, [0.0, np.nan]),
+        (1e-2, [np.inf, 0.0]),
+        (1e-2, [0.0, -np.inf]),
+        (1e200, [1e155, 0.0]),  # the head's square overflows below eps
+        (0.0, [0.0, 0.0]),
+        (0.5, []),
+        (0.5, [0.25]),
+        (0.5, [0.75]),
+    ])
+    @pytest.mark.parametrize("last", [0.0, 3.0, np.nan])
+    def test_coords_rule_matches_abs_max(self, eps, head, last):
+        x = np.array(head + [last])
+        rule = StopRule.coords_below_except_last(eps)
+        assert rule.point_satisfied(x) == self._coords_reference(x, eps)
+
+    def test_coords_rule_matches_abs_max_on_random_heads(self):
+        rng = np.random.default_rng(20240918)
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+        for _ in range(5000):
+            d = int(rng.integers(1, 9))
+            eps = float(10.0 ** rng.uniform(-320.0, 300.0))
+            x = eps * rng.uniform(-2.0, 2.0, d)
+            kind = rng.integers(0, 4, d)
+            x[kind == 1] = np.copysign(eps, x[kind == 1])
+            x[kind == 2] = np.nextafter(eps, 0.0)
+            hit = rng.random(d) < 0.05
+            x[hit] = rng.choice(specials, int(hit.sum()))
+            rule = StopRule.coords_below_except_last(eps)
+            assert rule.point_satisfied(x) == self._coords_reference(x, eps), (eps, x)
+
 
 class TestGdRun:
     def test_one_step_to_stationary(self):
