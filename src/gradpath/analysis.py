@@ -152,6 +152,8 @@ def self_contracted_check(points, tol: float = 1e-12) -> SelfContractedVerdict:
     vectorised work; sequences longer than
     :data:`SELF_CONTRACTED_MAX_POINTS` are refused rather than sampled.
     """
+    if not tol >= 0:
+        raise InputError(f"tol must be nonnegative, got {tol!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2:
         raise InputError("points must form an (n, d) array")

@@ -107,7 +107,9 @@ def _cmd_run(args) -> int:
     elif args.command == "run-gf":
         traj = gf_integrate(instance.objective, x0, args.tol, stop)
     elif args.command == "run-hb":
-        if args.alpha is not None and args.beta is not None:
+        if (args.alpha is None) != (args.beta is None):
+            raise InputError("pass both --alpha and --beta, or neither")
+        if args.alpha is not None:
             alpha, beta = args.alpha, args.beta
         else:
             obj = instance.objective

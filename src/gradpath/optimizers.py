@@ -6,7 +6,8 @@ path-length accumulator stays exact.  An ``observe(x, g)`` callback sees
 every iterate with its gradient inside the loop, so diagnostics need no
 stored points.  The loop takes one dot product per vector: the squared
 norms of the gradient, the new iterate and the step serve the
-finiteness, stop, step-norm and divergence checks.
+finiteness, stop, step-norm and divergence checks; the iterate's serves
+:meth:`StopRule.point_satisfied`, the point-stop test of both runners.
 The continuous runner, :func:`gf_integrate`, is an adaptive
 Dormand-Prince 5(4) integrator that carries the arc length as an
 augmented ODE state and accumulates the chord sum in its loop.
@@ -15,7 +16,7 @@ augmented ODE state and accumulates the chord sum in its loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -76,10 +77,11 @@ class StopRule:
     def horizon(cls, t: float) -> "StopRule":
         return cls("horizon", float(t))
 
-    def point_satisfied(self, x: Array) -> bool:
-        """Stop conditions that depend on the point alone."""
+    def point_satisfied(self, x: Array, xsq: float) -> bool:
+        """Stop conditions that depend on the point alone; ``xsq`` is
+        ``float(x.dot(x))``, the squared norm the run loops already hold."""
         if self.kind == "norm_below":
-            return float(np.linalg.norm(x)) <= self.threshold
+            return math.sqrt(xsq) <= self.threshold
         if self.kind == "coords_below_except_last":
             if x.size <= 1:
                 return True
@@ -135,7 +137,6 @@ class Trajectory:
     times: Array
     points: Array
     stop_reason: str
-    rule: dict = field(default_factory=dict)
     n_steps: int = 0
     path_sum: float = 0.0
     # continuous-only fields
@@ -157,29 +158,6 @@ class Trajectory:
         return float(self.times[-1])
 
 
-class _Recorder:
-    """Accumulates the step-norm sum and the iterates (only x_0 and x_N unless ``keep``)."""
-
-    def __init__(self, x0: Array, keep: bool):
-        self.keep = keep
-        self.indices = [0]
-        self.points = [np.array(x0, dtype=float)]
-        self.path_sum = 0.0
-        self.k = 0
-
-    def step(self, x_new: Array, step_norm: float):
-        self.k += 1
-        self.path_sum += step_norm
-        if self.keep:
-            self.indices.append(self.k)
-            self.points.append(np.array(x_new, dtype=float))
-
-    def finish(self, x_final: Array):
-        if self.indices[-1] != self.k:
-            self.indices.append(self.k)
-            self.points.append(np.array(x_final, dtype=float))
-
-
 def _check_finite(g: Array, k: int, what: str = "gradient"):
     if not np.all(np.isfinite(g)):
         raise NonFiniteError(f"non-finite {what} at iterate {k}")
@@ -189,9 +167,8 @@ def _discrete_run(
     obj: ObjectiveSpec,
     x0,
     stop: StopRule,
-    update: Callable[[Array, Array, int], Array],
+    update: Callable[[Array, Array], Array],
     *,
-    rule: dict,
     safety_cap: int,
     keep_iterates: bool,
     observe: Callable[[Array, Array], None] | None,
@@ -199,11 +176,10 @@ def _discrete_run(
     if stop.kind == "horizon":
         raise InputError("horizon stop rules apply to flows only")
     x = as_vector(x0, obj.dim)
-    rec = _Recorder(x, keep_iterates)
+    k, path_sum = 0, 0.0
+    indices, points = [0], [np.array(x, dtype=float)]
     gradient_at = obj.gradient_at
     kind, eps = stop.kind, stop.threshold
-    norm_stop = kind == "norm_below"
-    coords_stop = kind == "coords_below_except_last"
     grad_stop = kind == "grad_below"
     limit, limit_reason = _step_limit(stop, safety_cap)
     # Each vector's squared norm is taken once and serves every check on
@@ -211,50 +187,54 @@ def _discrete_run(
     # vector, and a vector with a NaN or an infinite entry has a
     # non-finite square (a finite one may overflow; the exact check decides).
     xsq = float(x.dot(x))
-    reason = None
     g = None  # gradient at x, once evaluated
     while True:
-        if (norm_stop and math.sqrt(xsq) <= eps) or (coords_stop and stop.point_satisfied(x)):
+        if stop.point_satisfied(x, xsq):
             reason = kind
             break
-        if rec.k >= limit:
+        if k >= limit:
             reason = limit_reason
             break
         g = gradient_at(x)
         gsq = float(g.dot(g))
         if not math.isfinite(gsq):
-            _check_finite(g, rec.k)
+            _check_finite(g, k)
         if observe is not None:
             observe(x, g)
         if grad_stop and math.sqrt(gsq) <= eps:
             reason = kind
             break
-        x_new = update(x, g, rec.k)
+        x_new = update(x, g)
         xsq = float(x_new.dot(x_new))
         if not math.isfinite(xsq):
-            _check_finite(x_new, rec.k + 1, "iterate")
+            _check_finite(x_new, k + 1, "iterate")
         d = x_new - x
         step_norm = math.sqrt(float(d.dot(d)))
         if step_norm == 0.0:
             reason = "stationary"
             break
-        rec.step(x_new, step_norm)
+        k += 1
+        path_sum += step_norm
+        if keep_iterates:
+            indices.append(k)
+            points.append(np.array(x_new, dtype=float))
         if math.sqrt(xsq) > DIVERGENCE_RADIUS:
-            raise DivergenceError(f"trajectory norm exceeded {DIVERGENCE_RADIUS:g} at iterate {rec.k}")
+            raise DivergenceError(f"trajectory norm exceeded {DIVERGENCE_RADIUS:g} at iterate {k}")
         x, g = x_new, None
     if observe is not None and g is None:
         g = gradient_at(x)
-        _check_finite(g, rec.k)
+        _check_finite(g, k)
         observe(x, g)
-    rec.finish(x)
+    if indices[-1] != k:
+        indices.append(k)
+        points.append(np.array(x, dtype=float))
     return Trajectory(
         kind="discrete",
-        times=np.asarray(rec.indices, dtype=np.int64),
-        points=np.asarray(rec.points),
+        times=np.asarray(indices, dtype=np.int64),
+        points=np.asarray(points),
         stop_reason=reason,
-        rule=rule,
-        n_steps=rec.k,
-        path_sum=rec.path_sum,
+        n_steps=k,
+        path_sum=path_sum,
     )
 
 
@@ -279,8 +259,7 @@ def gd_run(
         raise InputError("step size must be positive")
     return _discrete_run(
         obj, x0, stop,
-        lambda x, g, k: x - eta * g,
-        rule={"rule": "gd", "eta": eta},
+        lambda x, g: x - eta * g,
         safety_cap=safety_cap, keep_iterates=keep_iterates, observe=observe,
     )
 
@@ -317,7 +296,7 @@ def heavy_ball_run(
         raise InputError("beta must lie in [0, 1)")
     prev = {"x": as_vector(x0, obj.dim)}
 
-    def update(x, g, k):
+    def update(x, g):
         x_new = x - alpha * g
         if beta != 0.0:
             x_new = x_new + beta * (x - prev["x"])
@@ -326,7 +305,6 @@ def heavy_ball_run(
 
     return _discrete_run(
         obj, x0, stop, update,
-        rule={"rule": "hb", "alpha": alpha, "beta": beta},
         safety_cap=safety_cap, keep_iterates=keep_iterates, observe=observe,
     )
 
@@ -366,8 +344,7 @@ def pgd_run(
     _spot_check_projector(projector, x0)
     return _discrete_run(
         obj, x0, stop,
-        lambda x, g, k: np.asarray(projector(x - eta * g), dtype=float),
-        rule={"rule": "pgd", "eta": eta},
+        lambda x, g: np.asarray(projector(x - eta * g), dtype=float),
         safety_cap=safety_cap, keep_iterates=keep_iterates, observe=observe,
     )
 
@@ -424,7 +401,7 @@ _BETA = 0.04          # PI stabilisation exponent
 _ALPHA = 0.2 - 0.75 * _BETA
 
 
-def _initial_step(write_field, y0, k0, probe, tol, t_max):
+def _initial_step(write_field, y0, k0, probe, tol):
     """Hairer's starting step; ``k0`` is the negated field at ``y0``,
     ``probe`` a scratch row for the negated field at the Euler probe."""
     scale = tol  # pure absolute scaling
@@ -437,10 +414,7 @@ def _initial_step(write_field, y0, k0, probe, tol, t_max):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    h = min(100 * h0, h1)
-    if t_max is not None:
-        h = min(h, t_max)
-    return h
+    return min(100 * h0, h1)
 
 
 def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | None = None) -> Trajectory:
@@ -460,7 +434,9 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
     step's stages are checked for finiteness with one reduction (their
     sum, non-finite whenever an entry is); the element-wise test runs
     only when the sum is not finite.  ``horizon`` rules stop exactly at
-    time T; a ``max_steps`` rule counts accepted steps.
+    time T; a ``max_steps`` rule counts accepted steps.  Every stop test
+    runs at the top of the loop, in one order: the rule, a zero gradient
+    (``stationary``), the horizon, then the step limit.
     """
     if finite_number(tol, "tol") <= 0:
         raise InputError("tol must be positive")
@@ -469,8 +445,6 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
         stop = StopRule.grad_below(1e-10)
     gradient_at = obj.gradient_at
     kind, eps = stop.kind, stop.threshold
-    norm_stop = kind == "norm_below"
-    coords_stop = kind == "coords_below_except_last"
     grad_stop = kind == "grad_below"
     horizon = eps if kind == "horizon" else None
     # the horizon counts as reached within 1e-12 relative: this absorbs the
@@ -478,10 +452,6 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
     # sliver, and a horizon below the step floor stops before any step
     horizon_reached = None if horizon is None else horizon - 1e-12 * max(1.0, abs(horizon))
     limit, limit_reason = _step_limit(stop, MAX_ODE_STEPS)
-
-    def rule_met(x, xsq, grad_norm):
-        return ((grad_stop and grad_norm <= eps) or (norm_stop and math.sqrt(xsq) <= eps)
-                or (coords_stop and stop.point_satisfied(x)))
 
     y = np.concatenate([x0, [0.0]])
     n = y.size
@@ -507,19 +477,7 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
     xsq = float(x.dot(x))
     grad_norm = -float(K[0, -1])
     t = 0.0
-    reason = None
-    if rule_met(x, xsq, grad_norm):
-        reason = kind
-    elif grad_norm == 0.0:
-        reason = "stationary"
-    elif horizon is not None and t >= horizon_reached:
-        reason = "horizon"
-    elif limit == 0:
-        reason = limit_reason  # before the step-size probe spends a gradient call
-
-    if reason is None:
-        h = _initial_step(write_field, y, K[0], K[1], tol, horizon)
-        n_feval += 1  # the Euler probe inside the step-size guess
+    h = None  # guessed once the first step is due
     err_old = 1e-4
     n_accepted = 0
     n_rejected = 0
@@ -528,10 +486,23 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
     # views of K made once
     stages = [(_A[i], K[:i], K[i]) for i in range(1, 7)]
 
-    while reason is None:
+    while True:
+        # a rejected step leaves the state, and so every answer here, unchanged
+        if (grad_stop and grad_norm <= eps) or stop.point_satisfied(x, xsq):
+            reason = kind
+            break
+        if grad_norm == 0.0:
+            reason = "stationary"
+            break
+        if horizon is not None and t >= horizon_reached:
+            reason = "horizon"
+            break
         if n_accepted >= limit:
             reason = limit_reason
             break
+        if h is None:
+            h = _initial_step(write_field, y, K[0], K[1], tol)
+            n_feval += 1  # the Euler probe inside the step-size guess
         if horizon is not None:
             h = min(h, horizon - t)
         if h <= 1e-14 * max(1.0, abs(t)):
@@ -569,12 +540,6 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
             grad_norm = -float(K[6, -1])
             if math.sqrt(xsq) > DIVERGENCE_RADIUS:
                 raise DivergenceError(f"trajectory norm exceeded {DIVERGENCE_RADIUS:g} at t={t!r}")
-            if rule_met(x, xsq, grad_norm):
-                reason = kind
-            elif horizon is not None and t >= horizon_reached:
-                reason = "horizon"
-            elif grad_norm == 0.0:
-                reason = "stationary"
 
             # PI controller (accepted step).
             err_floor = max(err, 1e-10)
@@ -591,7 +556,6 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
         times=np.asarray(times),
         points=np.asarray(ys)[:, :-1].copy(),
         stop_reason=reason,
-        rule={"rule": "gf", "tol": tol},
         n_steps=n_accepted,
         path_sum=chord,
         arc_length=float(y[-1]),

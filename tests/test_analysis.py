@@ -162,6 +162,13 @@ class TestSelfContracted:
         nudged[1, 0] += 1e-14
         assert self_contracted_check(nudged).holds
 
+    @pytest.mark.parametrize("tol", [-5.0, -1e-300, math.nan])
+    def test_negative_or_nan_tolerance_rejected(self, tol):
+        # tol = -5 used to report the straight line 0, 1, 2 as not self-contracted
+        with pytest.raises(InputError, match="tol must be nonnegative"):
+            self_contracted_check([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], tol=tol)
+        assert self_contracted_check([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], tol=0.0).holds
+
 
 class TestEffectiveConstants:
     def test_constant_ratio_one_mode(self):

@@ -623,6 +623,27 @@ class TestCli:
         assert main(["check", "self-contracted", "--points", str(pts), "--tol", "nan"]) == 2
         assert capsys.readouterr().err == "error: --tol must be finite, got nan\n"
 
+    def test_check_negative_tol_is_exit_two(self, tmp_path, capsys):
+        # a negative tolerance used to flip the verdict: the straight line
+        # 0, 1, 2 was reported not self-contracted, with exit 1
+        pts = tmp_path / "pts.txt"
+        pts.write_text("0 0\n1 0\n2 0\n")
+        assert main(["check", "self-contracted", "--points", str(pts), "--tol", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol must be nonnegative, got -5.0\n"
+        assert main(["check", "self-contracted", "--points", str(pts)]) == 0
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "0.001"), ("--beta", "0.9")])
+    def test_run_hb_lone_parameter_is_exit_two(self, flag, value, capsys):
+        # a lone --alpha or --beta used to be ignored in favour of hb_params
+        argv = ["run-hb", "--objective", "fsep-quartic:d=3", "--stop", "max_steps:5"]
+        assert main(argv + [flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: pass both --alpha and --beta, or neither\n"
+        assert main(argv + ["--alpha", "0.001", "--beta", "0.9"]) == 0
+
     def test_experiment_subcommand(self, tmp_path, capsys):
         code = main([
             "experiment", "quad-lower-gf", "--out", str(tmp_path),

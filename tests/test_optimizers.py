@@ -58,12 +58,18 @@ class TestStopRule:
 
     def test_coords_rule_trivial_in_one_dim(self):
         rule = StopRule.coords_below_except_last(1e-2)
-        assert rule.point_satisfied(np.array([7.0]))
-        assert not rule.point_satisfied(np.array([7.0, 0.0]))
+        assert rule.point_satisfied(np.array([7.0]), 49.0)
+        assert not rule.point_satisfied(np.array([7.0, 0.0]), 49.0)
 
     @staticmethod
     def _coords_reference(x, eps):
         return x.size <= 1 or float(np.abs(x[:-1]).max()) < eps
+
+    @staticmethod
+    def _xsq(x):
+        """The loops' squared norm of ``x``; inf where it overflows."""
+        with np.errstate(over="ignore"):
+            return float(x.dot(x))
 
     @pytest.mark.parametrize("eps, head", [
         (1e-200, [0.0] * 5),  # 2 (d-1) eps^2 underflows to 0
@@ -86,7 +92,7 @@ class TestStopRule:
     def test_coords_rule_matches_abs_max(self, eps, head, last):
         x = np.array(head + [last])
         rule = StopRule.coords_below_except_last(eps)
-        assert rule.point_satisfied(x) == self._coords_reference(x, eps)
+        assert rule.point_satisfied(x, self._xsq(x)) == self._coords_reference(x, eps)
 
     def test_coords_rule_matches_abs_max_on_random_heads(self):
         rng = np.random.default_rng(20240918)
@@ -101,7 +107,15 @@ class TestStopRule:
             hit = rng.random(d) < 0.05
             x[hit] = rng.choice(specials, int(hit.sum()))
             rule = StopRule.coords_below_except_last(eps)
-            assert rule.point_satisfied(x) == self._coords_reference(x, eps), (eps, x)
+            assert rule.point_satisfied(x, self._xsq(x)) == self._coords_reference(x, eps), (eps, x)
+
+    def test_norm_rule_matches_linalg_norm(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            x = rng.standard_normal(int(rng.integers(1, 9))) * 10.0 ** rng.uniform(-5.0, 5.0)
+            eps = float(np.linalg.norm(x)) * float(rng.choice([np.nextafter(1.0, 0.0), 1.0, 2.0]))
+            rule = StopRule.norm_below(eps)
+            assert rule.point_satisfied(x, self._xsq(x)) == (float(np.linalg.norm(x)) <= eps)
 
 
 class TestGdRun:
@@ -325,7 +339,6 @@ class TestHeavyBall:
         obj = spec.to_objective()
         alpha, beta = hb_params(float(spec.sigma[-1]), float(spec.sigma[0]))
         traj = heavy_ball_run(obj, spec.x0, alpha, beta, StopRule.max_steps(25))
-        assert traj.rule == {"rule": "hb", "alpha": alpha, "beta": beta}
         prev = traj.points[0]
         for k in range(len(traj.points) - 1):
             x = traj.points[k]
@@ -588,6 +601,73 @@ def _failing_gradient(first_bad_call, bad):
         return np.array(bad, dtype=float) if calls[0] >= first_bad_call else 2.0 * x
 
     return ObjectiveSpec(dim=3, value=lambda x: float(x @ x), gradient=gradient)
+
+
+class TestDiscreteBitsPinned:
+    """Heavy-ball and PGD outputs pinned to the bit: the discrete loop's arithmetic is fixed."""
+
+    # (n_steps, stop_reason, path_sum.hex(), final_point bytes as hex)
+    PINNED = {
+        "hb": (
+            137, "grad_below", "0x1.4050f9375cb3ap+8",
+            "0fa7a6aa5e45f13ff61c611b03bedfbf216a03017c08dc3f"
+            "3135b2c89463f3bf10f53520bdf2e53f67e35770b48b02c0",
+        ),
+        "pgd": (
+            200, "max_steps", "0x1.5f34c932c898ep+2",
+            "c3ffe8fceed1ef3f8e554b6d63aae1bf3ba91419a04fe23f"
+            "39e3dabc0db3f6bf691deba675b2e83f338e4e86a31901c0",
+        ),
+    }
+
+    @pytest.mark.parametrize("method", sorted(PINNED))
+    def test_run_matches_pinned_bits(self, method):
+        spec = _dense_quadratic(20261018, 6, 1e2)
+        obj = spec.to_objective()
+        if method == "hb":
+            alpha, beta = hb_params(obj.mu, obj.L)
+            traj = heavy_ball_run(obj, spec.x0, alpha, beta, StopRule.grad_below(1e-9))
+        else:
+            lo, hi = float(spec.x0.min()), float(spec.x0.max())
+            box = box_projector(np.full(spec.dim, lo), np.full(spec.dim, hi))
+            traj = pgd_run(obj, box, spec.x0, 0.5 / obj.L, StopRule.max_steps(200))
+        got = (traj.n_steps, traj.stop_reason, traj.path_sum.hex(), traj.final_point.tobytes().hex())
+        assert got == self.PINNED[method]
+
+
+def _stalling_gradient(first_zero_call):
+    """Gradient of x on R^1 that returns exactly 0 from call ``first_zero_call`` on."""
+    calls = [0]
+
+    def gradient(x):
+        calls[0] += 1
+        return np.array([0.0 if calls[0] >= first_zero_call else 1.0])
+
+    return ObjectiveSpec(dim=1, value=lambda x: float(x[0]), gradient=gradient)
+
+
+class TestFlowStopOrder:
+    """One order at t = 0 and after every accepted step: the rule, then a
+    zero gradient (``stationary``), then the horizon, then the step limit."""
+
+    @pytest.mark.parametrize("first_zero_call, stop, cap, expected", [
+        # at t = 0 (call 1 is the field at x0): no step, one gradient call
+        (1, StopRule.grad_below(1e-8), None, ("grad_below", 0, 1)),
+        (1, StopRule.norm_below(2.0), None, ("norm_below", 0, 1)),
+        (1, StopRule.horizon(0.0), None, ("stationary", 0, 1)),
+        (1, StopRule.max_steps(0), None, ("stationary", 0, 1)),
+        (math.inf, StopRule.horizon(0.0), 0, ("horizon", 0, 1)),
+        # after the first accepted step (call 8 is its stage 7, the new point)
+        (8, StopRule.grad_below(1e-8), None, ("grad_below", 1, 14)),  # one rejection first
+        (8, StopRule.horizon(1e-6), None, ("stationary", 1, 8)),  # reported "horizon" before
+        (8, StopRule.max_steps(1), None, ("stationary", 1, 14)),
+        (math.inf, StopRule.horizon(1e-6), 1, ("horizon", 1, 8)),
+    ])
+    def test_first_test_that_holds_names_the_stop(self, monkeypatch, first_zero_call, stop, cap, expected):
+        if cap is not None:
+            monkeypatch.setattr("gradpath.optimizers.MAX_ODE_STEPS", cap)
+        traj = gf_integrate(_stalling_gradient(first_zero_call), [1.0], 1e-3, stop)
+        assert (traj.stop_reason, traj.n_steps, traj.n_feval) == expected
 
 
 class TestFlowBitsPinned:
