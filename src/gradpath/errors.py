@@ -28,8 +28,12 @@ class StepSizeUnderflowError(ComputationError):
     """The adaptive integrator could not make progress (stiffness)."""
 
     def __init__(self, t: float):
+        # args is (t,), so pickling rebuilds the error from t
+        super().__init__(t)
         self.t = t
-        super().__init__(f"step size underflow at t={t!r}")
+
+    def __str__(self):
+        return f"step size underflow at t={self.t!r}"
 
 
 class QuadratureError(ComputationError):

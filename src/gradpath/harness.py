@@ -3,13 +3,20 @@
 Experiments are driven by a flat key/value config; every run is a pure
 function of the config and its seeds, so identical configs produce
 identical CSV files up to the runtime column.  Each CSV experiment is a
-grid of independent points, run serially in one loop.
+grid of independent points.  A grid with at least two points projected
+to take ``FORK_MIN_STEPS`` descent steps or more is spread over forked
+workers (module ``workers``), one per CPU this process may use (POSIX
+``os.fork`` and ``os.sched_getaffinity``); any other grid, or a platform
+without them, runs in this process.  Each point is pure and the rows are sorted, so
+the rows do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -26,6 +33,10 @@ from .properties import run_property_suite
 
 #: Relative slack granted to the bound sandwich (quadrature error).
 SANDWICH_SLACK = 1e-9
+
+#: Projected gradient-descent steps (about 0.1 s of descent) from which a
+#: grid point gets a forked worker of its own; a fork costs 40-60 ms.
+FORK_MIN_STEPS = 10_000
 
 
 def f1_dimension_grid(low: float = math.e**2, high: float = math.e**5, count: int = 15) -> tuple[int, ...]:
@@ -212,6 +223,17 @@ def _projected_gd_steps(c: constructions.QuadLowerConstruction, stop_coords: flo
     return int(math.ceil(math.log(1.0 / stop_coords) / rate))
 
 
+def _quad_gd_steps(point, cfg: ExperimentConfig) -> int:
+    """Projected descent steps of a ``quad-lower-gd`` point; 0 if it is
+    capped, or if the projection fails (the point then raises its own
+    error in grid order)."""
+    try:
+        steps = _projected_gd_steps(constructions.build_quad_lower(*point), cfg.stop_coords)
+    except (InputError, ArithmeticError):
+        return 0
+    return 0 if steps > cfg.safety_cap else steps
+
+
 def _quad_point(point, cfg: ExperimentConfig) -> ResultRow:
     d, omega = point
     start = time.perf_counter()
@@ -286,20 +308,23 @@ def _bound_point(point, cfg: ExperimentConfig) -> ResultRow:
 @dataclass(frozen=True)
 class Experiment:
     """One experiment id: its default grid fields, the function that turns
-    one grid point into a CSV row, and the figure its plot script draws.
+    one grid point into a CSV row, the figure its plot script draws and
+    a point's projected descent steps (``None``: too cheap to fork for).
     The grid is the product of the grid fields, in this order; the
     property suite has no point function: it reports checks, not rows."""
 
     grid: dict
     point_row: Callable[[tuple, ExperimentConfig], ResultRow] | None = None
     figure: str | None = None
+    projected_steps: Callable[[tuple, ExperimentConfig], int] | None = None
 
 
 EXPERIMENT_TABLE = {
     "pkl-lower-gd": Experiment(dict(dims=f1_dimension_grid()), _pkl_point, "f1-ratio-vs-kappa"),
     "quad-lower-gf": Experiment(dict(dims=(20,), omegas=(1.1, 1.3, 1.6, 2.0)),
                                 _quad_point, "f2-ratio-vs-logkappa"),
-    "quad-lower-gd": Experiment(dict(dims=(6,), omegas=(11.0,)), _quad_point, "f2-ratio-vs-logkappa"),
+    "quad-lower-gd": Experiment(dict(dims=(6,), omegas=(11.0,)), _quad_point, "f2-ratio-vs-logkappa",
+                                _quad_gd_steps),
     "quad-random": Experiment(dict(dims=(20,), kappas=(1e6,), seeds=tuple(range(10))),
                               _random_point, "f2-ratio-vs-logkappa"),
     "bound-sweep": Experiment(dict(dims=(6, 20, 150), omegas=(1.1, 2.0, 11.0)), _bound_point),
@@ -307,6 +332,21 @@ EXPERIMENT_TABLE = {
 }
 
 EXPERIMENTS = tuple(EXPERIMENT_TABLE)
+
+
+def _worker_count(entry: Experiment, points, cfg) -> int:
+    """One worker per usable CPU, at most one per point projected to take
+    ``FORK_MIN_STEPS`` steps or more; 1 (nothing forked) where ``os``
+    cannot fork or list the CPUs, and while other Python threads run,
+    since a forked child inherits their held locks but not the threads.
+    OpenBLAS's threads are no such risk: its fork handler stops them."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    if entry.projected_steps is None or len(points) < 2 or cpus < 2:
+        return 1
+    heavy = sum(entry.projected_steps(point, cfg) >= FORK_MIN_STEPS for point in points)
+    return max(1, min(heavy, cpus))
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -317,7 +357,15 @@ def run_experiment(cfg: ExperimentConfig):
     points = list(itertools.product(*(getattr(cfg, name) for name in entry.grid)))
     if not points:
         raise InputError(f"experiment {cfg.experiment!r} has an empty grid")
-    rows = sorted((entry.point_row(p, cfg) for p in points), key=ResultRow.sort_key)
+    n = _worker_count(entry, points, cfg)
+    if n == 1:
+        rows = [entry.point_row(point, cfg) for point in points]
+    else:
+        # imported here, so that a grid run in-process never loads (or compiles) the fork code
+        from .workers import grid_rows
+
+        rows = grid_rows(entry.point_row, points, n, cfg)
+    rows.sort(key=ResultRow.sort_key)
     for row in rows:
         _verify_sandwich(row)
     return rows

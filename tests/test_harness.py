@@ -1,18 +1,31 @@
 import math
+import os
+import threading
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
-from gradpath import InputError, InvariantViolation, StopRule, gf_integrate
+from gradpath import (
+    ComputationError,
+    DivergenceError,
+    InputError,
+    InvariantViolation,
+    StepSizeUnderflowError,
+    StopRule,
+    gf_integrate,
+)
 from gradpath.cli import main
 from gradpath.harness import (
     CONFIG_KEYS,
     CSV_HEADER,
+    EXPERIMENT_TABLE,
     EXPERIMENTS,
+    FORK_MIN_STEPS,
     ExperimentConfig,
     ResultRow,
     _verify_sandwich,
+    _worker_count,
     default_config,
     emit_csv,
     emit_plot_script,
@@ -388,6 +401,188 @@ class TestExperiments:
         report = run_property_suite(ExperimentConfig("property-suite", dims=(6,)))
         assert report.ok, report.render()
         assert len(report.results) >= 15
+
+
+def pin_cpus(monkeypatch, count):
+    """Make the grid runner see ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def fork_for(monkeypatch, experiment, cpus, point_row=None):
+    """Project every point of ``experiment`` heavy enough to fork for, over
+    ``cpus`` usable CPUs; ``point_row`` replaces its point function."""
+    entry = EXPERIMENT_TABLE[experiment]
+    heavy = replace(entry, projected_steps=lambda point, cfg: FORK_MIN_STEPS, point_row=point_row or entry.point_row)
+    monkeypatch.setitem(EXPERIMENT_TABLE, experiment, heavy)
+    pin_cpus(monkeypatch, cpus)
+
+
+def forbid_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+#: multi-point grids, each run with one worker and with several; the
+#: last has equal sort keys (same d and seed), kept in grid order
+WORKER_GRIDS = [
+    default_config("quad-random"),
+    default_config("bound-sweep"),
+    ExperimentConfig("quad-lower-gd", dims=(6,), omegas=(2.0, 3.0, 4.0)),
+    ExperimentConfig("quad-random", dims=(6,), kappas=(1e4, 1e2), seeds=(0, 1)),
+]
+
+#: the bound-sweep grid that the failure tests run, four points in this order
+SWEEP_POINTS = [(6, 1.5), (6, 2.0), (6, 3.0), (6, 4.0)]
+
+
+class TestGridWorkers:
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("cfg", WORKER_GRIDS,
+                             ids=["quad-random", "bound-sweep", "quad-lower-gd", "tied-keys"])
+    def test_rows_independent_of_worker_count(self, cfg, cpus, monkeypatch):
+        fork_for(monkeypatch, cfg.experiment, cpus)
+        several = render_csv(run_experiment(cfg))
+        pin_cpus(monkeypatch, 1)
+        one = render_csv(run_experiment(cfg))
+        assert strip_runtime(several) == strip_runtime(one)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("omegas, workers", [
+        ((10.0, 11.0), 2),              # 92,102 and 134,847 projected steps
+        ((10.0, 11.0, 12.0), 3),
+        ((2.0, 3.0, 4.0, 11.0), 1),     # one heavy point: nothing to share
+    ])
+    def test_heavy_points_get_workers(self, omegas, workers, monkeypatch):
+        pin_cpus(monkeypatch, 4)
+        cfg = ExperimentConfig("quad-lower-gd", dims=(6,), omegas=omegas)
+        points = [(6, omega) for omega in omegas]
+        assert _worker_count(EXPERIMENT_TABLE["quad-lower-gd"], points, cfg) == workers
+
+    def test_capped_points_are_not_heavy(self, monkeypatch):
+        pin_cpus(monkeypatch, 4)
+        cfg = ExperimentConfig("quad-lower-gd", dims=(6,), omegas=(10.0, 11.0), safety_cap=100_000)
+        assert _worker_count(EXPERIMENT_TABLE["quad-lower-gd"], [(6, 10.0), (6, 11.0)], cfg) == 1
+
+    @pytest.mark.parametrize("experiment", ["quad-random", "bound-sweep", "quad-lower-gf", "quad-lower-gd"])
+    def test_cheap_grid_forks_nothing(self, experiment, monkeypatch):
+        forbid_fork(monkeypatch)
+        pin_cpus(monkeypatch, 4)
+        cfg = default_config(experiment)
+        if experiment == "quad-lower-gd":
+            cfg = replace(cfg, omegas=(2.0, 3.0, 4.0))
+        assert len(run_experiment(cfg)) >= 3
+
+    def test_unbuildable_point_raises_its_own_error(self, monkeypatch):
+        # omegas 3 and 4 project 744 and 2,356 steps, heavy at this floor
+        monkeypatch.setattr("gradpath.harness.FORK_MIN_STEPS", 700)
+        pin_cpus(monkeypatch, 4)
+        cfg = ExperimentConfig("quad-lower-gd", dims=(6,), omegas=(3.0, 0.5, 4.0))
+        assert _worker_count(EXPERIMENT_TABLE["quad-lower-gd"], [(6, 3.0), (6, 0.5), (6, 4.0)], cfg) == 2
+        with pytest.raises(InputError, match="omega must be finite and exceed 1"):
+            run_experiment(cfg)
+        assert_no_child_left()
+
+    def sweep(self, monkeypatch, fail_at, cpus):
+        """The SWEEP_POINTS config over ``cpus`` CPUs, whose point at grid
+        index i calls ``fail_at[i]()``."""
+        entry = EXPERIMENT_TABLE["bound-sweep"]
+
+        def point_row(point, cfg):
+            index = SWEEP_POINTS.index(point)
+            if index in fail_at:
+                fail_at[index]()
+            return entry.point_row(point, cfg)
+
+        fork_for(monkeypatch, "bound-sweep", cpus, point_row)
+        return ExperimentConfig("bound-sweep", dims=(6,), omegas=(1.5, 2.0, 3.0, 4.0))
+
+    @staticmethod
+    def raiser(exc):
+        def fail():
+            raise exc
+        return fail
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_first_failing_point_in_grid_order(self, cpus, monkeypatch):
+        # with two workers, index 1 is in the child's share and index 2 in the parent's
+        cfg = self.sweep(monkeypatch, {
+            1: self.raiser(StepSizeUnderflowError(1.0)),
+            2: self.raiser(DivergenceError("point 2 diverged")),
+        }, cpus)
+        pid = os.getpid()
+        with pytest.raises(StepSizeUnderflowError) as info:
+            run_experiment(cfg)
+        assert type(info.value) is StepSizeUnderflowError
+        assert str(info.value) == "step size underflow at t=1.0"
+        assert info.value.t == 1.0
+        assert os.getpid() == pid
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [DivergenceError("point 0 failed"), KeyboardInterrupt("point 0 failed")],
+                             ids=["error", "interrupt"])
+    def test_children_reaped_when_own_share_raises(self, exc, monkeypatch):
+        # index 0 is in the parent's share; an interrupt is not caught as a point failure
+        cfg = self.sweep(monkeypatch, {0: self.raiser(exc)}, 4)
+        pid = os.getpid()
+        with pytest.raises(type(exc), match="^point 0 failed$"):
+            run_experiment(cfg)
+        assert os.getpid() == pid
+        assert_no_child_left()
+
+    def test_child_without_result_names_its_points(self, monkeypatch):
+        parent = os.getpid()
+
+        def vanish():
+            if os.getpid() != parent:
+                os._exit(3)
+
+        cfg = self.sweep(monkeypatch, {1: vanish}, 2)
+        with pytest.raises(ComputationError, match=r"points \[\(6, 2\.0\), \(6, 4\.0\)\] exited with code 3"):
+            run_experiment(cfg)
+        assert os.getpid() == parent
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus, omegas", [(1, (2.0, 3.0)), (4, (2.0,))], ids=["one-cpu", "one-point"])
+    def test_one_worker_forks_nothing(self, cpus, omegas, monkeypatch):
+        fork_for(monkeypatch, "bound-sweep", cpus)
+        forbid_fork(monkeypatch)
+        rows = run_experiment(ExperimentConfig("bound-sweep", dims=(6,), omegas=omegas))
+        assert [row.omega for row in rows] == list(omegas)
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_platform_without_fork_runs_in_process(self, missing, monkeypatch):
+        fork_for(monkeypatch, "bound-sweep", 4)
+        monkeypatch.delattr(os, missing)
+        if missing != "fork":
+            forbid_fork(monkeypatch)
+        cfg = ExperimentConfig("bound-sweep", dims=(6,), omegas=(2.0, 3.0, 4.0))
+        assert [row.omega for row in run_experiment(cfg)] == [2.0, 3.0, 4.0]
+
+    def test_other_thread_running_forks_nothing(self, monkeypatch):
+        fork_for(monkeypatch, "bound-sweep", 4)
+        forbid_fork(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            rows = run_experiment(ExperimentConfig("bound-sweep", dims=(6,), omegas=(2.0, 3.0, 4.0)))
+        finally:
+            release.set()
+            other.join()
+        assert [row.omega for row in rows] == [2.0, 3.0, 4.0]
+
+    def test_serial_failure_keeps_its_traceback(self, monkeypatch):
+        cfg = self.sweep(monkeypatch, {2: self.raiser(DivergenceError("point 2 diverged"))}, 1)
+        with pytest.raises(DivergenceError) as info:
+            run_experiment(cfg)
+        assert info.traceback[-1].name == "fail"
 
 
 GOLDEN_F1_EMPTY = '''\
