@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, finite_number
 from .objectives import (
     Array,
     IntervalProductSet,
@@ -94,6 +94,7 @@ def path_length_quadratic_gf(spec: QuadraticSpec, abs_tol: float = 1e-12) -> Pat
     sum_i |alpha_i| exp(-sigma_min T) < abs_tol; the tail bound goes into
     the error budget, not into the reported length.
     """
+    abs_tol = finite_number(abs_tol, "abs_tol")
     if abs_tol <= 0:
         raise InputError("abs_tol must be positive")
     alpha_l1 = float(np.abs(spec.alpha).sum())

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, finite_number
 
 Array = np.ndarray
 
@@ -37,6 +37,13 @@ def as_vector(x, dim: int | None = None) -> Array:
         raise InputError(f"expected a vector, got shape {x.shape}")
     if dim is not None and x.size != dim:
         raise InputError(f"expected dimension {dim}, got {x.size}")
+    return x
+
+
+def _finite(x: Array, name: str) -> Array:
+    """``x`` itself if every entry is finite, else InputError naming ``name``."""
+    if not np.all(np.isfinite(x)):
+        raise InputError(f"{name} must be finite")
     return x
 
 
@@ -208,19 +215,20 @@ class QuadraticSpec:
     source: tuple[Array, Array] | None = None  # (A, y) when built from data
 
     def __post_init__(self):
-        sigma = as_vector(self.sigma)
+        sigma = _finite(as_vector(self.sigma), "spectrum")
         if sigma.size == 0 or np.any(sigma <= 0):
             raise InputError("spectrum must be nonempty and strictly positive")
         if np.any(np.diff(sigma) > 0):
             raise InputError("spectrum must be sorted in descending order")
-        basis = np.asarray(self.basis, float)
+        basis = _finite(np.asarray(self.basis, float), "basis")
         if basis.shape != (self.dim, sigma.size):
             raise InputError("basis must have shape (dim, d+)")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "projection", as_vector(self.projection, self.dim))
-        object.__setattr__(self, "alpha", as_vector(self.alpha, sigma.size))
-        object.__setattr__(self, "x0", as_vector(self.x0, self.dim))
+        object.__setattr__(self, "projection", _finite(as_vector(self.projection, self.dim), "projection"))
+        object.__setattr__(self, "alpha", _finite(as_vector(self.alpha, sigma.size), "alpha"))
+        object.__setattr__(self, "x0", _finite(as_vector(self.x0, self.dim), "x0"))
+        object.__setattr__(self, "f_star", finite_number(self.f_star, "f_star"))
 
     # -- derived quantities -------------------------------------------------
 
@@ -243,13 +251,19 @@ class QuadraticSpec:
 
     # -- evaluation ----------------------------------------------------------
 
-    def value(self, x) -> float:
-        z = self.basis.T @ (as_vector(x, self.dim) - self.projection)
+    # ``value`` and ``gradient`` take a float64 vector of size ``dim`` as
+    # is; ``to_objective``'s ``value_at`` / ``gradient_at`` validate it.
+    # The flow calls ``gradient`` six times per step: ``ndarray.dot`` skips
+    # the matmul ufunc's dispatch, which dominates at small d, and reaches
+    # the same BLAS gemv as ``@``, so the bits are the same.
+
+    def value(self, x: Array) -> float:
+        z = self.basis.T @ (x - self.projection)
         return self.f_star + 0.5 * float(z @ (self.sigma * z))
 
-    def gradient(self, x) -> Array:
-        z = self.basis.T @ (as_vector(x, self.dim) - self.projection)
-        return self.basis @ (self.sigma * z)
+    def gradient(self, x: Array) -> Array:
+        z = self.basis.T.dot(x - self.projection)
+        return self.basis.dot(self.sigma * z)
 
     def value_from_data(self, x) -> float:
         """Evaluate via the raw (A, y) data; available for cross-checks."""

@@ -368,6 +368,8 @@ def gf_quadratic(spec: QuadraticSpec, t):
     projection point; t may be a scalar or a 1-D array of times.
     """
     t_arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t_arr)):
+        raise InputError("time must be finite")
     if np.any(t_arr < 0):
         raise InputError("time must be nonnegative")
     if t_arr.ndim == 0:
@@ -509,8 +511,8 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
             raise StepSizeUnderflowError(t)
 
         for a, earlier, row in stages:
-            # y + h * (a @ earlier), computed in the stage point's own buffer
-            yi = a @ earlier
+            # y + h * a.dot(earlier), computed in the stage point's own buffer
+            yi = a.dot(earlier)
             yi *= h
             yi += y
             write_field(yi, row)
@@ -518,8 +520,8 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
         if not math.isfinite(K.sum()) and not np.all(np.isfinite(K)):
             raise NonFiniteError(f"non-finite gradient near t={t + h!r}")
 
-        # sqrt(mean((h * (E @ K) / tol)**2)), operation by operation
-        e = _E @ K
+        # sqrt(mean((h * _E.dot(K) / tol)**2)), operation by operation
+        e = _E.dot(K)
         e *= h
         e /= tol
         e *= e

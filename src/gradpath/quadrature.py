@@ -13,7 +13,7 @@ import heapq
 
 import numpy as np
 
-from .errors import InputError, QuadratureError
+from .errors import InputError, QuadratureError, finite_number
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half) and weights; the
 # odd-indexed nodes form the embedded 7-point Gauss rule.
@@ -62,14 +62,16 @@ def adaptive_quadrature(
     integrand has widely separated active scales).  Returns
     ``(value, error_estimate, n_evaluations)``.
     """
+    abs_tol = finite_number(abs_tol, "abs_tol")
     if abs_tol <= 0:
         raise InputError("abs_tol must be positive")
+    a, b = finite_number(a, "a"), finite_number(b, "b")
     if b < a:
         raise InputError("empty integration interval")
     if b == a:
         return 0.0, 0.0, 0
 
-    edges = {float(a), float(b)}
+    edges = {a, b}
     for p in breakpoints or ():
         p = float(p)
         if a < p < b:

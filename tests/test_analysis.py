@@ -23,6 +23,7 @@ from gradpath import (
     self_contracted_check,
     separable_no_overshoot_check,
 )
+from gradpath.quadrature import adaptive_quadrature
 
 #: frozen by an independent high-precision quadrature of the two-mode
 #: speed integrand with spectrum (100, 1) and unit eigen displacements
@@ -122,6 +123,26 @@ class TestPathLengthQuadraticGf:
         spec = QuadraticSpec.diagonal([1.0], [1.0])
         with pytest.raises(InputError):
             path_length_quadratic_gf(spec, abs_tol=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_tolerance(self, bad):
+        spec = QuadraticSpec.diagonal([1.0], [1.0])
+        with pytest.raises(InputError, match="abs_tol"):
+            path_length_quadratic_gf(spec, abs_tol=bad)
+
+
+class TestAdaptiveQuadrature:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance(self, bad):
+        with pytest.raises(InputError, match="abs_tol"):
+            adaptive_quadrature(np.exp, 0.0, 1.0, bad)
+
+    @pytest.mark.parametrize("a, b, name", [
+        (math.nan, 1.0, "a"), (0.0, math.nan, "b"), (-math.inf, 1.0, "a"), (0.0, math.inf, "b"),
+    ])
+    def test_non_finite_endpoint(self, a, b, name):
+        with pytest.raises(InputError, match=f"^{name}"):
+            adaptive_quadrature(np.exp, a, b, 1e-10)
 
 
 class TestSelfContracted:

@@ -88,6 +88,33 @@ class TestQuadraticSpec:
                 projection=[0.0, 0.0], alpha=[1.0, 1.0], x0=[1.0, 1.0],
             )
 
+    def test_diagonal_rejects_nan_coefficient(self):
+        with pytest.raises(InputError, match="spectrum must be finite"):
+            QuadraticSpec.diagonal([math.nan, 1.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("field", ["sigma", "basis", "projection", "alpha", "x0", "f_star"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, bad):
+        fields = dict(
+            dim=2, sigma=np.array([2.0, 1.0]), basis=np.eye(2), projection=np.zeros(2),
+            alpha=np.ones(2), x0=np.ones(2), f_star=0.0,
+        )
+        if field == "f_star":
+            fields[field] = bad
+        else:
+            fields[field] = fields[field].copy()
+            fields[field].flat[0] = bad
+        with pytest.raises(InputError, match="must be finite"):
+            QuadraticSpec(**fields)
+
+    def test_gradient_at_validates_the_point(self):
+        obj = QuadraticSpec.diagonal([2.0, 1.0], [1.0, 1.0]).to_objective()
+        assert obj.gradient_at([1, 1]).tolist() == [2.0, 1.0]
+        with pytest.raises(InputError, match="dimension 2"):
+            obj.gradient_at(np.zeros(3))
+        with pytest.raises(InputError, match="dimension 2"):
+            obj.value_at([1.0])
+
     def test_alpha_norm_is_distance(self, rng):
         from conftest import random_convex_quadratic
 

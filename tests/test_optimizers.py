@@ -482,6 +482,14 @@ class TestGfQuadratic:
         with pytest.raises(InputError):
             gf_quadratic(spec, -0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, rng, bad):
+        spec = random_convex_quadratic(rng)
+        with pytest.raises(InputError, match="finite"):
+            gf_quadratic(spec, bad)
+        with pytest.raises(InputError, match="finite"):
+            gf_quadratic(spec, np.array([0.0, 1.0, bad]))
+
 
 class TestGfIntegrate:
     def test_one_dim_arc_equals_distance(self):
@@ -676,6 +684,11 @@ class TestFlowBitsPinned:
     # (arc_length, final_time, final_point, n_steps, n_rejected, n_feval,
     #  local_errors.sum(), stop_reason)
     PINNED = {
+        "quadratic-d4-kappa3e3": (
+            5.865385271478231, 39590.56540150654,
+            [1.9206712322228352, 1.3068921799032676, -1.4366631976747057, -0.038184002331584664],
+            12158, 2, 72962, 5389.7384536073405, "grad_below",
+        ),
         "quadratic-d10-kappa1e3": (
             8.067324203970022, 14423.02149874675,
             [0.43365570739775333, 0.306161240421154, 1.1070800457422598, 0.3228757421755491,
@@ -702,7 +715,8 @@ class TestFlowBitsPinned:
             inst = build_pkl_gf_instance(20)
             obj, x0, stop = inst.objective, inst.x0, StopRule.norm_below(1e-6)
         else:
-            spec = _dense_quadratic(20261018, 10, 1e3)
+            d, kappa = {"quadratic-d4-kappa3e3": (4, 3e3), "quadratic-d10-kappa1e3": (10, 1e3)}[case]
+            spec = _dense_quadratic(20261018, d, kappa)
             obj, x0, stop = spec.to_objective(), spec.x0, StopRule.grad_below(1e-9)
         traj = gf_integrate(obj, x0, 1e-10, stop)
         got = (
