@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, finite_number
+from .errors import InputError, finite_number, positive_number
 from .objectives import (
     Array,
     IntervalProductSet,
@@ -94,9 +94,7 @@ def path_length_quadratic_gf(spec: QuadraticSpec, abs_tol: float = 1e-12) -> Pat
     sum_i |alpha_i| exp(-sigma_min T) < abs_tol; the tail bound goes into
     the error budget, not into the reported length.
     """
-    abs_tol = finite_number(abs_tol, "abs_tol")
-    if abs_tol <= 0:
-        raise InputError("abs_tol must be positive")
+    abs_tol = positive_number(abs_tol, "abs_tol")
     alpha_l1 = float(np.abs(spec.alpha).sum())
     if alpha_l1 == 0.0:
         return PathLengthReport(0.0, 0.0, 0.0, 0.0, float("nan"), "quadrature", 0)
@@ -153,7 +151,8 @@ def self_contracted_check(points, tol: float = 1e-12) -> SelfContractedVerdict:
     vectorised work; sequences longer than
     :data:`SELF_CONTRACTED_MAX_POINTS` are refused rather than sampled.
     """
-    if not tol >= 0:
+    tol = finite_number(tol, "tol")
+    if tol < 0:
         raise InputError(f"tol must be nonnegative, got {tol!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2:

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InputError, finite_number
+from .errors import InputError, finite_number, positive_number
 from .objectives import QuadraticSpec
 
 DIST_OPT = "dist(x0, X*)"
@@ -34,43 +34,50 @@ class BoundReport:
     inputs: dict = field(default_factory=dict)
 
 
-def _check_linconv(a: float, c: float):
+def _check_linconv(a: float, c: float) -> tuple[float, float]:
+    a, c = finite_number(a, "A"), finite_number(c, "c")
     if a < 1:
         raise InputError("linear-convergence prefactor A must be >= 1")
-    if not (0 < c < 1):
+    if not 0 < c < 1:
         raise InputError("linear-convergence rate c must lie in (0, 1)")
+    return a, c
+
+
+def curvature_pair(mu: float, L: float) -> tuple[float, float]:
+    """(mu, L), checked: both finite and 0 < mu <= L."""
+    mu, L = finite_number(mu, "mu"), finite_number(L, "L")
+    if not 0 < mu <= L:
+        raise InputError("requires 0 < mu <= L")
+    return mu, L
 
 
 def bound_linconv_gd(a: float, c: float, eta: float, L: float) -> float:
     """Flow-free descent bound eta*A*L/c for linearly convergent iterates."""
-    _check_linconv(a, c)
-    if eta <= 0 or L <= 0:
-        raise InputError("eta and L must be positive")
+    a, c = _check_linconv(a, c)
+    eta, L = positive_number(eta, "eta"), positive_number(L, "L")
     return eta * a * L / c
 
 
 def bound_linconv_gf(a: float, c: float, L: float) -> float:
     """Flow bound A*L / log(1/(1-c)) for linearly convergent dynamics."""
-    _check_linconv(a, c)
-    if L <= 0:
-        raise InputError("L must be positive")
-    return a * L / math.log(1.0 / (1.0 - c))
+    a, c = _check_linconv(a, c)
+    return a * positive_number(L, "L") / math.log(1.0 / (1.0 - c))
 
 def bound_linconv_general(a: float, c: float) -> float:
     """Bound 2A/c for any update rule that descends towards all minimizers."""
-    _check_linconv(a, c)
+    a, c = _check_linconv(a, c)
     return 2.0 * a / c
 
 
 def bound_hb(mu: float, L: float) -> float:
     """Heavy-ball factor sqrt(kappa) for strongly convex objectives."""
-    if not (0 < mu <= L):
-        raise InputError("requires 0 < mu <= L")
+    mu, L = curvature_pair(mu, L)
     return math.sqrt(L / mu)
 
 
 def pgd_step_factor(eta: float, L: float) -> float:
     """Per-step contraction factor of projected gradient descent."""
+    eta, L = finite_number(eta, "eta"), finite_number(L, "L")
     if eta < 0 or L < 0:
         raise InputError("eta and L must be nonnegative")
     half = (eta * L + 1.0) / 2.0
@@ -79,16 +86,14 @@ def pgd_step_factor(eta: float, L: float) -> float:
 
 def bound_pgd_factor(eta: float, L: float, a: float, c: float) -> float:
     """Projected-gradient bound: step factor times A/c."""
-    _check_linconv(a, c)
-    if eta <= 0 or L <= 0:
-        raise InputError("eta and L must be positive")
+    a, c = _check_linconv(a, c)
+    eta, L = positive_number(eta, "eta"), positive_number(L, "L")
     return pgd_step_factor(eta, L) * a / c
 
 
 def bound_pkl(mu: float, L: float, which: str = "gf") -> float:
     """sqrt(kappa) (flow) or 2 sqrt(kappa) (descent, eta <= 1/L) under the PL inequality."""
-    if not (0 < mu <= L):
-        raise InputError("requires 0 < mu <= L")
+    mu, L = curvature_pair(mu, L)
     root = math.sqrt(L / mu)
     if which == "gf":
         return root
@@ -103,6 +108,7 @@ def spectral_gap_term(kappa_j: float) -> float:
     The limit value at kappa_j -> 1+ is 0; ratios within 1e-9 of 1 map
     to 0 to avoid catastrophic cancellation in the exponent.
     """
+    kappa_j = finite_number(kappa_j, "spectral ratio")
     if kappa_j < 1:
         raise InputError("spectral ratios must be >= 1")
     if kappa_j < 1 + 1e-9:
@@ -127,8 +133,7 @@ def bound_quadratic(spec: QuadraticSpec, which: str = "gf") -> float:
 def bound_fsep(mu: float, L: float) -> float:
     """Factor 2 + log(kappa) for separable strongly convex objectives
     with nondecreasing second derivative per coordinate."""
-    if not (0 < mu <= L):
-        raise InputError("requires 0 < mu <= L")
+    mu, L = curvature_pair(mu, L)
     return 2.0 + math.log(L / mu)
 
 
@@ -138,6 +143,7 @@ def bound_convex_qc(d: int, which: str) -> float:
     Returned on the log2 scale (the plain factor overflows for d >= 6);
     logs inside the exponents are natural.
     """
+    d = finite_number(d, "d", int)
     if d < 2:
         raise InputError("the convexity-only analysis requires d >= 2")
     if which == "gf_quasiconvex":
@@ -151,9 +157,7 @@ def bound_convex_qc(d: int, which: str) -> float:
 
 def bound_separable(d: int) -> float:
     """Factor sqrt(d) for separable quasiconvex objectives."""
-    if d < 1:
-        raise InputError("dimension must be a positive integer")
-    return math.sqrt(d)
+    return math.sqrt(positive_number(d, "d", int))
 
 
 def lower_bound_pkl(
@@ -172,6 +176,7 @@ def lower_bound_pkl(
     if which in ("gf", "gd"):
         if d is None or kappa is None:
             raise InputError("d and kappa are required for the PL forms")
+        d, kappa = finite_number(d, "d", int), finite_number(kappa, "kappa")
         if d < 6 or kappa < 216:
             raise InputError("the PL lower bound is defined only for d >= 6 and kappa >= 216")
         q = 6.0 if which == "gf" else 16.0
@@ -182,7 +187,8 @@ def lower_bound_pkl(
     if which in ("linconv_gf", "linconv_gd"):
         if c is None:
             raise InputError("c is required for the linear-convergence forms")
-        if not (0 < c < 5.8e-3):
+        c = finite_number(c, "c")
+        if not 0 < c < 5.8e-3:
             raise InputError("the linear-convergence lower bound requires c in (0, 5.8e-3)")
         q = 12.0 if which == "linconv_gf" else 64.0
         return math.sqrt(1.0 / c) / (q * math.log(1.0 / c) ** 1.5)
@@ -193,10 +199,10 @@ def lower_bound_quadratic(d: int, kappa: float, which: str = "gf") -> float:
     """Worst-case lower-bound factors for quadratics (kappa >= 5):
     min(0.7 sqrt(d), 0.45 sqrt(log kappa)) for the flow and
     min(0.5 sqrt(d), 0.3 sqrt(log kappa)) for descent at eta = 1/(2L)."""
+    kappa = finite_number(kappa, "kappa")
     if kappa < 5:
         raise InputError("the quadratic lower bound requires kappa >= 5")
-    if d < 1:
-        raise InputError("dimension must be a positive integer")
+    d = positive_number(d, "d", int)
     root_log = math.sqrt(math.log(kappa))
     if which == "gf":
         return min(0.7 * math.sqrt(d), 0.45 * root_log)

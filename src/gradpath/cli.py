@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bounds, harness
 from .analysis import path_length_discrete, self_contracted_check
-from .errors import GradPathError, InputError, InvariantViolation, finite_number
+from .errors import GradPathError, InputError, InvariantViolation, finite_number, positive_number
 from .objectives import as_vector
 from .optimizers import (
     StopRule,
@@ -55,9 +55,7 @@ def _parse_projector(text: str, dim: int):
         lo, hi = parts
         return box_projector(np.full(dim, lo), np.full(dim, hi))
     if kind == "ball" and sep:
-        radius = finite_number(raw, "ball radius")
-        if radius <= 0:
-            raise InputError("ball radius must be positive")
+        radius = positive_number(raw, "ball radius")
 
         def projector(x):
             norm = float(np.linalg.norm(x))
@@ -142,6 +140,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.seed is not None and "seeds" not in harness.EXPERIMENT_TABLE[args.id].grid:
+        raise InputError(f"--seed offsets a seeds grid; experiment {args.id!r} has none")
     if args.config:
         cfg = harness.load_config(args.config)
         if cfg.experiment != args.id:

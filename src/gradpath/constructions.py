@@ -11,18 +11,19 @@ diagonal.  The quadratic instance has a geometric spectrum.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, finite_number
+from .errors import InputError, finite_number, positive_number
 from .objectives import Array, IntervalProductSet, ObjectiveSpec, QuadraticSpec, as_vector
 
 
-def _require_dim(d: int, minimum: int = 6):
-    if d != int(d) or d < minimum:
+def _require_dim(d: int, minimum: int = 6) -> int:
+    d = finite_number(d, "d", int)
+    if d < minimum:
         raise InputError(f"the PL lower-bound construction requires an integer d >= {minimum}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,13 @@ class PklConstruction:
 
     @classmethod
     def build(cls, d: int) -> "PklConstruction":
-        _require_dim(d)
+        d = _require_dim(d)
         delta = 1.0 / d
         gamma = 1.0 - delta + 6.0 * math.log(1.0 / (2.0 * delta))
         quad_coeff = delta / gamma
         quad_offset = (0.5 - delta**2) + 2.0 * delta * (gamma - (1.0 - delta)) - quad_coeff * gamma**2
         return cls(
-            d=int(d), delta=delta, gamma=gamma,
+            d=d, delta=delta, gamma=gamma,
             quad_coeff=quad_coeff, quad_offset=quad_offset,
             L=2.0, mu=2.0 / (3.0 * d**2),
         )
@@ -101,7 +102,7 @@ class PklConstruction:
         ``dim`` defaults to ``d``; a larger ``dim`` lifts a reduced
         construction, whose extra coordinates then stay idle at 0.
         """
-        dim = self.d if dim is None else int(dim)
+        dim = self.d if dim is None else finite_number(dim, "dimension", int)
         if dim < self.d:
             raise InputError(f"cannot embed the d={self.d} construction in dimension {dim}")
         return ObjectiveSpec(
@@ -119,13 +120,12 @@ class PklConstruction:
 
 
 def _active_dimension(d: int, target_kappa: float | None) -> int:
-    """d, or with ``target_kappa`` the largest d' with 3 d'^2 <= target_kappa
-    (at least 6), capped at d.
+    """d (already checked), or with ``target_kappa`` the largest d' with
+    3 d'^2 <= target_kappa (at least 6), capped at d.
 
     Implements the component-dropping reduction used when the requested
     condition number is below 3 d^2.
     """
-    _require_dim(d)
     if target_kappa is None:
         return d
     target_kappa = finite_number(target_kappa, "target_kappa")
@@ -162,6 +162,7 @@ def build_pkl_gf_instance(d: int, target_kappa: float | None = None) -> PklGfIns
     ``target_kappa`` (if given) shrinks the number of active components
     so the nominal condition number 3 d'^2 does not exceed it.
     """
+    d = _require_dim(d)
     kind = PklConstruction.build(_active_dimension(d, target_kappa))
     x0 = _staggered_x0(d, kind, kind.delta * math.log(1.0 / (2.0 * kind.delta)))
     obj = kind.to_objective(name=f"pkl-lower-gf(d={d})", dim=d)
@@ -189,7 +190,7 @@ class PklGdInstance:
 
 def select_gd_stage(d: int) -> tuple[float, int]:
     """Smallest k1 with eta = ((d/2)^(1/k1) - 1)/2 in [1/4, 1/2]."""
-    _require_dim(d)
+    d = _require_dim(d)
     ratio = d / 2.0
     for k1 in range(1, int(3.0 * math.log(ratio)) + 3):
         eta = (ratio ** (1.0 / k1) - 1.0) / 2.0
@@ -200,6 +201,7 @@ def select_gd_stage(d: int) -> tuple[float, int]:
 
 def build_pkl_gd_instance(d: int, target_kappa: float | None = None) -> PklGdInstance:
     """Descent instance: staggered x0 with spacing 2 eta k1 delta."""
+    d = _require_dim(d)
     kind = PklConstruction.build(_active_dimension(d, target_kappa))
     eta, k1 = select_gd_stage(kind.d)
     x0 = _staggered_x0(d, kind, 2.0 * eta * k1 * kind.delta)
@@ -239,16 +241,11 @@ class QuadLowerConstruction:
 
     @classmethod
     def build(cls, d: int, omega: float) -> "QuadLowerConstruction":
-        if d != int(d) or d < 1:
-            raise InputError("dimension must be a positive integer")
-        if not 1 < omega < math.inf:
+        d, omega = positive_number(d, "dimension", int), finite_number(omega, "omega")
+        if omega <= 1:
             raise InputError("omega must be finite and exceed 1")
         powers = np.arange(d - 1, -1, -1, dtype=float)
-        return cls(
-            d=int(d), omega=float(omega),
-            spectrum=np.power(omega, powers),
-            x0=np.ones(int(d)),
-        )
+        return cls(d=d, omega=omega, spectrum=np.power(omega, powers), x0=np.ones(d))
 
     @property
     def kappa(self) -> float:
@@ -314,11 +311,13 @@ def build_quad_random(d: int, kappa: float, seed: int) -> QuadRandomInstance:
     Draws come from a seeded counter-based generator (Philox), so a
     fixed seed reproduces the instance bit-for-bit across runs.
     """
+    d, kappa = finite_number(d, "d", int), finite_number(kappa, "kappa")
+    seed = finite_number(seed, "seed", int)
     if d < 2:
         raise InputError("random spectra need d >= 2")
-    if not 1 < kappa < math.inf:
+    if kappa <= 1:
         raise InputError("kappa must be finite and exceed 1")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     a = np.empty(d)
@@ -328,14 +327,13 @@ def build_quad_random(d: int, kappa: float, seed: int) -> QuadRandomInstance:
         a[1:-1] = rng.uniform(1.0 / kappa, 1.0, d - 2)
     x0 = rng.uniform(0.0, 1.0, d)
     x0 *= math.sqrt(d) / float(np.linalg.norm(x0))
-    return QuadRandomInstance(d=int(d), kappa=float(kappa), seed=int(seed),
-                              coefficients=a, x0=x0)
+    return QuadRandomInstance(d=d, kappa=kappa, seed=seed, coefficients=a, x0=x0)
 
 
 def construction_linconv_constants(d: int, which: str = "gf") -> tuple[float, float]:
     """Certified (A, c) of the PL instance: c = 1/(4 d log d) for the flow,
     1/(16 d log d) for descent, both with A = 1."""
-    _require_dim(d)
+    d = _require_dim(d)
     if which == "gf":
         return 1.0, 1.0 / (4.0 * d * math.log(d))
     if which == "gd":

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the finite-number parser
-that turns malformed or non-finite outside input into :class:`InputError`."""
+"""Exception types shared across the package, and the number checks every
+boundary uses: they turn malformed, non-finite, fractional or non-positive
+outside input into :class:`InputError` and return the converted number."""
 
 import math
 
@@ -45,11 +46,22 @@ class InvariantViolation(GradPathError):
 
 
 def finite_number(value, name: str, kind=float):
-    """``kind(value)`` (``float`` or ``int``) if it is a finite number, else InputError naming ``name``."""
+    """``kind(value)`` (``float`` or ``int``) if it is a finite number, else InputError naming ``name``;
+    ``int`` takes integral values only (2.0 gives 2, 2.5 is an error) and text that spells an integer."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise InputError(f"{name}: expected {'an integer' if kind is int else 'a number'}, got {value!r}") from None
-    if not math.isfinite(number):
+    if kind is int and number != value and not isinstance(value, str):
+        raise InputError(f"{name}: expected an integer, got {value!r}")
+    if kind is float and not math.isfinite(number):
         raise InputError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def positive_number(value, name: str, kind=float):
+    """:func:`finite_number` of ``value`` if it is above 0, else InputError naming ``name``."""
+    number = finite_number(value, name, kind)
+    if number <= 0:
+        raise InputError(f"{name} must be {'a positive integer' if kind is int else 'positive'}, got {value!r}")
     return number

@@ -27,7 +27,7 @@ import numpy as np
 from . import bounds, constructions
 from .analysis import PlRatio, path_length_discrete, path_length_quadratic_gf
 from .analysis import effective_pkl_mu  # noqa: F401  (re-exported; bench/workloads.py traces it)
-from .errors import InputError, InvariantViolation, finite_number
+from .errors import InputError, InvariantViolation, finite_number, positive_number
 from .optimizers import StopRule, gd_run
 from .properties import run_property_suite
 
@@ -68,13 +68,10 @@ class ExperimentConfig:
             raise InputError(f"unknown experiment {self.experiment!r}; known: {', '.join(EXPERIMENTS)}")
         if self.mu_mode not in ("min", "paper_max"):
             raise InputError(f"unknown mu_mode {self.mu_mode!r}")
-        if any(d < 1 for d in self.dims):
-            raise InputError("dims must be positive integers")
-        for name in (key for key, kind in CONFIG_KEYS.items() if kind is float):
-            if not 0 < getattr(self, name) < math.inf:
-                raise InputError(f"{name} must be positive and finite")
-        if self.safety_cap < 1:
-            raise InputError("safety_cap must be positive")
+        object.__setattr__(self, "dims", tuple(positive_number(d, "dims", int) for d in self.dims))
+        for name, kind in CONFIG_KEYS.items():
+            if kind in (int, float):
+                object.__setattr__(self, name, positive_number(getattr(self, name), name, kind))
 
 
 def default_config(experiment: str) -> ExperimentConfig:
@@ -83,7 +80,7 @@ def default_config(experiment: str) -> ExperimentConfig:
 
 
 #: How a config file's value is read, per key; ``(kind,)`` is a
-#: comma-separated list.  The float keys are the positive tolerances.
+#: comma-separated list.  The scalar number keys take positive values.
 CONFIG_KEYS = {
     "experiment": str, "mu_mode": str, "out": str,
     "dims": (int,), "seeds": (int,), "omegas": (float,), "kappas": (float,),

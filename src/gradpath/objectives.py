@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, finite_number
+from .errors import InputError, finite_number, positive_number
 
 Array = np.ndarray
 
@@ -114,8 +114,8 @@ class ObjectiveSpec:
     """An evaluatable objective with declared smoothness/curvature metadata.
 
     ``value`` maps a point of shape ``(dim,)`` to a float and ``gradient``
-    to a vector of the same shape.  Evaluations are pure, so instances
-    may be shared freely.
+    to a vector of the same shape, which :meth:`gradient_at` checks.
+    Evaluations are pure, so instances may be shared freely.
     """
 
     dim: int
@@ -129,12 +129,10 @@ class ObjectiveSpec:
     box_halfwidth: float | None = None  # domain on which L was certified
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InputError("dimension must be a positive integer")
-        if self.L is not None and self.L <= 0:
-            raise InputError("L must be positive when declared")
-        if self.mu is not None and self.mu <= 0:
-            raise InputError("mu must be positive when declared")
+        object.__setattr__(self, "dim", positive_number(self.dim, "dimension", int))
+        for name in ("L", "mu"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, positive_number(getattr(self, name), name))
 
     @property
     def kappa(self) -> float | None:
@@ -147,7 +145,10 @@ class ObjectiveSpec:
         return float(self.value(as_vector(x, self.dim)))
 
     def gradient_at(self, x) -> Array:
-        return np.asarray(self.gradient(as_vector(x, self.dim)), dtype=float)
+        g = np.asarray(self.gradient(as_vector(x, self.dim)), dtype=float)
+        if g.shape != (self.dim,):
+            raise InputError(f"gradient returned shape {g.shape} at a point of shape {(self.dim,)}")
+        return g
 
     def in_declared_box(self, x) -> bool:
         """True when x lies in the box on which L was certified (if any)."""
@@ -298,8 +299,6 @@ class QuadraticSpec:
         """Spec for f(x) = f* + 0.5 * sum_i a_i x_i^2 with all a_i > 0."""
         a = as_vector(coefficients)
         x0 = as_vector(x0, a.size)
-        if np.any(a <= 0):
-            raise InputError("diagonal coefficients must be strictly positive")
         order = np.argsort(-a, kind="stable")
         return cls(
             dim=a.size,
@@ -321,12 +320,12 @@ def quadratic_from_data(A, y, x0, rank_rtol: float = RANK_RTOL) -> QuadraticSpec
     projection point is (I - V V^T) x0 + pinv(A) y, the limit of both
     the flow and the small-step iteration started at ``x0``.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = _finite(np.atleast_2d(np.asarray(A, dtype=float)), "A")
     if A.ndim != 2:
         raise InputError("A must be a matrix")
     n, d = A.shape
-    y = as_vector(y, n)
-    x0 = as_vector(x0, d)
+    y = _finite(as_vector(y, n), "y")
+    x0 = _finite(as_vector(x0, d), "x0")
     if not np.any(A):
         raise InputError("objective is constant")
 
@@ -370,8 +369,7 @@ class ScalarPiece:
 
 def quadratic_piece(coefficient: float) -> ScalarPiece:
     """The scalar piece g(x) = coefficient * x^2."""
-    if coefficient <= 0:
-        raise InputError("coefficient must be positive")
+    coefficient = positive_number(coefficient, "coefficient")
     return ScalarPiece(
         value=lambda x: coefficient * x * x,
         deriv=lambda x: 2.0 * coefficient * x,
@@ -416,14 +414,12 @@ def build_fsep_quartic(d: int, quartic_coeff: float = 0.1, box_halfwidth: float 
     The declared smoothness constant L = (2 + 12 c B^2) d holds on the box
     [-B, B]^d; the strong-convexity constant is mu = 2 globally.
     """
-    if d < 1:
-        raise InputError("dimension must be a positive integer")
-    if quartic_coeff < 0:
+    d = positive_number(d, "dimension", int)
+    c = finite_number(quartic_coeff, "quartic coefficient")
+    if c < 0:
         raise InputError("quartic coefficient must be nonnegative")
-    if box_halfwidth <= 0:
-        raise InputError("box halfwidth must be positive")
+    box = positive_number(box_halfwidth, "box halfwidth")
     weights = np.arange(1, d + 1, dtype=float)
-    c = float(quartic_coeff)
 
     def value(x):
         x = np.asarray(x, dtype=float)
@@ -437,10 +433,10 @@ def build_fsep_quartic(d: int, quartic_coeff: float = 0.1, box_halfwidth: float 
         dim=d,
         value=value,
         gradient=gradient,
-        L=(2.0 + 12.0 * c * box_halfwidth**2) * d,
+        L=(2.0 + 12.0 * c * box**2) * d,
         mu=2.0,
         f_star=0.0,
         optimal_set=SingletonSet(point=np.zeros(d)),
         name=f"fsep-quartic(d={d})",
-        box_halfwidth=float(box_halfwidth),
+        box_halfwidth=box,
     )

@@ -21,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, InputError, NonFiniteError, StepSizeUnderflowError, finite_number
+from .bounds import curvature_pair
+from .errors import DivergenceError, InputError, NonFiniteError, StepSizeUnderflowError, finite_number, positive_number
 from .objectives import Array, ObjectiveSpec, QuadraticSpec, as_vector
 
 #: Default safety caps; exceeding one is an explicit stop reason.
@@ -50,32 +51,32 @@ class StopRule:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise InputError(f"unknown stop rule {self.kind!r}")
-        finite_number(self.threshold, "stop threshold")
-        if self.kind == "max_steps":
-            if self.threshold < 0 or self.threshold != int(self.threshold):
-                raise InputError("max_steps requires a nonnegative integer")
-        elif self.threshold < 0:
+        threshold = finite_number(self.threshold, "stop threshold")
+        if self.kind == "max_steps" and (threshold < 0 or not threshold.is_integer()):
+            raise InputError("max_steps requires a nonnegative integer")
+        if threshold < 0:
             raise InputError("stop threshold must be nonnegative")
+        object.__setattr__(self, "threshold", threshold)
 
     @classmethod
     def norm_below(cls, eps: float) -> "StopRule":
-        return cls("norm_below", float(eps))
+        return cls("norm_below", eps)
 
     @classmethod
     def coords_below_except_last(cls, eps: float) -> "StopRule":
-        return cls("coords_below_except_last", float(eps))
+        return cls("coords_below_except_last", eps)
 
     @classmethod
     def grad_below(cls, eps: float) -> "StopRule":
-        return cls("grad_below", float(eps))
+        return cls("grad_below", eps)
 
     @classmethod
     def max_steps(cls, n: int) -> "StopRule":
-        return cls("max_steps", float(n))
+        return cls("max_steps", n)
 
     @classmethod
     def horizon(cls, t: float) -> "StopRule":
-        return cls("horizon", float(t))
+        return cls("horizon", t)
 
     def point_satisfied(self, x: Array, xsq: float) -> bool:
         """Stop conditions that depend on the point alone; ``xsq`` is
@@ -255,8 +256,7 @@ def gd_run(
     and its gradient, the last one included; :func:`heavy_ball_run` and
     :func:`pgd_run` take both options too.
     """
-    if finite_number(eta, "step size") <= 0:
-        raise InputError("step size must be positive")
+    eta = positive_number(eta, "step size")
     return _discrete_run(
         obj, x0, stop,
         lambda x, g: x - eta * g,
@@ -267,8 +267,7 @@ def gd_run(
 def hb_params(mu: float, L: float) -> tuple[float, float]:
     """Heavy-ball step and momentum: alpha = 4/(sqrt(L)+sqrt(mu))^2,
     beta = ((sqrt(L)-sqrt(mu))/(sqrt(L)+sqrt(mu)))^2."""
-    if not (0 < mu <= L):
-        raise InputError("requires 0 < mu <= L")
+    mu, L = curvature_pair(mu, L)
     rl, rm = math.sqrt(L), math.sqrt(mu)
     return 4.0 / (rl + rm) ** 2, ((rl - rm) / (rl + rm)) ** 2
 
@@ -290,9 +289,9 @@ def heavy_ball_run(
     plain gradient step.  With beta = 0 the run is bitwise identical to
     :func:`gd_run` at step size alpha.
     """
-    if finite_number(alpha, "alpha") <= 0:
-        raise InputError("alpha must be positive")
-    if not (0 <= beta < 1):
+    alpha = positive_number(alpha, "alpha")
+    beta = finite_number(beta, "beta")
+    if not 0 <= beta < 1:
         raise InputError("beta must lie in [0, 1)")
     prev = {"x": as_vector(x0, obj.dim)}
 
@@ -338,8 +337,7 @@ def pgd_run(
     observe: Callable[[Array, Array], None] | None = None,
 ) -> Trajectory:
     """Projected gradient descent x_{k+1} = P(x_k - eta * grad f(x_k))."""
-    if finite_number(eta, "step size") <= 0:
-        raise InputError("step size must be positive")
+    eta = positive_number(eta, "step size")
     x0 = as_vector(x0, obj.dim)
     _spot_check_projector(projector, x0)
     return _discrete_run(
@@ -350,7 +348,7 @@ def pgd_run(
 
 
 def box_projector(lo, hi) -> Callable[[Array], Array]:
-    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    lo, hi = (np.array([finite_number(v, "box bound") for v in np.ravel(b)]) for b in (lo, hi))
     if np.any(lo > hi):
         raise InputError("box projector requires lo <= hi")
     return lambda x: np.clip(x, lo, hi)
@@ -440,8 +438,7 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
     runs at the top of the loop, in one order: the rule, a zero gradient
     (``stationary``), the horizon, then the step limit.
     """
-    if finite_number(tol, "tol") <= 0:
-        raise InputError("tol must be positive")
+    tol = positive_number(tol, "tol")
     x0 = as_vector(x0, obj.dim)
     if stop is None:
         stop = StopRule.grad_below(1e-10)
@@ -461,8 +458,6 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
     def write_field(yy, row):
         """Store the negated augmented field at ``yy`` in ``row``: (+g, -||g||)."""
         g = gradient_at(yy[:-1])
-        if g.shape != x0.shape:
-            raise InputError(f"gradient returned shape {g.shape} at a point of shape {x0.shape}")
         row[:-1] = g
         row[-1] = -math.sqrt(g.dot(g))
 

@@ -13,7 +13,7 @@ import heapq
 
 import numpy as np
 
-from .errors import InputError, QuadratureError, finite_number
+from .errors import InputError, QuadratureError, finite_number, positive_number
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half) and weights; the
 # odd-indexed nodes form the embedded 7-point Gauss rule.
@@ -62,9 +62,7 @@ def adaptive_quadrature(
     integrand has widely separated active scales).  Returns
     ``(value, error_estimate, n_evaluations)``.
     """
-    abs_tol = finite_number(abs_tol, "abs_tol")
-    if abs_tol <= 0:
-        raise InputError("abs_tol must be positive")
+    abs_tol = positive_number(abs_tol, "abs_tol")
     a, b = finite_number(a, "a"), finite_number(b, "b")
     if b < a:
         raise InputError("empty integration interval")

@@ -27,9 +27,9 @@ class Instance:
 
 
 def _quad_geom(d: int = 6, omega: float = 11.0) -> Instance:
-    built = constructions.build_quad_lower(int(d), float(omega))
+    built = constructions.build_quad_lower(d, omega)
     return Instance(
-        label=f"quad-geom(d={int(d)},omega={omega:g})",
+        label=f"quad-geom(d={built.d},omega={built.omega:g})",
         objective=built.to_objective(),
         x0=built.x0,
         eta=built.eta,
@@ -37,7 +37,7 @@ def _quad_geom(d: int = 6, omega: float = 11.0) -> Instance:
 
 
 def _quad_random(d: int = 10, kappa: float = 100.0, seed: int = 0) -> Instance:
-    built = constructions.build_quad_random(int(d), float(kappa), int(seed))
+    built = constructions.build_quad_random(d, kappa, seed)
     obj = built.to_objective()
     return Instance(
         label=obj.name,
@@ -48,7 +48,7 @@ def _quad_random(d: int = 10, kappa: float = 100.0, seed: int = 0) -> Instance:
 
 
 def _pkl_lower_gf(d: int = 6) -> Instance:
-    built = constructions.build_pkl_gf_instance(int(d))
+    built = constructions.build_pkl_gf_instance(d)
     return Instance(
         label=built.objective.name,
         objective=built.objective,
@@ -58,7 +58,7 @@ def _pkl_lower_gf(d: int = 6) -> Instance:
 
 
 def _pkl_lower_gd(d: int = 6) -> Instance:
-    built = constructions.build_pkl_gd_instance(int(d))
+    built = constructions.build_pkl_gd_instance(d)
     return Instance(
         label=built.objective.name,
         objective=built.objective,
@@ -68,11 +68,11 @@ def _pkl_lower_gd(d: int = 6) -> Instance:
 
 
 def _fsep_quartic(d: int = 3, coeff: float = 0.1, box: float = 1.0) -> Instance:
-    obj = build_fsep_quartic(int(d), float(coeff), float(box))
+    obj = build_fsep_quartic(d, coeff, box)
     return Instance(
         label=obj.name,
         objective=obj,
-        x0=np.full(int(d), min(1.0, float(box))),
+        x0=np.full(obj.dim, min(1.0, obj.box_halfwidth)),
         eta=1.0 / obj.L,
     )
 

@@ -186,7 +186,7 @@ class TestSelfContracted:
     @pytest.mark.parametrize("tol", [-5.0, -1e-300, math.nan])
     def test_negative_or_nan_tolerance_rejected(self, tol):
         # tol = -5 used to report the straight line 0, 1, 2 as not self-contracted
-        with pytest.raises(InputError, match="tol must be nonnegative"):
+        with pytest.raises(InputError, match="tol must be finite" if math.isnan(tol) else "tol must be nonnegative"):
             self_contracted_check([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], tol=tol)
         assert self_contracted_check([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], tol=0.0).holds
 

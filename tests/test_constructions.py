@@ -326,9 +326,12 @@ class TestQuadRandom:
         for kappa in (math.nan, math.inf):
             with pytest.raises(InputError, match="finite"):
                 build_quad_random(5, kappa, 0)
-        for seed in (-1, 1.5, 2.0):
-            with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+        for seed, match in ((-1, "seed must be a nonnegative integer"), (1.5, "seed: expected an integer")):
+            with pytest.raises(InputError, match=match):
                 build_quad_random(5, 100.0, seed)
+        # an integral float is the integer it spells, as for every integer input
+        integral, exact = build_quad_random(5, 100.0, 2.0), build_quad_random(5, 100.0, 2)
+        assert integral.seed == 2 and np.array_equal(integral.x0, exact.x0)
 
 
 class TestLinConvConstants:

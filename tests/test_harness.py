@@ -203,7 +203,7 @@ class TestConfig:
         with pytest.raises(InputError, match="line 2: unknown key 'ode_tol'"):
             parse_config_text("experiment = quad-random\node_tol = 1e-10\n")
         for key in ("quad_abs_tol", "stop_norm", "stop_coords"):
-            with pytest.raises(InputError, match=f"{key} must be positive and finite"):
+            with pytest.raises(InputError, match=f"{key} must be positive"):
                 ExperimentConfig("quad-random", **{key: 0.0})
 
     def test_parse_round_trip(self):
@@ -904,12 +904,21 @@ class TestCli:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: dims must be positive integers\n"
+        assert captured.err == f"error: dims must be a positive integer, got {-4 if entry == 'negative' else 0}\n"
 
     def test_suite_small(self, capsys):
         assert main(["suite", "--dims", "6"]) == 0
         out = capsys.readouterr().out
         assert "OK" in out
+
+    @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if "seeds" not in EXPERIMENT_TABLE[e].grid])
+    def test_seed_without_a_seeds_grid_is_exit_two(self, experiment, tmp_path, capsys):
+        # the offset used to be accepted and change nothing
+        assert main(["experiment", experiment, "--out", str(tmp_path), "--seed", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seed offsets a seeds grid; experiment {experiment!r} has none\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_experiment_seed_offset(self, tmp_path, capsys):
         cfg = tmp_path / "rand.cfg"

@@ -41,6 +41,16 @@ class TestQuadraticFromData:
         assert spec.kappa == pytest.approx(4.0, rel=1e-12)
         assert np.allclose(np.abs(spec.alpha), [1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["A", "y"])
+    def test_non_finite_data_rejected(self, where, bad):
+        # a NaN in A used to end in LinAlgError (SVD did not converge), an inf
+        # in "spectrum must be nonempty and strictly positive"
+        a, y = np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([1.0, 2.0])
+        (a if where == "A" else y).flat[0] = bad
+        with pytest.raises(InputError, match=f"^{where} must be finite$"):
+            quadratic_from_data(a, y, [0.0, 0.0])
+
     def test_zero_design_rejected(self):
         with pytest.raises(InputError, match="constant"):
             quadratic_from_data(np.zeros((2, 2)), [0.0, 0.0], [1.0, 1.0])

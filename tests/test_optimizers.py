@@ -289,6 +289,19 @@ class TestLoopChecks:
         with pytest.raises(InputError, match="tol"):
             gf_integrate(half_square(), [1.0], bad)
 
+    @pytest.mark.parametrize("runner", ["gd", "heavy-ball", "pgd"])
+    def test_gradient_of_wrong_shape_rejected(self, runner):
+        # a (1,)-gradient used to broadcast over the 3-vector: [0.7, 0.7, 0.7] after 3 steps
+        obj = vector_objective(3, lambda x: np.array([1.0]))
+        stop = StopRule.max_steps(3)
+        with pytest.raises(InputError, match=r"^gradient returned shape \(1,\) at a point of shape \(3,\)$"):
+            if runner == "gd":
+                gd_run(obj, np.ones(3), 0.1, stop)
+            elif runner == "heavy-ball":
+                heavy_ball_run(obj, np.ones(3), 0.1, 0.5, stop)
+            else:
+                pgd_run(obj, box_projector([-2.0] * 3, [2.0] * 3), np.ones(3), 0.1, stop)
+
 
 class TestHeavyBall:
     def test_params_table(self):
