@@ -41,6 +41,8 @@ FORK_MIN_STEPS = 10_000
 
 def f1_dimension_grid(low: float = math.e**2, high: float = math.e**5, count: int = 15) -> tuple[int, ...]:
     """Log-spaced integer dimensions inside [low, high] (deduplicated)."""
+    low, high = finite_number(low, "low"), finite_number(high, "high")
+    count = finite_number(count, "count", int)
     if not (6 <= low < high) or count < 1:
         raise InputError("need 6 <= low < high and count >= 1")
     lo, hi = math.ceil(low), math.floor(high)

@@ -47,6 +47,16 @@ def _finite(x: Array, name: str) -> Array:
     return x
 
 
+def finite_vector(x, name: str, dim: int | None = None) -> Array:
+    """:func:`as_vector` of ``x`` if it converts and every entry is finite,
+    else InputError naming ``name``."""
+    try:
+        x = as_vector(x, dim)
+    except (TypeError, ValueError, OverflowError) as exc:  # InputError is a ValueError
+        raise InputError(f"{name}: {exc}") from None
+    return _finite(x, name)
+
+
 # ---------------------------------------------------------------------------
 # Optimal-set descriptors
 # ---------------------------------------------------------------------------
@@ -216,7 +226,7 @@ class QuadraticSpec:
     source: tuple[Array, Array] | None = None  # (A, y) when built from data
 
     def __post_init__(self):
-        sigma = _finite(as_vector(self.sigma), "spectrum")
+        sigma = finite_vector(self.sigma, "spectrum")
         if sigma.size == 0 or np.any(sigma <= 0):
             raise InputError("spectrum must be nonempty and strictly positive")
         if np.any(np.diff(sigma) > 0):
@@ -226,9 +236,9 @@ class QuadraticSpec:
             raise InputError("basis must have shape (dim, d+)")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "projection", _finite(as_vector(self.projection, self.dim), "projection"))
-        object.__setattr__(self, "alpha", _finite(as_vector(self.alpha, sigma.size), "alpha"))
-        object.__setattr__(self, "x0", _finite(as_vector(self.x0, self.dim), "x0"))
+        object.__setattr__(self, "projection", finite_vector(self.projection, "projection", self.dim))
+        object.__setattr__(self, "alpha", finite_vector(self.alpha, "alpha", sigma.size))
+        object.__setattr__(self, "x0", finite_vector(self.x0, "x0", self.dim))
         object.__setattr__(self, "f_star", finite_number(self.f_star, "f_star"))
 
     # -- derived quantities -------------------------------------------------
@@ -324,8 +334,8 @@ def quadratic_from_data(A, y, x0, rank_rtol: float = RANK_RTOL) -> QuadraticSpec
     if A.ndim != 2:
         raise InputError("A must be a matrix")
     n, d = A.shape
-    y = _finite(as_vector(y, n), "y")
-    x0 = _finite(as_vector(x0, d), "x0")
+    y = finite_vector(y, "y", n)
+    x0 = finite_vector(x0, "x0", d)
     if not np.any(A):
         raise InputError("objective is constant")
 

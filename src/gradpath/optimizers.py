@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import curvature_pair
 from .errors import DivergenceError, InputError, NonFiniteError, StepSizeUnderflowError, finite_number, positive_number
-from .objectives import Array, ObjectiveSpec, QuadraticSpec, as_vector
+from .objectives import Array, ObjectiveSpec, QuadraticSpec, finite_vector
 
 #: Default safety caps; exceeding one is an explicit stop reason.
 MAX_DISCRETE_STEPS = 10**8
@@ -166,7 +166,7 @@ def _check_finite(g: Array, k: int, what: str = "gradient"):
 
 def _discrete_run(
     obj: ObjectiveSpec,
-    x0,
+    x: Array,
     stop: StopRule,
     update: Callable[[Array, Array], Array],
     *,
@@ -176,7 +176,6 @@ def _discrete_run(
 ) -> Trajectory:
     if stop.kind == "horizon":
         raise InputError("horizon stop rules apply to flows only")
-    x = as_vector(x0, obj.dim)
     k, path_sum = 0, 0.0
     indices, points = [0], [np.array(x, dtype=float)]
     gradient_at = obj.gradient_at
@@ -257,6 +256,7 @@ def gd_run(
     :func:`pgd_run` take both options too.
     """
     eta = positive_number(eta, "step size")
+    x0 = finite_vector(x0, "x0", obj.dim)
     return _discrete_run(
         obj, x0, stop,
         lambda x, g: x - eta * g,
@@ -293,7 +293,8 @@ def heavy_ball_run(
     beta = finite_number(beta, "beta")
     if not 0 <= beta < 1:
         raise InputError("beta must lie in [0, 1)")
-    prev = {"x": as_vector(x0, obj.dim)}
+    x0 = finite_vector(x0, "x0", obj.dim)
+    prev = {"x": x0}
 
     def update(x, g):
         x_new = x - alpha * g
@@ -338,7 +339,7 @@ def pgd_run(
 ) -> Trajectory:
     """Projected gradient descent x_{k+1} = P(x_k - eta * grad f(x_k))."""
     eta = positive_number(eta, "step size")
-    x0 = as_vector(x0, obj.dim)
+    x0 = finite_vector(x0, "x0", obj.dim)
     _spot_check_projector(projector, x0)
     return _discrete_run(
         obj, x0, stop,
@@ -439,7 +440,7 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
     (``stationary``), the horizon, then the step limit.
     """
     tol = positive_number(tol, "tol")
-    x0 = as_vector(x0, obj.dim)
+    x0 = finite_vector(x0, "x0", obj.dim)
     if stop is None:
         stop = StopRule.grad_below(1e-10)
     gradient_at = obj.gradient_at

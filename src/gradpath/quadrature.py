@@ -58,8 +58,9 @@ def adaptive_quadrature(
 ) -> tuple[float, float, int]:
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``abs_tol``.
 
-    ``breakpoints`` seeds the initial subdivision (useful when the
-    integrand has widely separated active scales).  Returns
+    ``breakpoints`` (finite numbers; those outside ``(a, b)`` are ignored)
+    seeds the initial subdivision (useful when the integrand has widely
+    separated active scales).  Returns
     ``(value, error_estimate, n_evaluations)``.
     """
     abs_tol = positive_number(abs_tol, "abs_tol")
@@ -71,7 +72,7 @@ def adaptive_quadrature(
 
     edges = {a, b}
     for p in breakpoints or ():
-        p = float(p)
+        p = finite_number(p, "breakpoint")
         if a < p < b:
             edges.add(p)
     edges = sorted(edges)

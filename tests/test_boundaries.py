@@ -27,6 +27,7 @@ from gradpath import (
     build_quad_lower,
     build_quad_random,
     evaluate_bound,
+    f1_dimension_grid,
     gd_run,
     gf_integrate,
     hb_params,
@@ -39,6 +40,7 @@ from gradpath import (
     self_contracted_check,
     spectral_gap_term,
 )
+from gradpath.quadrature import adaptive_quadrature
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gradpath"
 NAN, INF = math.nan, math.inf
@@ -87,6 +89,12 @@ REJECTED = {
     "registry-fsep-d-fractional": lambda: make_instance("fsep-quartic", d=2.5),
     "config-dims-fractional": lambda: ExperimentConfig("quad-lower-gf", dims=(2.5,)),
     "config-safety-cap-fractional": lambda: ExperimentConfig("quad-lower-gd", safety_cap=2.5),
+    # a text breakpoint raised a raw ValueError; a NaN one was dropped silently
+    "quadrature-breakpoint-text": lambda: adaptive_quadrature(abs, 0.0, 1.0, 1e-8, breakpoints=["abc"]),
+    "quadrature-breakpoint-nan": lambda: adaptive_quadrature(abs, 0.0, 1.0, 1e-8, breakpoints=[NAN]),
+    # raised a raw OverflowError and a raw TypeError
+    "dimension-grid-high-inf": lambda: f1_dimension_grid(high=INF),
+    "dimension-grid-count-fractional": lambda: f1_dimension_grid(count=2.5),
 }
 
 
@@ -94,6 +102,28 @@ REJECTED = {
 def test_bad_input_rejected_at_entry(call):
     with pytest.raises(InputError):
         call()
+
+
+def _run_from(x0):
+    """The four runners, each started at ``x0`` on a 3-D quadratic."""
+    obj, steps = build_quad_lower(3, 4.0).to_objective(), StopRule.max_steps(5)
+    box = box_projector([-2.0] * 3, [2.0] * 3)
+    return {
+        "gd": lambda: gd_run(obj, x0, 0.02, steps),
+        "heavy-ball": lambda: heavy_ball_run(obj, x0, 0.02, 0.5, steps),
+        "pgd": lambda: pgd_run(obj, box, x0, 0.02, steps),
+        "flow": lambda: gf_integrate(obj, x0, 1e-6, steps),
+    }
+
+
+@pytest.mark.parametrize("runner", ["gd", "heavy-ball", "pgd", "flow"])
+@pytest.mark.parametrize("x0", ["abc", [1.0, None, 1.0], [1.0, NAN, 1.0], [1.0, -INF, 1.0], [{}, 1.0, 1.0]],
+                         ids=["text", "none", "nan", "inf", "object"])
+def test_runner_start_rejected_by_name(runner, x0):
+    # text and objects raised a raw ValueError or TypeError, a NaN start a
+    # NonFiniteError at iterate 0, as if the run had failed
+    with pytest.raises(InputError, match="^x0"):
+        _run_from(x0)[runner]()
 
 
 def _run_bits(traj):

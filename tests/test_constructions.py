@@ -88,7 +88,8 @@ def _select_g_deriv(kind, x):
 
 
 class TestPklIntervalLookup:
-    """g and g' take one interval lookup; their bits must equal the select's."""
+    """g and g' select each piece once, by index runs for an ascending vector
+    and by masks otherwise; their bits must equal the select's."""
 
     @staticmethod
     def _assert_same_bits(got, want):
@@ -97,25 +98,60 @@ class TestPklIntervalLookup:
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    def _assert_matches_select(self, kind, xs):
+        self._assert_same_bits(kind.g(xs), _select_g(kind, xs))
+        self._assert_same_bits(kind.g_deriv(xs), _select_g_deriv(kind, xs))
+
+    @staticmethod
+    def _edge_values(kind):
+        xs = [0.0, -0.0, math.inf, -math.inf, -1.0, 1e300]
+        for b in kind.breakpoints:
+            xs += [b, float(np.nextafter(b, -math.inf)), float(np.nextafter(b, math.inf))]
+        return np.array(xs)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("d", [6, 148, 2000])
     def test_edges_and_special_values(self, d):
         kind = PklConstruction.build(d)
-        xs = [0.0, -0.0, math.nan, math.inf, -math.inf, -1.0, 1e300]
-        for b in kind.breakpoints:
-            xs += [b, float(np.nextafter(b, -math.inf)), float(np.nextafter(b, math.inf))]
-        xs = np.array(xs)
-        self._assert_same_bits(kind.g(xs), _select_g(kind, xs))
-        self._assert_same_bits(kind.g_deriv(xs), _select_g_deriv(kind, xs))
+        self._assert_matches_select(kind, np.append(self._edge_values(kind), math.nan))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("d", [6, 148, 2000])
+    def test_sorted_edges_and_special_values(self, d):
+        kind = PklConstruction.build(d)
+        xs = np.sort(self._edge_values(kind))
+        assert all(isinstance(sel, slice) for sel in kind._pieces(xs))
+        self._assert_matches_select(kind, xs)
 
     @pytest.mark.parametrize("d", [6, 148, 2000])
     def test_seeded_uniforms(self, d):
         kind = PklConstruction.build(d)
         xs = np.random.default_rng(d).uniform(-1.0, 40.0, 10**5)
-        self._assert_same_bits(kind.g(xs), _select_g(kind, xs))
-        self._assert_same_bits(kind.g_deriv(xs), _select_g_deriv(kind, xs))
+        self._assert_matches_select(kind, xs)
         # batches of points (value sums over the last axis) see the same bits
         self._assert_same_bits(kind.g(xs.reshape(100, -1)), _select_g(kind, xs.reshape(100, -1)))
+
+    @pytest.mark.parametrize("d", [6, 148, 2000])
+    def test_sorted_seeded_uniforms(self, d):
+        kind = PklConstruction.build(d)
+        xs = np.sort(np.random.default_rng(d).uniform(-1.0, 40.0, 10**5))
+        assert all(isinstance(sel, slice) for sel in kind._pieces(xs))
+        self._assert_matches_select(kind, xs)
+
+    @pytest.mark.parametrize("case", ["unsorted", "nan", "batched"])
+    def test_near_sorted_input_takes_masks(self, case):
+        # one swap, a trailing NaN, or a second axis sends an otherwise
+        # ascending input to the masks, with the same bits
+        kind = PklConstruction.build(148)
+        xs = np.sort(np.random.default_rng(1).uniform(-1.0, 40.0, 1000))
+        if case == "unsorted":
+            xs[[400, 600]] = xs[[600, 400]]
+        elif case == "nan":
+            xs[-1] = math.nan
+        else:
+            xs = xs.reshape(10, -1)
+        assert not any(isinstance(sel, slice) for sel in kind._pieces(xs))
+        self._assert_matches_select(kind, xs)
 
     def test_zero_dimensional_input(self):
         kind = PklConstruction.build(6)
@@ -123,6 +159,20 @@ class TestPklIntervalLookup:
             self._assert_same_bits(kind.g(np.asarray(x)), _select_g(kind, x))
             self._assert_same_bits(kind.g_deriv(np.asarray(x)), _select_g_deriv(kind, x))
             assert float(kind.g(x)) == float(kind.g(np.asarray(x))) or math.isnan(x)
+
+    def test_descent_iterates_stay_sorted(self):
+        # every iterate of the staircase descent takes the index-run path
+        inst = build_pkl_gd_instance(148)
+        seen = []
+
+        def observe(x, g):
+            assert (x[:-1] <= x[1:]).all()
+            seen.append(x.size)
+
+        traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6),
+                      keep_iterates=False, observe=observe)
+        assert traj.n_steps == 1036
+        assert len(seen) == traj.n_steps + 1
 
 
 class TestFlowInstance:

@@ -57,7 +57,8 @@ GOLDEN_CSV = (
 #: repr() of every field but runtime_s, one row per CSV experiment; the
 #: pkl and quad-lower-gd rows come from the code that stored every iterate
 #: and evaluated the PL ratio on the stored points afterwards, so neither
-#: streaming the ratio nor the shared grid runner may move a bit.
+#: streaming the ratio nor the shared grid runner may move a bit.  The
+#: d = 2000 pkl row is the point the gd-pkl benchmark runs.
 PINNED_ROWS = [
     (ExperimentConfig("pkl-lower-gd", dims=(148,)), {
         "experiment": "'pkl-lower-gd'", "d": "148", "omega": "None", "kappa_nominal": "65712.0",
@@ -73,6 +74,14 @@ PINNED_ROWS = [
         "zeta": "157.9307571532542", "ratio": "3.0431799929860306",
         "bound_upper": "512.6870390403877", "bound_lower": "0.15215389593897574",
         "steps": "1036", "seed": "None", "stop_reason": "'norm_below'",
+    }),
+    (ExperimentConfig("pkl-lower-gd", dims=(2000,)), {
+        "experiment": "'pkl-lower-gd'", "d": "2000", "omega": "None", "kappa_nominal": "12000000.0",
+        "kappa_effective": "2004986.4489060633", "mu_mode": "'min'",
+        "dist0": "296.2274617802248", "zeta": "2115.45961120735",
+        "ratio": "7.141335237773594", "bound_upper": "6928.203230275509",
+        "bound_lower": "0.367730672344811", "steps": "19993", "seed": "None",
+        "stop_reason": "'norm_below'",
     }),
     (ExperimentConfig("quad-lower-gd", dims=(6,), omegas=(10.0,)), {
         "experiment": "'quad-lower-gd'", "d": "6", "omega": "10.0", "kappa_nominal": "100000.0",
@@ -347,7 +356,7 @@ class TestExperiments:
 
     @pytest.mark.parametrize(
         "cfg, pinned", PINNED_ROWS,
-        ids=["pkl-148-min", "pkl-148-paper_max", "quad-6-10", "quad-6-11", "random-6-1e4-1", "sweep-20-2"],
+        ids=["pkl-148-min", "pkl-148-paper_max", "pkl-2000-min", "quad-6-10", "quad-6-11", "random-6-1e4-1", "sweep-20-2"],
     )
     def test_rows_match_pinned_values(self, cfg, pinned, pinned_row):
         row = pinned_row(cfg)

@@ -227,13 +227,14 @@ class TestLoopChecks:
         with pytest.raises(NonFiniteError, match="^non-finite iterate at iterate 1$"):
             gd_run(obj, [1e308, 1.0], 1.0, StopRule.max_steps(10))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_infinite_coordinate_of_pkl_start(self):
-        # g' is 0 at -inf, so the gradient passes and x_1 is caught
+        # g' is 0 at -inf, so the loop would first see the infinity in x_1;
+        # a non-finite start is bad input and is rejected before any step
+        # (the loop's own check: test_overflowing_iterate_reported_as_iterate)
         inst = build_pkl_gd_instance(6)
         x0 = inst.x0.copy()
         x0[3] = -math.inf
-        with pytest.raises(NonFiniteError, match="^non-finite iterate at iterate 1$"):
+        with pytest.raises(InputError, match="^x0 must be finite$"):
             gd_run(inst.objective, x0, inst.eta, StopRule.norm_below(1e-6))
 
     def test_projector_clipping_an_infinite_step(self):
