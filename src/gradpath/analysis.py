@@ -203,25 +203,25 @@ def _require_every_iterate(traj: Trajectory):
 class PlRatio:
     """Running min and max of the PL ratio ||g||^2 / (2 (f(x) - f*)).
 
-    Call it as ``observe(x, g)`` with each iterate and its gradient, e.g.
-    ``gd_run(..., keep_iterates=False, observe=PlRatio(obj))``, so the ratio is
-    taken inside the loop that already holds g.  Points with
-    f(x) - f* <= 1e-300 are skipped.
+    Call it as ``observe(x, f, g)`` with each iterate, its value and its
+    gradient, e.g. ``gd_run(..., keep_iterates=False, observe=PlRatio(obj))``,
+    so the ratio is taken inside the loop that already holds f and g.
+    Points with f(x) - f* <= 1e-300 are skipped.
     """
 
     def __init__(self, obj: ObjectiveSpec):
         if obj.f_star is None:
             raise InputError("effective PL constant requires a declared minimum value")
-        self._value_at = obj.value_at
         self._f_star = obj.f_star
         self.lo = math.inf
         self.hi = -math.inf
         self.count = 0
 
-    def __call__(self, x: Array, g: Array):
-        gap = self._value_at(x) - self._f_star
+    def __call__(self, x: Array, f: float, g: Array):
+        gap = f - self._f_star
         if gap > 1e-300:
-            ratio = float(np.sum(g**2)) / (2.0 * gap)
+            # the same bits as np.sum(g**2), without np.sum's wrapper
+            ratio = float(np.add.reduce(g * g)) / (2.0 * gap)
             self.lo = min(self.lo, ratio)
             self.hi = max(self.hi, ratio)
             self.count += 1
@@ -243,7 +243,7 @@ def effective_pkl_mu(traj: Trajectory, obj: ObjectiveSpec, mode: str = "min") ->
     _require_every_iterate(traj)
     pl = PlRatio(obj)
     for point in traj.points:
-        pl(point, obj.gradient_at(point))
+        pl(point, *obj.value_and_gradient_at(point))
     return pl.aggregate(mode)
 
 

@@ -41,15 +41,17 @@ class PklConstruction:
     continuously differentiable at gamma.  Globally L = 2 and the PL
     constant is mu = 2/(3 d^2).
 
-    :meth:`g` and :meth:`g_deriv` write each piece's formula once, on the
-    coordinates :meth:`_pieces` selects.  For a 1-D input in ascending
-    order each piece is one contiguous index run, found with 4 binary
-    searches instead of one lookup per coordinate.  Descent on the
-    staircase stays on that path: the staggered x0 is ascending (unless
-    a reduced construction is lifted, which appends zeros), and with
-    eta * L <= 1 the scalar map x -> x - eta g'(x) is nondecreasing, so
-    every iterate is ascending too.  The order test, not that argument,
-    makes each call correct; any other input takes per-coordinate masks.
+    :meth:`g_and_deriv`, :meth:`g` and :meth:`g_deriv` share one
+    evaluator, which writes each piece's formula once, on the coordinates
+    :meth:`_pieces` selects, and computes only the halves asked for.  For
+    a 1-D input in ascending order each piece is one contiguous index
+    run, found with 4 binary searches instead of one lookup per
+    coordinate.  Descent on the staircase stays on that path: the
+    staggered x0 is ascending (unless a reduced construction is lifted,
+    which appends zeros), and with eta * L <= 1 the scalar map
+    x -> x - eta g'(x) is nondecreasing, so every iterate is ascending
+    too.  The order test, not that argument, makes each call correct;
+    any other input takes per-coordinate masks.
     """
 
     d: int
@@ -90,27 +92,54 @@ class PklConstruction:
         piece = np.searchsorted(self._edges, x)
         return [piece == i for i in range(5)]
 
+    def g_and_deriv(self, x) -> tuple[Array, Array]:
+        """``(g(x), g'(x))`` from one selection of the pieces."""
+        return self._evaluate(x, True, True)
+
     def g(self, x):
-        x = np.asarray(x, dtype=float)
-        zero, quad, cap, linear, tail = self._pieces(x)
-        out = np.empty(x.shape)
-        out[zero] = 0.0
-        out[quad] = x[quad] ** 2
-        out[cap] = 0.5 - (1.0 - x[cap]) ** 2
-        out[linear] = (0.5 - self.delta**2) + 2.0 * self.delta * (x[linear] - (1.0 - self.delta))
-        out[tail] = self.quad_offset + self.quad_coeff * x[tail] ** 2
-        return out
+        return self._evaluate(x, True, False)[0]
 
     def g_deriv(self, x):
+        return self._evaluate(x, False, True)[1]
+
+    def _evaluate(self, x, with_value: bool, with_deriv: bool):
+        """``(g(x), g'(x))``, a half not asked for left None, from one
+        selection of the pieces.  This is the one place each piece's
+        formula is written; an empty piece (on the descent, always the
+        tail) is not written."""
         x = np.asarray(x, dtype=float)
+        value = np.empty(x.shape) if with_value else None
+        deriv = np.empty(x.shape) if with_deriv else None
         zero, quad, cap, linear, tail = self._pieces(x)
-        out = np.empty(x.shape)
-        out[zero] = 0.0
-        out[quad] = 2.0 * x[quad]
-        out[cap] = 2.0 * (1.0 - x[cap])
-        out[linear] = 2.0 * self.delta
-        out[tail] = (2.0 * self.quad_coeff) * x[tail]
-        return out
+        if _occupied(zero):
+            if with_value:
+                value[zero] = 0.0
+            if with_deriv:
+                deriv[zero] = 0.0
+        if _occupied(quad):
+            t = x[quad]
+            if with_value:
+                value[quad] = t**2
+            if with_deriv:
+                deriv[quad] = 2.0 * t
+        if _occupied(cap):
+            u = 1.0 - x[cap]
+            if with_value:
+                value[cap] = 0.5 - u**2
+            if with_deriv:
+                deriv[cap] = 2.0 * u
+        if _occupied(linear):
+            if with_value:
+                value[linear] = (0.5 - self.delta**2) + 2.0 * self.delta * (x[linear] - (1.0 - self.delta))
+            if with_deriv:
+                deriv[linear] = 2.0 * self.delta
+        if _occupied(tail):
+            t = x[tail]
+            if with_value:
+                value[tail] = self.quad_offset + self.quad_coeff * t**2
+            if with_deriv:
+                deriv[tail] = (2.0 * self.quad_coeff) * t
+        return value, deriv
 
     def to_objective(self, name: str, dim: int | None = None) -> ObjectiveSpec:
         """The separable objective sum_i g(x_i) in dimension ``dim``.
@@ -121,10 +150,16 @@ class PklConstruction:
         dim = self.d if dim is None else finite_number(dim, "dimension", int)
         if dim < self.d:
             raise InputError(f"cannot embed the d={self.d} construction in dimension {dim}")
+
+        def value_and_gradient(x):
+            value, deriv = self.g_and_deriv(x)
+            return value.sum(axis=-1), deriv
+
         return ObjectiveSpec(
             dim=dim,
             value=lambda x: self.g(x).sum(axis=-1),
             gradient=self.g_deriv,
+            value_and_gradient=value_and_gradient,
             L=self.L,
             mu=self.mu,
             f_star=0.0,
@@ -133,6 +168,11 @@ class PklConstruction:
             ),
             name=name,
         )
+
+
+def _occupied(piece) -> bool:
+    """Whether a selector of :meth:`PklConstruction._pieces` selects anything."""
+    return piece.start < piece.stop if type(piece) is slice else bool(piece.any())
 
 
 def _active_dimension(d: int, target_kappa: float | None) -> int:

@@ -124,8 +124,10 @@ class ObjectiveSpec:
     """An evaluatable objective with declared smoothness/curvature metadata.
 
     ``value`` maps a point of shape ``(dim,)`` to a float and ``gradient``
-    to a vector of the same shape, which :meth:`gradient_at` checks.
-    Evaluations are pure, so instances may be shared freely.
+    to a vector of the same shape, which :meth:`gradient_at` checks.  The
+    optional ``value_and_gradient`` returns both from one evaluation, for
+    :meth:`value_and_gradient_at`.  Evaluations are pure, so instances
+    may be shared freely.
     """
 
     dim: int
@@ -137,6 +139,7 @@ class ObjectiveSpec:
     optimal_set: OptimalSet | None = None
     name: str = ""
     box_halfwidth: float | None = None  # domain on which L was certified
+    value_and_gradient: Callable[[Array], tuple[float, Array]] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dim", positive_number(self.dim, "dimension", int))
@@ -155,7 +158,18 @@ class ObjectiveSpec:
         return float(self.value(as_vector(x, self.dim)))
 
     def gradient_at(self, x) -> Array:
-        g = np.asarray(self.gradient(as_vector(x, self.dim)), dtype=float)
+        return self._checked_gradient(self.gradient(as_vector(x, self.dim)))
+
+    def value_and_gradient_at(self, x) -> tuple[float, Array]:
+        """``(value_at(x), gradient_at(x))``, from one evaluation when the
+        objective declares ``value_and_gradient``."""
+        if self.value_and_gradient is None:
+            return self.value_at(x), self.gradient_at(x)
+        f, g = self.value_and_gradient(as_vector(x, self.dim))
+        return float(f), self._checked_gradient(g)
+
+    def _checked_gradient(self, g) -> Array:
+        g = np.asarray(g, dtype=float)
         if g.shape != (self.dim,):
             raise InputError(f"gradient returned shape {g.shape} at a point of shape {(self.dim,)}")
         return g

@@ -2,12 +2,14 @@
 
 Discrete runs record every iterate by default; ``keep_iterates=False``
 keeps only the two endpoints, so memory stays O(d), while the running
-path-length accumulator stays exact.  An ``observe(x, g)`` callback sees
-every iterate with its gradient inside the loop, so diagnostics need no
-stored points.  The loop takes one dot product per vector: the squared
-norms of the gradient, the new iterate and the step serve the
-finiteness, stop, step-norm and divergence checks; the iterate's serves
-:meth:`StopRule.point_satisfied`, the point-stop test of both runners.
+path-length accumulator stays exact.  An ``observe(x, f, g)`` callback
+sees every iterate with its value and gradient, both from one
+evaluation inside the loop, so diagnostics need no stored points.  The
+loop takes one dot product per vector: the squared norms of the
+gradient, the new iterate and the step serve the finiteness, stop,
+step-norm and divergence checks; the iterate's serves
+:meth:`StopRule.point_satisfied`, the point-stop test of both runners,
+and Brent's cycle detection, which stops a run whose state repeats.
 The continuous runner, :func:`gf_integrate`, is an adaptive
 Dormand-Prince 5(4) integrator that carries the arc length as an
 augmented ODE state and accumulates the chord sum in its loop.
@@ -172,13 +174,13 @@ def _discrete_run(
     *,
     safety_cap: int,
     keep_iterates: bool,
-    observe: Callable[[Array, Array], None] | None,
+    observe: Callable[[Array, float, Array], None] | None,
 ) -> Trajectory:
     if stop.kind == "horizon":
         raise InputError("horizon stop rules apply to flows only")
     k, path_sum = 0, 0.0
     indices, points = [0], [np.array(x, dtype=float)]
-    gradient_at = obj.gradient_at
+    gradient_at, value_and_gradient_at = obj.gradient_at, obj.value_and_gradient_at
     kind, eps = stop.kind, stop.threshold
     grad_stop = kind == "grad_below"
     limit, limit_reason = _step_limit(stop, safety_cap)
@@ -188,6 +190,11 @@ def _discrete_run(
     # non-finite square (a finite one may overflow; the exact check decides).
     xsq = float(x.dot(x))
     g = None  # gradient at x, once evaluated
+    # Brent's cycle detection: the pair (x_{k-1}, x_k) is the whole state
+    # of every update here, so once it repeats the run repeats forever.
+    # The pair after step k is saved at each power of two k and compared
+    # with every later pair, squared norm first and bytes only on a tie.
+    saved, saved_sq, save_at = None, math.nan, 1
     while True:
         if stop.point_satisfied(x, xsq):
             reason = kind
@@ -195,12 +202,15 @@ def _discrete_run(
         if k >= limit:
             reason = limit_reason
             break
-        g = gradient_at(x)
+        if observe is None:
+            g = gradient_at(x)
+        else:
+            f, g = value_and_gradient_at(x)
         gsq = float(g.dot(g))
         if not math.isfinite(gsq):
             _check_finite(g, k)
         if observe is not None:
-            observe(x, g)
+            observe(x, f, g)
         if grad_stop and math.sqrt(gsq) <= eps:
             reason = kind
             break
@@ -220,11 +230,16 @@ def _discrete_run(
             points.append(np.array(x_new, dtype=float))
         if math.sqrt(xsq) > DIVERGENCE_RADIUS:
             raise DivergenceError(f"trajectory norm exceeded {DIVERGENCE_RADIUS:g} at iterate {k}")
-        x, g = x_new, None
+        x_prev, x, g = x, x_new, None
+        if xsq == saved_sq and x.tobytes() == saved[1].tobytes() and x_prev.tobytes() == saved[0].tobytes():
+            reason = "cycle"
+            break
+        if k == save_at:
+            saved, saved_sq, save_at = (x_prev, x), xsq, 2 * k
     if observe is not None and g is None:
-        g = gradient_at(x)
+        f, g = value_and_gradient_at(x)
         _check_finite(g, k)
-        observe(x, g)
+        observe(x, f, g)
     if indices[-1] != k:
         indices.append(k)
         points.append(np.array(x, dtype=float))
@@ -246,14 +261,16 @@ def gd_run(
     *,
     safety_cap: int = MAX_DISCRETE_STEPS,
     keep_iterates: bool = True,
-    observe: Callable[[Array, Array], None] | None = None,
+    observe: Callable[[Array, float, Array], None] | None = None,
 ) -> Trajectory:
     """Gradient descent x_{k+1} = x_k - eta * grad f(x_k).
 
     ``keep_iterates=False`` stores only x_0 and x_N.
-    ``observe(x, g)``, if given, is called with every iterate x_0 ... x_N
-    and its gradient, the last one included; :func:`heavy_ball_run` and
-    :func:`pgd_run` take both options too.
+    ``observe(x, f, g)``, if given, is called with every iterate x_0 ...
+    x_N, its value and its gradient, the last one included; the two come
+    from one :meth:`ObjectiveSpec.value_and_gradient_at` call.
+    :func:`heavy_ball_run` and :func:`pgd_run` take both options too.
+    A run whose state repeats exactly stops with reason ``cycle``.
     """
     eta = positive_number(eta, "step size")
     x0 = finite_vector(x0, "x0", obj.dim)
@@ -281,7 +298,7 @@ def heavy_ball_run(
     *,
     safety_cap: int = MAX_DISCRETE_STEPS,
     keep_iterates: bool = True,
-    observe: Callable[[Array, Array], None] | None = None,
+    observe: Callable[[Array, float, Array], None] | None = None,
 ) -> Trajectory:
     """Polyak heavy ball: x+ = x - alpha * grad f(x) + beta (x - x-).
 
@@ -335,7 +352,7 @@ def pgd_run(
     *,
     safety_cap: int = MAX_DISCRETE_STEPS,
     keep_iterates: bool = True,
-    observe: Callable[[Array, Array], None] | None = None,
+    observe: Callable[[Array, float, Array], None] | None = None,
 ) -> Trajectory:
     """Projected gradient descent x_{k+1} = P(x_k - eta * grad f(x_k))."""
     eta = positive_number(eta, "step size")

@@ -306,12 +306,11 @@ def _check_pkl_breakpoints(cfg):
             continue
         kind = constructions.PklConstruction.build(d)
         for b in kind.breakpoints:
-            right = float(np.nextafter(b, math.inf))
-            for f in (kind.g, kind.g_deriv):
-                if abs(float(f(b)) - float(f(right))) > 1e-12:
+            for half in kind.g_and_deriv(np.array([b, np.nextafter(b, math.inf)])):
+                if abs(float(half[0]) - float(half[1])) > 1e-12:
                     return f"branch discontinuity at breakpoint {b} (d={d})"
-        xs = np.linspace(1e-9, kind.gamma, 4001)
-        ratios = kind.g_deriv(xs) ** 2 / (2.0 * kind.g(xs))
+        value, deriv = kind.g_and_deriv(np.linspace(1e-9, kind.gamma, 4001))
+        ratios = deriv**2 / (2.0 * value)
         if ratios.min() < kind.mu * (1 - 1e-9):
             return f"grid PL ratio {ratios.min()} below mu={kind.mu} (d={d})"
 

@@ -336,10 +336,10 @@ class TestPlRatio:
             dim=1, value=lambda x: float(x[0] ** 2), gradient=lambda x: 2 * x, f_star=0.0
         )
         pl = PlRatio(obj)
-        pl(np.zeros(1), np.zeros(1))
+        pl(np.zeros(1), 0.0, np.zeros(1))
         with pytest.raises(InputError, match="undefined"):
             pl.aggregate("min")
-        pl(np.ones(1), 2 * np.ones(1))
+        pl(np.ones(1), 1.0, 2 * np.ones(1))
         assert (pl.count, pl.aggregate("min"), pl.aggregate("paper_max")) == (1, 2.0, 2.0)
         with pytest.raises(InputError, match="mode"):
             pl.aggregate("median")

@@ -212,3 +212,22 @@ def test_every_checked_number_is_kept(path):
 def test_guard_sees_the_package_calls():
     calls = sum(len(list(_check_calls(path.read_text()))) for path in PACKAGE.glob("*.py"))
     assert calls >= 40
+
+
+# ---------------------------------------------------------------------------
+# The fused evaluation checks what gradient_at checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("point, gradient", [
+    ([1.0, 2.0], lambda x: x),
+    ([1.0, 2.0, 3.0], lambda x: x[:1]),
+], ids=["point-size", "gradient-shape"])
+def test_value_and_gradient_at_rejects_as_gradient_at(point, gradient):
+    obj = ObjectiveSpec(dim=3, value=lambda x: 0.0, gradient=gradient,
+                        value_and_gradient=lambda x: (0.0, gradient(x)))
+    with pytest.raises(InputError) as plain:
+        obj.gradient_at(point)
+    with pytest.raises(InputError) as fused:
+        obj.value_and_gradient_at(point)
+    assert str(fused.value) == str(plain.value)

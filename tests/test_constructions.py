@@ -99,8 +99,11 @@ class TestPklIntervalLookup:
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def _assert_matches_select(self, kind, xs):
-        self._assert_same_bits(kind.g(xs), _select_g(kind, xs))
-        self._assert_same_bits(kind.g_deriv(xs), _select_g_deriv(kind, xs))
+        value, deriv = kind.g_and_deriv(xs)
+        self._assert_same_bits(value, _select_g(kind, xs))
+        self._assert_same_bits(deriv, _select_g_deriv(kind, xs))
+        self._assert_same_bits(kind.g(xs), value)
+        self._assert_same_bits(kind.g_deriv(xs), deriv)
 
     @staticmethod
     def _edge_values(kind):
@@ -129,7 +132,7 @@ class TestPklIntervalLookup:
         xs = np.random.default_rng(d).uniform(-1.0, 40.0, 10**5)
         self._assert_matches_select(kind, xs)
         # batches of points (value sums over the last axis) see the same bits
-        self._assert_same_bits(kind.g(xs.reshape(100, -1)), _select_g(kind, xs.reshape(100, -1)))
+        self._assert_matches_select(kind, xs.reshape(100, -1))
 
     @pytest.mark.parametrize("d", [6, 148, 2000])
     def test_sorted_seeded_uniforms(self, d):
@@ -156,23 +159,42 @@ class TestPklIntervalLookup:
     def test_zero_dimensional_input(self):
         kind = PklConstruction.build(6)
         for x in (-0.5, 0.3, 0.7, 1.0, 5.0, 20.0, math.nan):
-            self._assert_same_bits(kind.g(np.asarray(x)), _select_g(kind, x))
-            self._assert_same_bits(kind.g_deriv(np.asarray(x)), _select_g_deriv(kind, x))
+            self._assert_matches_select(kind, np.asarray(x))
             assert float(kind.g(x)) == float(kind.g(np.asarray(x))) or math.isnan(x)
 
     def test_descent_iterates_stay_sorted(self):
-        # every iterate of the staircase descent takes the index-run path
+        # every iterate of the staircase descent takes the index-run path,
+        # and the fused evaluation hands over value_at's and gradient_at's bits
         inst = build_pkl_gd_instance(148)
-        seen = []
+        obj, seen = inst.objective, []
 
-        def observe(x, g):
+        def observe(x, f, g):
             assert (x[:-1] <= x[1:]).all()
+            assert f.hex() == obj.value_at(x).hex()
+            assert np.array_equal(g, obj.gradient_at(x))
             seen.append(x.size)
 
-        traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6),
+        traj = gd_run(obj, inst.x0, inst.eta, StopRule.norm_below(1e-6),
                       keep_iterates=False, observe=observe)
         assert traj.n_steps == 1036
         assert len(seen) == traj.n_steps + 1
+
+    def test_one_piece_selection_per_observed_iterate(self, monkeypatch):
+        # the loop takes f and g for its observer from one evaluation, so
+        # the pieces of each iterate are selected once, not once for g and
+        # once more for g'
+        selections = []
+        pieces = PklConstruction._pieces
+
+        def counted(kind, x):
+            selections.append(x.size)
+            return pieces(kind, x)
+
+        monkeypatch.setattr(PklConstruction, "_pieces", counted)
+        inst = build_pkl_gd_instance(148)
+        traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6),
+                      keep_iterates=False, observe=lambda x, f, g: None)
+        assert len(selections) == traj.n_steps + 1 == 1037
 
 
 class TestFlowInstance:

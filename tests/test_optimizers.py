@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -448,18 +449,21 @@ class TestEndpointsOnly:
     def test_observe_sees_every_recorded_point(self, rng, method):
         spec = random_convex_quadratic(rng)
         seen = []
-        self.run(method, spec, keep_iterates=False, observe=lambda x, g: seen.append((x.copy(), g.copy())))
+        self.run(method, spec, keep_iterates=False,
+                 observe=lambda x, f, g: seen.append((x.copy(), f, g.copy())))
         full = self.run(method, spec)
-        assert np.array_equal(np.array([x for x, _ in seen]), full.points)
+        assert np.array_equal(np.array([x for x, _, _ in seen]), full.points)
         obj = spec.to_objective()
-        assert all(np.array_equal(g, obj.gradient_at(x)) for x, g in seen)
+        assert all(np.array_equal(g, obj.gradient_at(x)) for x, _, g in seen)
+        # the value handed over is value_at's, to the bit
+        assert all(f.hex() == obj.value_at(x).hex() for x, f, _ in seen)
 
     def test_observe_at_stationary_stop(self):
         seen = []
         traj = gd_run(half_square(), [1.0], 1.0, StopRule.max_steps(5),
-                      observe=lambda x, g: seen.append((float(x[0]), float(g[0]))))
+                      observe=lambda x, f, g: seen.append((float(x[0]), f, float(g[0]))))
         assert traj.stop_reason == "stationary"
-        assert seen == [(1.0, 1.0), (0.0, 0.0)]
+        assert seen == [(1.0, 0.5, 1.0), (0.0, 0.0, 0.0)]
 
 
 class TestGfQuadratic:
@@ -623,6 +627,33 @@ def _failing_gradient(first_bad_call, bad):
         return np.array(bad, dtype=float) if calls[0] >= first_bad_call else 2.0 * x
 
     return ObjectiveSpec(dim=3, value=lambda x: float(x @ x), gradient=gradient)
+
+
+class TestCycleStop:
+    """A run whose state (x_{k-1}, x_k) repeats exactly stops with ``cycle``."""
+
+    def test_heavy_ball_cycle_ends_the_run(self):
+        # the iterates enter an exact cycle of period 14 at ||x|| = 1.42, so
+        # norm_below(1e-3) never fires and no step is exactly 0: the run
+        # used to go on to the 1e8-step cap
+        spec = _dense_quadratic(1, 5, 1e2)
+        obj = spec.to_objective()
+        alpha, beta = hb_params(obj.mu, obj.L)
+        start = time.perf_counter()
+        traj = heavy_ball_run(obj, spec.x0, alpha, beta, StopRule.norm_below(1e-3))
+        assert time.perf_counter() - start < 1.0
+        assert (traj.stop_reason, traj.n_steps) == ("cycle", 526)
+        assert math.isclose(float(np.linalg.norm(traj.final_point)), 1.42, abs_tol=0.01)
+        # the last state is the one 14 steps earlier, bit for bit
+        assert np.array_equal(traj.points[-2:], traj.points[-16:-14])
+        assert not np.array_equal(traj.points[-2:], traj.points[-15:-13])
+
+    def test_period_two_cycle_of_gradient_descent(self):
+        # eta * L = 2 on 0.5 x^2 flips the sign of x every step: 1, -1, 1, ...
+        traj = gd_run(half_square(), [1.0], 2.0, StopRule.norm_below(1e-3))
+        assert (traj.stop_reason, traj.n_steps) == ("cycle", 4)
+        assert traj.points[:, 0].tolist() == [1.0, -1.0, 1.0, -1.0, 1.0]
+        assert traj.path_sum == 8.0
 
 
 class TestDiscreteBitsPinned:
