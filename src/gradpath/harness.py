@@ -239,13 +239,10 @@ def _quad_point(point, cfg: ExperimentConfig) -> ResultRow:
     c = constructions.build_quad_lower(d, omega)
     spec = c.to_quadratic()
     kappa = c.kappa
-    upper = bounds.bound_quadratic(spec, "gf" if cfg.experiment == "quad-lower-gf" else "gd")
-    lower = None
-    if kappa >= 5:
-        lower = bounds.lower_bound_quadratic(
-            d, kappa, "gf" if cfg.experiment == "quad-lower-gf" else "gd"
-        )
-    if cfg.experiment == "quad-lower-gf":
+    flavor = "gf" if cfg.experiment == "quad-lower-gf" else "gd"
+    upper = bounds.bound_quadratic(spec, flavor)
+    lower = bounds.lower_bound_quadratic(d, kappa, flavor) if kappa >= 5 else None
+    if flavor == "gf":
         rep = path_length_quadratic_gf(spec, cfg.quad_abs_tol)
         steps, stop_reason = rep.steps, rep.stop_reason
         zeta, ratio = rep.length, rep.ratio

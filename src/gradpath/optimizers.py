@@ -3,14 +3,14 @@
 Discrete runs record every iterate by default; ``keep_iterates=False``
 keeps only the two endpoints, so memory stays O(d), while the running
 path-length accumulator stays exact.  An ``observe(x, f, g)`` callback
-sees every iterate with its value and gradient, both from one
-evaluation inside the loop, so diagnostics need no stored points.  The
-loop takes one dot product per vector: the squared norms of the
-gradient, the new iterate and the step serve the finiteness, stop,
-step-norm and divergence checks; the iterate's serves
-:meth:`StopRule.point_satisfied`, the point-stop test of both runners,
-and Brent's cycle detection, which stops a run whose state repeats.
-The continuous runner, :func:`gf_integrate`, is an adaptive
+sees every iterate with its value and gradient, both from one evaluation
+inside the loop, so diagnostics need no stored points.  The loop takes
+one dot product per vector: the squared norms of the gradient, the new
+iterate and the step serve the finiteness, stop, step-norm and
+divergence checks; the iterate's serves the point-stop test built once
+per run (:meth:`StopRule.point_test`, a witness coordinate for the
+coords rule) and Brent's cycle detection, which stops a run whose state
+repeats.  The continuous runner, :func:`gf_integrate`, is an adaptive
 Dormand-Prince 5(4) integrator that carries the arc length as an
 augmented ODE state and accumulates the chord sum in its loop.
 """
@@ -42,7 +42,12 @@ class StopRule:
     Kinds: ``norm_below`` (||x_k|| <= eps), ``coords_below_except_last``
     (max_{i != d} |x_{k,i}| < eps), ``grad_below`` (||grad f(x_k)|| <= eps),
     ``max_steps`` (N update steps) and ``horizon`` (flows only, stop at
-    time T).  A global safety cap backs every rule.
+    time T).  A global safety cap backs every rule.  A run builds the
+    first two kinds' test once, ``test = rule.point_test(d)``, and calls
+    ``test(x, float(x.dot(x)))``.  The coords test keeps a witness w, the
+    head index last seen with |x_w| >= eps: while that holds, one scalar
+    read rules the stop out; else the head's ``argmax`` decides and is the
+    next witness.
     """
 
     kind: str
@@ -80,26 +85,26 @@ class StopRule:
     def horizon(cls, t: float) -> "StopRule":
         return cls("horizon", t)
 
-    def point_satisfied(self, x: Array, xsq: float) -> bool:
-        """Stop conditions that depend on the point alone; ``xsq`` is
-        ``float(x.dot(x))``, the squared norm the run loops already hold."""
+    def point_test(self, dim: int) -> Callable[[Array, float], bool] | None:
+        """The point-stop test of one run on R^dim, or None if the rule has none."""
+        eps = self.threshold
         if self.kind == "norm_below":
-            return math.sqrt(xsq) <= self.threshold
-        if self.kind == "coords_below_except_last":
-            if x.size <= 1:
-                return True
-            # A head with every |x_i| < eps has head.head < (d-1) eps^2, and
-            # the dot product's rounding stays far below the factor 2, so
-            # head.head >= floor = 2 (d-1) eps^2 rules the stop out with one
-            # dot.  The filter applies only while 1e-300 <= floor < inf: eps^2
-            # clear of underflow and of overflow.  Otherwise, and for a head
-            # that passes, the exact abs-max test decides.
-            head = x[:-1]
-            floor = 2.0 * head.size * self.threshold * self.threshold
-            if 1e-300 <= floor < math.inf and float(head.dot(head)) >= floor:
+            return lambda x, xsq: math.sqrt(xsq) <= eps
+        if self.kind != "coords_below_except_last":
+            return None
+        if dim <= 1:
+            return lambda x, xsq: True  # the head is empty
+        witness = 0
+
+        def coords_below(x, xsq):
+            nonlocal witness
+            if abs(x.item(witness)) >= eps:
                 return False
-            return float(np.abs(head).max()) < self.threshold
-        return False
+            head = np.abs(x[:-1])
+            witness = int(head.argmax())  # the first NaN, if any: NaN < eps is false
+            return bool(head[witness] < eps)
+
+        return coords_below
 
 
 def parse_stop_rule(text: str) -> StopRule:
@@ -182,7 +187,7 @@ def _discrete_run(
     indices, points = [0], [np.array(x, dtype=float)]
     gradient_at, value_and_gradient_at = obj.gradient_at, obj.value_and_gradient_at
     kind, eps = stop.kind, stop.threshold
-    grad_stop = kind == "grad_below"
+    grad_stop, point_stop = kind == "grad_below", stop.point_test(obj.dim)
     limit, limit_reason = _step_limit(stop, safety_cap)
     # Each vector's squared norm is taken once and serves every check on
     # it: sqrt(v.dot(v)) is what np.linalg.norm(v) computes for a real
@@ -196,7 +201,7 @@ def _discrete_run(
     # with every later pair, squared norm first and bytes only on a tie.
     saved, saved_sq, save_at = None, math.nan, 1
     while True:
-        if stop.point_satisfied(x, xsq):
+        if point_stop is not None and point_stop(x, xsq):
             reason = kind
             break
         if k >= limit:
@@ -462,7 +467,7 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
         stop = StopRule.grad_below(1e-10)
     gradient_at = obj.gradient_at
     kind, eps = stop.kind, stop.threshold
-    grad_stop = kind == "grad_below"
+    grad_stop, point_stop = kind == "grad_below", stop.point_test(obj.dim)
     horizon = eps if kind == "horizon" else None
     # the horizon counts as reached within 1e-12 relative: this absorbs the
     # final rounding ulp, so the closing step cannot leave an unintegrable
@@ -485,25 +490,21 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
     if not np.all(np.isfinite(K[0])):
         raise NonFiniteError("non-finite gradient at t=0.0")
 
-    ys = [y]
-    times = [0.0]
-    local_errors = [0.0]
+    ys, times, local_errors = [y], [0.0], [0.0]
     x = y[:-1]
     xsq = float(x.dot(x))
     grad_norm = -float(K[0, -1])
     t = 0.0
     h = None  # guessed once the first step is due
     err_old = 1e-4
-    n_accepted = 0
-    n_rejected = 0
-    chord = 0.0
+    n_accepted, n_rejected, chord = 0, 0, 0.0
     # (weights, earlier rows, row to write) of stages 2..7; the slices are
     # views of K made once
     stages = [(_A[i], K[:i], K[i]) for i in range(1, 7)]
 
     while True:
         # a rejected step leaves the state, and so every answer here, unchanged
-        if (grad_stop and grad_norm <= eps) or stop.point_satisfied(x, xsq):
+        if (grad_stop and grad_norm <= eps) or (point_stop is not None and point_stop(x, xsq)):
             reason = kind
             break
         if grad_norm == 0.0:

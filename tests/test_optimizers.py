@@ -16,6 +16,7 @@ from gradpath import (
     build_pkl_gd_instance,
     build_pkl_gf_instance,
     build_fsep_quartic,
+    build_quad_lower,
     gd_run,
     gf_integrate,
     gf_quadratic,
@@ -57,14 +58,25 @@ class TestStopRule:
         with pytest.raises(InputError, match="finite"):
             StopRule.norm_below(float("nan"))
 
+    @pytest.mark.parametrize("rule", [
+        StopRule.grad_below(1e-8), StopRule.max_steps(3), StopRule.horizon(1.0),
+    ])
+    def test_rules_without_a_point_condition_build_no_test(self, rule):
+        assert rule.point_test(4) is None
+
     def test_coords_rule_trivial_in_one_dim(self):
         rule = StopRule.coords_below_except_last(1e-2)
-        assert rule.point_satisfied(np.array([7.0]), 49.0)
-        assert not rule.point_satisfied(np.array([7.0, 0.0]), 49.0)
+        assert rule.point_test(1)(np.array([7.0]), 49.0)
+        assert not rule.point_test(2)(np.array([7.0, 0.0]), 49.0)
 
     @staticmethod
     def _coords_reference(x, eps):
         return x.size <= 1 or float(np.abs(x[:-1]).max()) < eps
+
+    @classmethod
+    def _fresh_test(cls, rule, x):
+        """The verdict of a new per-run test on its first point."""
+        return rule.point_test(x.size)(x, cls._xsq(x))
 
     @staticmethod
     def _xsq(x):
@@ -72,6 +84,8 @@ class TestStopRule:
         with np.errstate(over="ignore"):
             return float(x.dot(x))
 
+    # the commented rows sit where a test through squares (eps^2, the head's dot) would
+    # underflow, round or overflow
     @pytest.mark.parametrize("eps, head", [
         (1e-200, [0.0] * 5),  # 2 (d-1) eps^2 underflows to 0
         (1e-151, [0.0] * 5),
@@ -93,7 +107,7 @@ class TestStopRule:
     def test_coords_rule_matches_abs_max(self, eps, head, last):
         x = np.array(head + [last])
         rule = StopRule.coords_below_except_last(eps)
-        assert rule.point_satisfied(x, self._xsq(x)) == self._coords_reference(x, eps)
+        assert self._fresh_test(rule, x) == self._coords_reference(x, eps)
 
     def test_coords_rule_matches_abs_max_on_random_heads(self):
         rng = np.random.default_rng(20240918)
@@ -108,7 +122,7 @@ class TestStopRule:
             hit = rng.random(d) < 0.05
             x[hit] = rng.choice(specials, int(hit.sum()))
             rule = StopRule.coords_below_except_last(eps)
-            assert rule.point_satisfied(x, self._xsq(x)) == self._coords_reference(x, eps), (eps, x)
+            assert self._fresh_test(rule, x) == self._coords_reference(x, eps), (eps, x)
 
     def test_norm_rule_matches_linalg_norm(self):
         rng = np.random.default_rng(20261018)
@@ -116,7 +130,57 @@ class TestStopRule:
             x = rng.standard_normal(int(rng.integers(1, 9))) * 10.0 ** rng.uniform(-5.0, 5.0)
             eps = float(np.linalg.norm(x)) * float(rng.choice([np.nextafter(1.0, 0.0), 1.0, 2.0]))
             rule = StopRule.norm_below(eps)
-            assert rule.point_satisfied(x, self._xsq(x)) == (float(np.linalg.norm(x)) <= eps)
+            assert self._fresh_test(rule, x) == (float(np.linalg.norm(x)) <= eps)
+
+    @pytest.mark.parametrize("eps", [1e-2, 0.0])
+    def test_one_coords_test_follows_a_moving_witness(self, eps):
+        # one test object sees a whole sequence, as in a run: the witness
+        # moves across the head, then meets NaN, inf and signed zero heads
+        below = np.nextafter(1e-2, 0.0)
+        points = [
+            [0.5, 0.3, 0.2, 0.1, 9.0],  # witness 0
+            [0.5, 0.3, 0.2, 0.1, 9.0],
+            [0.005, 0.3, 0.2, 0.1, 9.0],  # moves to 1
+            [0.005, 0.001, 0.02, 0.1, 9.0],  # moves to 3
+            [0.005, 0.001, 0.02, -0.1, 9.0],
+            [0.005, 0.001, 0.02, below, 9.0],  # moves to 2
+            [0.005, 0.001, -1e-2, below, 9.0],  # |x_2| = eps still rules it out
+            [0.005, 0.001, -below, below, 9.0],  # stop
+            [0.005, 0.001, -below, below, np.nan],  # the last coordinate is free
+            [0.001, 0.5, 0.0, 0.0, 9.0],  # after a stop, moves to 1
+            [np.nan, 0.001, 0.0, 0.0, 0.0],  # NaN heads never stop
+            [0.001, np.nan, 0.5, 0.0, 0.0],
+            [0.0, np.nan, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, -np.inf, 0.0],
+            [0.0, 0.0, 0.0, np.inf, 0.0],
+            [0.0, np.inf, np.nan, -np.inf, 0.0],
+            [0.0, -0.0, 0.0, -0.0, 1.0],
+            [-0.0, -0.0, -0.0, -0.0, -0.0],
+            [1e-300, -5e-324, 0.0, below, np.inf],
+            [0.5, 0.3, 0.2, 0.1, 9.0],
+        ]
+        test = StopRule.coords_below_except_last(eps).point_test(5)
+        verdicts = []
+        for point in points:
+            x = np.array(point)
+            verdicts.append(test(x, self._xsq(x)))
+            assert verdicts[-1] == self._coords_reference(x, eps), (eps, point)
+        assert any(verdicts) == (eps > 0)
+
+    def test_one_coords_test_on_a_random_sequence(self):
+        rng = np.random.default_rng(20261019)
+        eps = 1e-3
+        test = StopRule.coords_below_except_last(eps).point_test(6)
+        x = rng.uniform(-1.0, 1.0, 6)
+        for _ in range(5000):
+            # each coordinate shrinks at its own rate, with rare restarts and specials
+            x = x * rng.uniform(0.5, 1.0, 6)
+            restart = rng.random(6) < 0.01
+            x[restart] = rng.uniform(-1.0, 1.0, int(restart.sum()))
+            y = x.copy()
+            hit = rng.random(6) < 0.01
+            y[hit] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, eps, -eps], int(hit.sum()))
+            assert test(y, self._xsq(y)) == self._coords_reference(y, eps), y
 
 
 class TestGdRun:
@@ -656,6 +720,30 @@ class TestCycleStop:
         assert traj.path_sum == 8.0
 
 
+class TestDiscreteStopStep:
+    """The stop step of a stored run, checked against the rule's own
+    definition: every iterate before the last fails it, the last passes."""
+
+    @pytest.mark.parametrize("omega", [3.0, 4.0])
+    def test_coords_rule_on_quad_lower(self, omega):
+        c = build_quad_lower(6, omega)
+        eps = 1e-4
+        traj = gd_run(c.to_objective(), c.x0, c.eta, StopRule.coords_below_except_last(eps), keep_iterates=True)
+        assert traj.stop_reason == "coords_below_except_last"
+        assert traj.points.shape == (traj.n_steps + 1, 6)
+        below = np.abs(traj.points[:, :-1]).max(axis=1) < eps
+        assert not below[:-1].any() and below[-1]
+
+    def test_norm_rule_on_pkl_lower_gd(self):
+        inst = build_pkl_gd_instance(9)
+        eps = 1e-6
+        traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.norm_below(eps), keep_iterates=True)
+        assert traj.stop_reason == "norm_below"
+        assert traj.points.shape == (traj.n_steps + 1, 9)
+        below = np.linalg.norm(traj.points, axis=1) <= eps
+        assert not below[:-1].any() and below[-1]
+
+
 class TestDiscreteBitsPinned:
     """Heavy-ball and PGD outputs pinned to the bit: the discrete loop's arithmetic is fixed."""
 
@@ -752,6 +840,12 @@ class TestFlowBitsPinned:
              9.638097136996673e-08, 9.638097311955556e-07],
             989, 255, 7466, 350.6436820648976, "norm_below",
         ),
+        "quad-geom-d6-omega3-coords": (
+            3.6014887386702985, 3.0824623033066256,
+            [1.272737539416818e-10, 5.542883745968118e-106, 7.180101170453875e-37,
+             8.948151435501774e-13, 9.636312904283058e-05, 0.045846230229289374],
+            389, 3, 2354, 156.17126256158662, "coords_below_except_last",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
@@ -759,6 +853,9 @@ class TestFlowBitsPinned:
         if case == "pkl-flow-d20":
             inst = build_pkl_gf_instance(20)
             obj, x0, stop = inst.objective, inst.x0, StopRule.norm_below(1e-6)
+        elif case == "quad-geom-d6-omega3-coords":
+            c = build_quad_lower(6, 3.0)
+            obj, x0, stop = c.to_objective(), c.x0, StopRule.coords_below_except_last(1e-4)
         else:
             d, kappa = {"quadratic-d4-kappa3e3": (4, 3e3), "quadratic-d10-kappa1e3": (10, 1e3)}[case]
             spec = _dense_quadratic(20261018, d, kappa)
