@@ -13,6 +13,13 @@ coords rule) and Brent's cycle detection, which stops a run whose state
 repeats.  The continuous runner, :func:`gf_integrate`, is an adaptive
 Dormand-Prince 5(4) integrator that carries the arc length as an
 augmented ODE state and accumulates the chord sum in its loop.
+
+Both loops write each kept state as a row of one float64 buffer that
+doubles when full: 8 d bytes per discrete iterate, 8 (d + 2) per
+accepted flow point (x, t and the local error).  At return the rows are
+copied into trimmed arrays and the buffer is dropped, so a run keeping m
+> RECORD_ROWS states peaks below three times its rows' bytes, plus 8 m
+for a discrete run's int64 times.
 """
 
 from __future__ import annotations
@@ -138,7 +145,13 @@ class Trajectory:
     steps, a cross-check on ``arc_length``, the arc length integrated as
     an ODE state.  They also carry per-step local error estimates and the
     integrator's counts: ``n_steps`` accepted and ``n_rejected`` rejected
-    steps, ``n_feval`` gradient calls.
+    steps.  ``n_feval`` counts gradient calls, a fused value-and-gradient
+    call as one.
+
+    ``points`` (m, d) float64, ``times`` (m,), float64 for flows and int64
+    for discrete runs, and a flow's ``local_errors`` (m,) float64 are
+    C-contiguous arrays that own their data: a kept state costs 8 d + 8
+    bytes, 8 d + 16 for a flow.
     """
 
     kind: str
@@ -166,6 +179,39 @@ class Trajectory:
         return float(self.times[-1])
 
 
+#: Rows a kept-state record holds before it first grows.
+RECORD_ROWS = 64
+
+
+class _Record:
+    """The kept states of one run, each a row of one float64 buffer.
+
+    A full buffer is replaced by one with twice the rows.  Once grown, a
+    record of m rows of w bytes has fewer than 2 m rows, so with the old
+    buffer during a growth, or with the trimmed copies taken at return,
+    it holds less than 3 m w bytes.
+    """
+
+    __slots__ = ("rows", "n")
+
+    def __init__(self, width: int, capacity: int = RECORD_ROWS):
+        self.rows = np.empty((capacity, width))
+        self.n = 0
+
+    def add(self) -> Array:
+        """The next row, for the caller to fill."""
+        if self.n == len(self.rows):
+            grown = np.empty((2 * self.n, self.rows.shape[1]))
+            grown[: self.n] = self.rows
+            self.rows = grown
+        self.n += 1
+        return self.rows[self.n - 1]
+
+    def kept(self, columns=slice(None)) -> Array:
+        """A C-contiguous copy of ``columns`` of the kept rows."""
+        return self.rows[: self.n, columns].copy()
+
+
 def _check_finite(g: Array, k: int, what: str = "gradient"):
     if not np.all(np.isfinite(g)):
         raise NonFiniteError(f"non-finite {what} at iterate {k}")
@@ -184,7 +230,9 @@ def _discrete_run(
     if stop.kind == "horizon":
         raise InputError("horizon stop rules apply to flows only")
     k, path_sum = 0, 0.0
-    indices, points = [0], [np.array(x, dtype=float)]
+    # keep_iterates=False keeps x_0 and, after a step, x_N
+    record = _Record(obj.dim, RECORD_ROWS if keep_iterates else 1)
+    record.add()[:] = x
     gradient_at, value_and_gradient_at = obj.gradient_at, obj.value_and_gradient_at
     kind, eps = stop.kind, stop.threshold
     grad_stop, point_stop = kind == "grad_below", stop.point_test(obj.dim)
@@ -231,8 +279,7 @@ def _discrete_run(
         k += 1
         path_sum += step_norm
         if keep_iterates:
-            indices.append(k)
-            points.append(np.array(x_new, dtype=float))
+            record.add()[:] = x_new
         if math.sqrt(xsq) > DIVERGENCE_RADIUS:
             raise DivergenceError(f"trajectory norm exceeded {DIVERGENCE_RADIUS:g} at iterate {k}")
         x_prev, x, g = x, x_new, None
@@ -245,16 +292,21 @@ def _discrete_run(
         f, g = value_and_gradient_at(x)
         _check_finite(g, k)
         observe(x, f, g)
-    if indices[-1] != k:
-        indices.append(k)
-        points.append(np.array(x, dtype=float))
+    if keep_iterates:
+        times = np.arange(k + 1, dtype=np.int64)
+    else:
+        times = np.array([0, k] if k else [0], dtype=np.int64)
+        if k:
+            record.add()[:] = x
     return Trajectory(
         kind="discrete",
-        times=np.asarray(indices, dtype=np.int64),
-        points=np.asarray(points),
+        times=times,
+        points=record.kept(),
         stop_reason=reason,
         n_steps=k,
         path_sum=path_sum,
+        # one gradient per step taken, and one at the last x if it was evaluated
+        n_feval=k + (g is not None),
     )
 
 
@@ -333,7 +385,8 @@ def heavy_ball_run(
 
 def _spot_check_projector(projector: Callable[[Array], Array], x0: Array):
     rng = np.random.default_rng(0)
-    p0 = np.asarray(projector(x0), dtype=float)
+    # copies: a projector may write every output into one buffer
+    p0 = np.array(projector(x0), dtype=float)
     if np.linalg.norm(np.asarray(projector(p0)) - p0) > 1e-12 * max(1.0, float(np.linalg.norm(p0))):
         raise InputError("projector fails idempotence spot-check")
     if np.linalg.norm(p0 - x0) > 1e-9 * max(1.0, float(np.linalg.norm(x0))):
@@ -341,7 +394,7 @@ def _spot_check_projector(projector: Callable[[Array], Array], x0: Array):
     for _ in range(4):
         a = x0 + rng.standard_normal(x0.size)
         b = x0 + rng.standard_normal(x0.size)
-        pa, pb = np.asarray(projector(a), float), np.asarray(projector(b), float)
+        pa, pb = np.array(projector(a), float), np.array(projector(b), float)
         if np.linalg.norm(projector(pa) - pa) > 1e-12 * max(1.0, float(np.linalg.norm(pa))):
             raise InputError("projector fails idempotence spot-check")
         if np.linalg.norm(pa - pb) > np.linalg.norm(a - b) * (1 + 1e-12) + 1e-12:
@@ -365,7 +418,7 @@ def pgd_run(
     _spot_check_projector(projector, x0)
     return _discrete_run(
         obj, x0, stop,
-        lambda x, g: np.asarray(projector(x - eta * g), dtype=float),
+        lambda x, g: np.array(projector(x - eta * g), dtype=float),
         safety_cap=safety_cap, keep_iterates=keep_iterates, observe=observe,
     )
 
@@ -490,7 +543,10 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
     if not np.all(np.isfinite(K[0])):
         raise NonFiniteError("non-finite gradient at t=0.0")
 
-    ys, times, local_errors = [y], [0.0], [0.0]
+    d = obj.dim
+    record = _Record(d + 2)  # a row holds x, t and the local error
+    row = record.add()
+    row[:d], row[d:] = x0, 0.0
     x = y[:-1]
     xsq = float(x.dot(x))
     grad_norm = -float(K[0, -1])
@@ -544,12 +600,13 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
         if err <= 1.0:
             t += h
             y = yi  # stage 7 uses the 5th-order solution point
-            ys.append(y)
-            times.append(t)
-            local_errors.append(err)
             n_accepted += 1
 
             x_prev, x = x, y[:-1]
+            row = record.add()
+            row[:d] = x
+            row[d] = t
+            row[d + 1] = err
             dx = x - x_prev
             chord += math.sqrt(float(dx.dot(dx)))
             xsq = float(x.dot(x))
@@ -569,13 +626,13 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
 
     return Trajectory(
         kind="continuous",
-        times=np.asarray(times),
-        points=np.asarray(ys)[:, :-1].copy(),
+        times=record.kept(d),
+        points=record.kept(slice(d)),
         stop_reason=reason,
         n_steps=n_accepted,
         path_sum=chord,
         arc_length=float(y[-1]),
-        local_errors=np.asarray(local_errors),
+        local_errors=record.kept(d + 1),
         n_rejected=n_rejected,
         n_feval=n_feval,
     )

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from gradpath import (
     parse_stop_rule,
     pgd_run,
 )
+from gradpath.optimizers import RECORD_ROWS
 
 
 def half_square():
@@ -469,10 +472,29 @@ class TestPgd:
         for p in traj.points:
             assert np.linalg.norm(proj(p) - p) <= 1e-12
 
+    def test_projector_writing_one_buffer_matches_box_projector(self):
+        # every output of this projector is the same array; the run must
+        # not see x and x_new alias each other
+        buf = np.empty(2)
+        in_place = lambda z: np.clip(z, -1.0, 1.0, out=buf)
+        obj = QuadraticSpec.diagonal([1.0, 2.0], [0.9, 0.9]).to_objective()
+        stop = StopRule.norm_below(1e-6)
+        a = pgd_run(obj, box_projector(-1.0, 1.0), [0.9, 0.9], 0.1, stop)
+        b = pgd_run(obj, in_place, [0.9, 0.9], 0.1, stop)
+        assert (a.stop_reason, a.n_steps) == ("norm_below", 131)
+        assert (b.stop_reason, b.n_steps, b.path_sum.hex()) == (a.stop_reason, a.n_steps, a.path_sum.hex())
+        assert a.points.tobytes() == b.points.tobytes()
+
     def test_bad_projector_rejected(self):
         obj = half_square()
         with pytest.raises(InputError, match="idempotence"):
             pgd_run(obj, lambda x: x / 2.0, [0.0], 0.5, StopRule.max_steps(1))
+
+    def test_bad_projector_writing_one_buffer_rejected(self):
+        # this used to pass: each spot check compared the buffer with itself
+        buf = np.empty(1)
+        with pytest.raises(InputError, match="idempotence"):
+            pgd_run(half_square(), lambda x: np.multiply(x, 0.5, out=buf), [0.0], 0.5, StopRule.max_steps(1))
 
     def test_infeasible_start_rejected(self):
         obj = half_square()
@@ -528,6 +550,149 @@ class TestEndpointsOnly:
                       observe=lambda x, f, g: seen.append((float(x[0]), f, float(g[0]))))
         assert traj.stop_reason == "stationary"
         assert seen == [(1.0, 0.5, 1.0), (0.0, 0.0, 0.0)]
+
+
+def _assert_owned_rows(a, shape, dtype):
+    """A trimmed C-contiguous array that holds no spare rows of a buffer."""
+    assert a.shape == shape and a.dtype == dtype
+    assert a.flags.c_contiguous and a.base is None
+
+
+class TestRecord:
+    """Kept states below, at and just above the record's first capacity,
+    and past several doublings of it."""
+
+    ROWS = [RECORD_ROWS - 1, RECORD_ROWS, RECORD_ROWS + 1, 5 * RECORD_ROWS]
+
+    @pytest.mark.parametrize("m", ROWS)
+    def test_discrete_rows_are_the_observed_iterates(self, m):
+        c = build_quad_lower(6, 5.0)
+        seen = []
+        traj = gd_run(c.to_objective(), c.x0, c.eta, StopRule.max_steps(m - 1),
+                      observe=lambda x, f, g: seen.append(x.copy()))
+        assert (traj.stop_reason, traj.n_steps) == ("max_steps", m - 1)
+        _assert_owned_rows(traj.points, (m, 6), np.float64)
+        _assert_owned_rows(traj.times, (m,), np.int64)
+        assert traj.points.tobytes() == np.array(seen).tobytes()
+        assert traj.times.tolist() == list(range(m))
+
+    @pytest.mark.parametrize("m", ROWS)
+    def test_flow_rows_follow_the_closed_form(self, m):
+        tol = 1e-10
+        spec = _dense_quadratic(7, 4, 1e3)
+        traj = gf_integrate(spec.to_objective(), spec.x0, tol, StopRule.max_steps(m - 1))
+        assert (traj.stop_reason, traj.n_steps) == ("max_steps", m - 1)
+        _assert_owned_rows(traj.points, (m, 4), np.float64)
+        _assert_owned_rows(traj.times, (m,), np.float64)
+        _assert_owned_rows(traj.local_errors, (m,), np.float64)
+        assert traj.times[0] == 0.0 and traj.local_errors[0] == 0.0
+        assert np.array_equal(traj.points[0], spec.x0)
+        assert np.all(np.diff(traj.times) > 0) and np.all(traj.local_errors <= 1.0)
+        exact = gf_quadratic(spec, traj.times)
+        assert float(np.max(np.linalg.norm(traj.points - exact, axis=1))) <= 10 * tol
+
+    def test_endpoints_only_record(self):
+        traj = gd_run(half_square(), [1.0], 0.5, StopRule.max_steps(0), keep_iterates=False)
+        _assert_owned_rows(traj.points, (1, 1), np.float64)
+        _assert_owned_rows(traj.times, (1,), np.int64)
+        traj = gd_run(half_square(), [1.0], 0.5, StopRule.max_steps(3), keep_iterates=False)
+        assert traj.points[:, 0].tolist() == [1.0, 0.125] and traj.times.tolist() == [0, 3]
+        _assert_owned_rows(traj.times, (2,), np.int64)
+
+
+class TestRecordMemory:
+    """Traced bytes per kept state, bounded from the record's layout.
+
+    A record of rows of w bytes doubles when full, so after keeping m >
+    RECORD_ROWS rows its capacity C is below 2m.  While it grows it holds
+    the old and the new buffer, 1.5 C w < 3 m w bytes; at return it holds
+    C w bytes and the trimmed copies, which take at most w + 8 bytes per
+    row (a flow's row of x, t and local error splits into its three
+    arrays, w in all; a discrete run adds int64 times to its rows of x).
+    So the peak is below (3 w + 8) m bytes plus the run's working set,
+    which does not grow with m.  Lists of per-step arrays and floats took
+    about 300 bytes per step here.
+    """
+
+    M = 32 * RECORD_ROWS + 1  # just past a doubling: the growth peak is the largest
+    WORKING_SET = 32 * 1024
+
+    @staticmethod
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            traj = run()
+            return traj, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def test_flow(self):
+        spec = _dense_quadratic(20261018, 4, 3e3)
+        traj, peak = self.traced_peak(
+            lambda: gf_integrate(spec.to_objective(), spec.x0, 1e-10, StopRule.max_steps(self.M - 1)))
+        assert len(traj.points) == self.M
+        w = (4 + 2) * 8
+        assert peak <= (3 * w + 8) * self.M + self.WORKING_SET
+
+    def test_gradient_descent(self):
+        c = build_quad_lower(6, 5.0)
+        traj, peak = self.traced_peak(
+            lambda: gd_run(c.to_objective(), c.x0, c.eta, StopRule.max_steps(self.M - 1)))
+        assert len(traj.points) == self.M
+        w = 6 * 8
+        assert peak <= (3 * w + 8) * self.M + self.WORKING_SET
+
+
+def _counted(obj):
+    """``obj`` with its gradient calls counted in the returned list."""
+    calls = [0]
+
+    def gradient(x):
+        calls[0] += 1
+        return obj.gradient(x)
+
+    return ObjectiveSpec(dim=obj.dim, value=obj.value, gradient=gradient), calls
+
+
+class TestDiscreteGradientCalls:
+    """``n_feval`` of a discrete run counts its gradient calls: one per
+    step taken, one more where the last point was evaluated."""
+
+    # half_square from x = 1: eta 0.5 halves x, eta 1 reaches 0, eta 2 flips its sign
+    @pytest.mark.parametrize("eta, stop, cap, reason, steps, calls, observed_calls", [
+        (0.5, StopRule.norm_below(0.1), None, "norm_below", 4, 4, 5),
+        (0.5, StopRule.grad_below(0.1), None, "grad_below", 4, 5, 5),
+        (1.0, StopRule.max_steps(5), None, "stationary", 1, 2, 2),
+        (2.0, StopRule.norm_below(1e-3), None, "cycle", 4, 4, 5),
+        (0.5, StopRule.norm_below(1e-3), 3, "cap", 3, 3, 4),
+        (0.5, StopRule.max_steps(0), None, "max_steps", 0, 0, 1),
+    ])
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_counts_by_stop_reason(self, eta, stop, cap, reason, steps, calls, observed_calls, observed):
+        obj, counted = _counted(half_square())
+        options = {"observe": lambda x, f, g: None} if observed else {}
+        if cap is not None:
+            options["safety_cap"] = cap
+        traj = gd_run(obj, [1.0], eta, stop, **options)
+        expected = observed_calls if observed else calls
+        assert (traj.stop_reason, traj.n_steps, traj.n_feval) == (reason, steps, expected)
+        assert counted[0] == expected
+
+    def test_fused_value_and_gradient_counts_once(self):
+        inst = build_pkl_gd_instance(9)
+        obj, counted = _counted(inst.objective)
+        fused = [0]
+
+        def value_and_gradient(x):
+            fused[0] += 1
+            return inst.objective.value_and_gradient(x)
+
+        obj = dataclasses.replace(obj, value_and_gradient=value_and_gradient)
+        traj = gd_run(obj, inst.x0, inst.eta, StopRule.norm_below(1e-6),
+                      keep_iterates=False, observe=lambda x, f, g: None)
+        assert traj.stop_reason == "norm_below"
+        assert (counted[0], fused[0], traj.n_feval) == (0, traj.n_steps + 1, traj.n_steps + 1)
 
 
 class TestGfQuadratic:
