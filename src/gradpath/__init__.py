@@ -1,16 +1,15 @@
 """Gradient-trajectory path lengths: optimizers, measurements, bounds."""
 
 from .analysis import (
+    DistanceEnvelope,
+    NoOvershoot,
     PathLengthReport,
     PlRatio,
     SelfContractedVerdict,
-    effective_lipschitz,
     effective_pkl_mu,
-    linear_convergence_fit,
     path_length_discrete,
     path_length_quadratic_gf,
     self_contracted_check,
-    separable_no_overshoot_check,
 )
 from .bounds import (
     BoundReport,

@@ -186,18 +186,8 @@ def self_contracted_check(points, tol: float = 1e-12) -> SelfContractedVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Effective constants
+# Observers: called as observe(x, f, g) with every iterate of a discrete run
 # ---------------------------------------------------------------------------
-
-
-def _require_every_iterate(traj: Trajectory):
-    """Refuse records that skipped iterates: a partial record would
-    silently shrink the set a min/max or a consecutive-pair quantity runs over."""
-    if len(traj.points) != traj.n_steps + 1:
-        raise InputError(
-            f"this analysis needs every iterate (keep_iterates=True); "
-            f"the record holds {len(traj.points)} of {traj.n_steps + 1}"
-        )
 
 
 class PlRatio:
@@ -238,76 +228,83 @@ class PlRatio:
         return self.lo if mode == "min" else self.hi
 
 
+class NoOvershoot:
+    """Whether no coordinate ever crosses or moves away from its optimal interval.
+
+    Per coordinate and per consecutive pair of observed iterates, the
+    deviation from the interval must keep its side and must not grow.
+    Only the last deviation is kept, so memory is O(d); ``holds`` is the
+    verdict so far.
+    """
+
+    def __init__(self, optimal_set: IntervalProductSet):
+        if not isinstance(optimal_set, IntervalProductSet):
+            raise InputError("requires per-coordinate interval optimal sets")
+        self._lo, self._hi = optimal_set.lo, optimal_set.hi
+        self._dev = None
+        self.holds = True
+
+    def __call__(self, x: Array, f: float, g: Array):
+        prev = self._dev
+        self._dev = dev = x - np.clip(x, self._lo, self._hi)
+        if self.holds and prev is not None:
+            crossed = np.any(np.sign(prev) * np.sign(dev) < 0)
+            self.holds = not crossed and bool(np.all(np.abs(dev) <= np.abs(prev)))
+
+
+class DistanceEnvelope:
+    """Distance to the optimal set of each observed iterate, one float each,
+    for the linear envelope dist_k <= A (1-c)^k dist_0 (:meth:`fit`)."""
+
+    def __init__(self, optimal_set: OptimalSet):
+        self._distance = optimal_set.distance
+        self.dists: list[float] = []
+
+    def __call__(self, x: Array, f: float, g: Array):
+        self.dists.append(self._distance(x))
+
+    def fit(self) -> tuple[float, float]:
+        """Tightest (A, c) envelope on the observed iterates.
+
+        c is one minus the worst consecutive distance ratio; A is then the
+        smallest admissible prefactor (at least 1).  The fitted pair is
+        re-verified on every observed step before being returned.
+        """
+        dists = self.dists
+        if len(dists) < 2:
+            raise InputError("need at least two iterates to fit a rate")
+        ratios = [dists[k + 1] / dists[k] for k in range(len(dists) - 1) if dists[k] > 0]
+        # with dist_0 = 0 the envelope is 0 from step 1 on, so the loop
+        # below accepts (1, 1) only if every distance is 0
+        worst = max(ratios, default=0.0)
+        if worst >= 1.0:
+            raise InputError("no linear envelope: distances are not strictly decreasing")
+        c = 1.0 - worst
+        a = 1.0
+        envelope = dists[0]
+        for k in range(1, len(dists)):
+            envelope *= 1.0 - c
+            if envelope > 0:
+                a = max(a, dists[k] / envelope)
+            elif dists[k] > 0:
+                raise InputError("no linear envelope: distances are not strictly decreasing")
+        envelope = dists[0]
+        for k in range(1, len(dists)):
+            envelope *= 1.0 - c
+            if dists[k] > a * envelope * (1 + 1e-12) + 1e-300:
+                raise InputError("fitted envelope failed re-verification")  # pragma: no cover
+        return float(a), float(c)
+
+
 def effective_pkl_mu(traj: Trajectory, obj: ObjectiveSpec, mode: str = "min") -> float:
-    """:class:`PlRatio` aggregate over the stored iterates of a full record."""
-    _require_every_iterate(traj)
+    """:class:`PlRatio` aggregate over the stored iterates of a full record
+    (a partial record is refused: a min over a subset overstates mu)."""
+    if len(traj.points) != traj.n_steps + 1:
+        raise InputError(
+            f"this analysis needs every iterate (keep_iterates=True); "
+            f"the record holds {len(traj.points)} of {traj.n_steps + 1}"
+        )
     pl = PlRatio(obj)
     for point in traj.points:
         pl(point, *obj.value_and_gradient_at(point))
     return pl.aggregate(mode)
-
-
-def effective_lipschitz(traj: Trajectory, obj: ObjectiveSpec) -> float:
-    """Max gradient-difference quotient over consecutive iterate pairs."""
-    _require_every_iterate(traj)
-    if len(traj.points) < 2:
-        raise InputError("need at least two iterates")
-    grads = np.array([obj.gradient_at(p) for p in traj.points])
-    dx = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
-    dg = np.linalg.norm(np.diff(grads, axis=0), axis=1)
-    keep = dx >= 1e-14
-    if not np.any(keep):
-        raise InputError("no iterate pair with displacement >= 1e-14")
-    return float(np.max(dg[keep] / dx[keep]))
-
-
-def linear_convergence_fit(traj: Trajectory, optimal_set: OptimalSet) -> tuple[float, float]:
-    """Tightest (A, c) envelope dist_k <= A (1-c)^k dist_0 on the iterates.
-
-    c is one minus the worst consecutive distance ratio; A is then the
-    smallest admissible prefactor (at least 1).  The fitted pair is
-    re-verified on every recorded step before being returned.
-    """
-    _require_every_iterate(traj)
-    dists = np.array([optimal_set.distance(p) for p in traj.points])
-    if dists.size < 2:
-        raise InputError("need at least two iterates to fit a rate")
-    if dists[0] == 0.0:
-        return 1.0, 1.0
-    ratios = [dists[k + 1] / dists[k] for k in range(dists.size - 1) if dists[k] > 0]
-    worst = max(ratios)
-    if worst >= 1.0:
-        raise InputError("no linear envelope: distances are not strictly decreasing")
-    c = 1.0 - worst
-    a = 1.0
-    envelope = dists[0]
-    for k in range(1, dists.size):
-        envelope *= 1.0 - c
-        if envelope > 0:
-            a = max(a, dists[k] / envelope)
-        elif dists[k] > 0:
-            raise InputError("no linear envelope: distances are not strictly decreasing")
-    envelope = dists[0]
-    for k in range(1, dists.size):
-        envelope *= 1.0 - c
-        if dists[k] > a * envelope * (1 + 1e-12) + 1e-300:
-            raise InputError("fitted envelope failed re-verification")  # pragma: no cover
-    return float(a), float(c)
-
-
-def separable_no_overshoot_check(traj: Trajectory, optimal_set: IntervalProductSet) -> bool:
-    """True iff no coordinate ever crosses or moves away from its optimal interval.
-
-    Checks, per coordinate, that the deviation side never flips and the
-    deviation magnitude is non-increasing along the iterates.
-    """
-    if not isinstance(optimal_set, IntervalProductSet):
-        raise InputError("requires per-coordinate interval optimal sets")
-    _require_every_iterate(traj)
-    pts = np.asarray(traj.points, dtype=float)
-    dev = pts - np.clip(pts, optimal_set.lo, optimal_set.hi)
-    signs = np.sign(dev)
-    if np.any(signs[:-1] * signs[1:] < 0):
-        return False
-    mags = np.abs(dev)
-    return bool(np.all(mags[1:] <= mags[:-1]))

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import bounds, constructions, registry
 from .analysis import (
+    DistanceEnvelope,
     PlRatio,
-    linear_convergence_fit,
     path_length_discrete,
     path_length_quadratic_gf,
     self_contracted_check,
@@ -261,8 +261,9 @@ def _check_linear_fit(cfg):
     rng = np.random.default_rng(41)
     spec = _random_convex_quadratic(rng)
     obj = spec.to_objective()
-    traj = gd_run(obj, spec.x0, 1.0 / float(spec.sigma[0]), StopRule.max_steps(60))
-    a, c = linear_convergence_fit(traj, obj.optimal_set)
+    dists = DistanceEnvelope(obj.optimal_set)
+    traj = gd_run(obj, spec.x0, 1.0 / float(spec.sigma[0]), StopRule.max_steps(60), observe=dists)
+    a, c = dists.fit()
     envelope = obj.optimal_set.distance(traj.points[0])
     for k in range(1, len(traj.points)):
         envelope *= 1 - c

@@ -1,28 +1,36 @@
+import ast
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import gradpath.analysis
+
 from conftest import random_convex_quadratic, scalar_objective
 from gradpath import (
+    DistanceEnvelope,
     InputError,
     IntervalProductSet,
+    NoOvershoot,
     ObjectiveSpec,
     PlRatio,
     QuadraticSpec,
     SingletonSet,
     StopRule,
     Trajectory,
+    bound_linconv_gd,
     build_pkl_gd_instance,
-    effective_lipschitz,
+    construction_linconv_constants,
     effective_pkl_mu,
     gd_run,
-    linear_convergence_fit,
+    lower_bound_pkl,
     path_length_discrete,
     path_length_quadratic_gf,
     self_contracted_check,
-    separable_no_overshoot_check,
 )
+from gradpath.harness import SANDWICH_SLACK
 from gradpath.quadrature import adaptive_quadrature
 
 #: frozen by an independent high-precision quadrature of the two-mode
@@ -225,53 +233,32 @@ class TestEffectiveConstants:
         with pytest.raises(InputError):
             effective_pkl_mu(discrete_traj([1.0]), obj, mode="median")
 
-    def test_lipschitz_constant_one_mode(self):
-        sigma = 3.0
-        obj = ObjectiveSpec(
-            dim=1,
-            value=lambda x: 0.5 * sigma * float(x[0] ** 2),
-            gradient=lambda x: sigma * np.asarray(x, dtype=float),
-        )
-        assert effective_lipschitz(discrete_traj([2.0, 0.5]), obj) == pytest.approx(sigma)
 
-    def test_lipschitz_two_dim_hand_value(self):
-        obj = ObjectiveSpec(
-            dim=2,
-            value=lambda x: 0.5 * float(4 * x[0] ** 2 + x[1] ** 2),
-            gradient=lambda x: np.array([4.0 * x[0], x[1]]),
-        )
-        got = effective_lipschitz(discrete_traj([[1.0, 1.0], [0.0, 0.0]]), obj)
-        assert got == pytest.approx(math.sqrt(17.0) / math.sqrt(2.0), rel=1e-12)
+def replay(observer, traj):
+    """Feed an observer each stored point of a record; the distance and
+    overshoot observers read only x, so f and g are placeholders."""
+    for point in traj.points:
+        observer(point, math.nan, None)
+    return observer
 
-    def test_lipschitz_below_declared(self, rng):
-        spec = random_convex_quadratic(rng)
-        obj = spec.to_objective()
-        traj = gd_run(obj, spec.x0, 0.5 / obj.L, StopRule.max_steps(30))
-        assert effective_lipschitz(traj, obj) <= obj.L * (1 + 1e-9)
 
-    def test_lipschitz_needs_moving_pair(self):
-        obj = ObjectiveSpec(dim=1, value=lambda x: 0.0, gradient=lambda x: np.zeros(1))
-        with pytest.raises(InputError):
-            effective_lipschitz(discrete_traj([1.0, 1.0]), obj)
+def envelope_fit(points):
+    return replay(DistanceEnvelope(SingletonSet(point=np.zeros(1))), discrete_traj(points)).fit()
+
+
+def no_overshoot(traj, optimal_set):
+    return replay(NoOvershoot(optimal_set), traj).holds
 
 
 class TestLinearConvergenceFit:
     def test_exact_geometric(self):
-        a, c = linear_convergence_fit(
-            discrete_traj([1.0, 0.5, 0.25]), SingletonSet(point=np.zeros(1))
-        )
-        assert (a, c) == (1.0, 0.5)
+        assert envelope_fit([1.0, 0.5, 0.25]) == (1.0, 0.5)
 
     def test_single_step_to_optimum(self):
-        a, c = linear_convergence_fit(
-            discrete_traj([1.0, 0.0]), SingletonSet(point=np.zeros(1))
-        )
-        assert (a, c) == (1.0, 1.0)
+        assert envelope_fit([1.0, 0.0]) == (1.0, 1.0)
 
     def test_uneven_decay(self):
-        a, c = linear_convergence_fit(
-            discrete_traj([1.0, 0.9, 0.45]), SingletonSet(point=np.zeros(1))
-        )
+        a, c = envelope_fit([1.0, 0.9, 0.45])
         assert c == pytest.approx(0.1, rel=1e-12)
         assert a == pytest.approx(1.0, abs=1e-12)
 
@@ -279,7 +266,7 @@ class TestLinearConvergenceFit:
         spec = random_convex_quadratic(rng)
         obj = spec.to_objective()
         traj = gd_run(obj, spec.x0, 1.0 / obj.L, StopRule.max_steps(60))
-        a, c = linear_convergence_fit(traj, obj.optimal_set)
+        a, c = replay(DistanceEnvelope(obj.optimal_set), traj).fit()
         assert a >= 1.0 and 0 < c <= 1.0
         envelope = obj.optimal_set.distance(traj.points[0])
         for k in range(1, len(traj.points)):
@@ -288,9 +275,23 @@ class TestLinearConvergenceFit:
 
     def test_non_monotone_rejected(self):
         with pytest.raises(InputError, match="envelope"):
-            linear_convergence_fit(
-                discrete_traj([1.0, 1.2, 0.5]), SingletonSet(point=np.zeros(1))
-            )
+            envelope_fit([1.0, 1.2, 0.5])
+
+    def test_start_on_optimal_set_then_leave_rejected(self):
+        # dist_0 = 0 has no contraction ratio; a run that then leaves the
+        # set used to get the unverified envelope (1, 1)
+        obj = ObjectiveSpec(
+            dim=1, value=lambda x: float(x[0] ** 2 + x[0]), gradient=lambda x: 2 * x + 1,
+            optimal_set=SingletonSet(point=np.zeros(1)),
+        )
+        dists = DistanceEnvelope(obj.optimal_set)
+        gd_run(obj, [0.0], 0.1, StopRule.max_steps(5), observe=dists)
+        assert dists.dists[:3] == pytest.approx([0.0, 0.1, 0.18])
+        with pytest.raises(InputError, match="no linear envelope"):
+            dists.fit()
+        with pytest.raises(InputError, match="no linear envelope"):
+            envelope_fit([0.0, 1.0, 0.5])
+        assert envelope_fit([0.0, 0.0, 0.0]) == (1.0, 1.0)
 
 
 class TestNoOvershoot:
@@ -300,22 +301,22 @@ class TestNoOvershoot:
         obj = spec.to_objective()
         traj = gd_run(obj, spec.x0, 1.0 / obj.L, StopRule.max_steps(50))
         intervals = IntervalProductSet(lo=np.zeros(4), hi=np.zeros(4))
-        assert separable_no_overshoot_check(traj, intervals)
+        assert no_overshoot(traj, intervals)
 
     def test_overshooting_counterexample(self):
         traj = discrete_traj([8.0, -6.0, 4.5])
         intervals = IntervalProductSet(lo=np.zeros(1), hi=np.zeros(1))
-        assert not separable_no_overshoot_check(traj, intervals)
+        assert not no_overshoot(traj, intervals)
 
     def test_constant_at_optimum(self):
         traj = discrete_traj([0.0, 0.0, 0.0])
         intervals = IntervalProductSet(lo=np.zeros(1), hi=np.zeros(1))
-        assert separable_no_overshoot_check(traj, intervals)
+        assert no_overshoot(traj, intervals)
 
     def test_requires_interval_set(self):
         traj = discrete_traj([1.0, 0.5])
         with pytest.raises(InputError):
-            separable_no_overshoot_check(traj, SingletonSet(point=np.zeros(1)))
+            no_overshoot(traj, SingletonSet(point=np.zeros(1)))
 
 
 class TestPlRatio:
@@ -350,19 +351,56 @@ class TestPlRatio:
             PlRatio(obj)
 
 
-#: Analyses that need every iterate, called on the PL instance's objective.
-FULL_RECORD_ANALYSES = {
-    "effective_pkl_mu": lambda traj, obj: effective_pkl_mu(traj, obj),
-    "effective_lipschitz": lambda traj, obj: effective_lipschitz(traj, obj),
-    "linear_convergence_fit": lambda traj, obj: linear_convergence_fit(traj, obj.optimal_set),
-    "separable_no_overshoot_check": lambda traj, obj: separable_no_overshoot_check(traj, obj.optimal_set),
-}
+@pytest.fixture(scope="module", params=[8, 148, 2000])
+def pkl_row(request):
+    """A streamed pkl-lower-gd run with three observers combined by a lambda."""
+    inst = build_pkl_gd_instance(request.param)
+    opt = inst.objective.optimal_set
+    pl, no, dists = PlRatio(inst.objective), NoOvershoot(opt), DistanceEnvelope(opt)
+    traj = gd_run(
+        inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6), keep_iterates=False,
+        observe=lambda x, f, g: (pl(x, f, g), no(x, f, g), dists(x, f, g)),
+    )
+    assert len(dists.dists) == traj.n_steps + 1
+    return SimpleNamespace(
+        d=request.param, inst=inst, traj=traj, report=path_length_discrete(traj, opt),
+        pl=pl, no=no, dists=dists,
+    )
+
+
+class TestPklRows:
+    def test_effective_mu_above_declared(self, pkl_row):
+        assert pkl_row.pl.aggregate("min") >= pkl_row.inst.objective.mu * (1 - SANDWICH_SLACK)
+
+    def test_result_e_separable_no_overshoot(self, pkl_row):
+        # without overshoot each coordinate moves monotonically to its
+        # interval, so the path is at most the l1 distance it covers
+        assert pkl_row.no.holds
+        x0, xn = pkl_row.traj.points[0], pkl_row.traj.points[-1]
+        rep = pkl_row.report
+        chord_l1 = float(np.abs(x0 - xn).sum())
+        dist0_l1 = float(np.abs(x0 - pkl_row.inst.objective.optimal_set.project(x0)).sum())
+        assert rep.raw_length <= chord_l1 * (1 + SANDWICH_SLACK)
+        assert rep.length <= dist0_l1 * (1 + SANDWICH_SLACK)
+        assert dist0_l1 <= math.sqrt(pkl_row.d) * rep.dist0 * (1 + SANDWICH_SLACK)
+
+    def test_result_a_linear_envelope(self, pkl_row):
+        a_fit, c_fit = pkl_row.dists.fit()
+        _, c_cert = construction_linconv_constants(pkl_row.d, "gd")
+        assert c_fit >= c_cert
+        inst, ratio = pkl_row.inst, pkl_row.report.ratio
+        assert ratio <= bound_linconv_gd(a_fit, c_fit, inst.eta, inst.objective.L) * (1 + SANDWICH_SLACK)
+        assert ratio >= lower_bound_pkl(which="linconv_gd", c=c_cert) * (1 - SANDWICH_SLACK)
+
+
+#: The one analysis that still reads a record's stored iterates.
+FULL_RECORD_ANALYSES = {"effective_pkl_mu": effective_pkl_mu}
 
 
 @pytest.mark.parametrize("name", sorted(FULL_RECORD_ANALYSES))
 def test_thinned_trajectory_refused(name):
     # an endpoints-only record would take a min over a subset (overstating
-    # mu) or read a multi-step gap as one step; the analyses refuse it instead
+    # mu); the analysis refuses it instead
     inst = build_pkl_gd_instance(6)
     analysis = FULL_RECORD_ANALYSES[name]
     stop = StopRule.max_steps(12)
@@ -389,3 +427,48 @@ def test_short_endpoints_record_accepted(name, steps):
             return str(exc)
 
     assert outcome(False) == outcome(True)
+
+
+def _verdict(observer):
+    try:
+        return observer.holds if isinstance(observer, NoOvershoot) else observer.fit()
+    except InputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 12])
+@pytest.mark.parametrize("observer", [NoOvershoot, DistanceEnvelope], ids=lambda cls: cls.__name__)
+def test_streamed_equals_replay(observer, steps):
+    # an observer sees every iterate inside the loop, so a run that keeps
+    # only its endpoints gives the verdict, the pair or the error text of
+    # a replay over the stored run
+    inst = build_pkl_gd_instance(6)
+    stop = StopRule.max_steps(steps)
+    streamed = observer(inst.objective.optimal_set)
+    gd_run(inst.objective, inst.x0, inst.eta, stop, keep_iterates=False, observe=streamed)
+    stored = gd_run(inst.objective, inst.x0, inst.eta, stop)
+    assert len(stored.points) == steps + 1
+    assert _verdict(streamed) == _verdict(replay(observer(inst.objective.optimal_set), stored))
+
+
+def test_analyses_read_only_trajectory_endpoints():
+    # a trajectory analysis is an observer; only effective_pkl_mu (and
+    # self_contracted_check, which takes points, not a trajectory) may
+    # read more of a record than x_0, x_N and its length
+    tree = ast.parse(Path(gradpath.analysis.__file__).read_text())
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def endpoint_read(node):
+        up = parent[node]
+        if isinstance(up, ast.Subscript) and up.value is node:
+            return ast.unparse(up.slice) in ("0", "-1")
+        return isinstance(up, ast.Call) and ast.unparse(up.func) == "len" and up.args == [node]
+
+    offenders = [
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name != "effective_pkl_mu"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "points" and not endpoint_read(node)
+    ]
+    assert offenders == []
