@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, harness
+from . import bounds, harness, properties
 from .analysis import path_length_discrete, self_contracted_check
 from .errors import GradPathError, InputError, InvariantViolation, finite_number, positive_number
 from .objectives import as_vector
@@ -28,7 +28,6 @@ from .optimizers import (
     parse_stop_rule,
     pgd_run,
 )
-from .properties import SuiteReport
 from .registry import parse_instance
 
 
@@ -151,19 +150,14 @@ def _cmd_experiment(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seeds=tuple(args.seed + s for s in cfg.seeds))
 
-    result = harness.run_experiment(cfg)
-    if isinstance(result, SuiteReport):
-        print(result.render())
-        return 0 if result.ok else 1
-
-    out_dir = Path(args.out)
-    csv_path = Path(cfg.out) if cfg.out else out_dir / f"{cfg.experiment}.csv"
-    harness.emit_csv(result, csv_path)
-    print(f"wrote {csv_path} ({len(result)} rows)")
+    rows = harness.run_experiment(cfg)
+    csv_path = Path(cfg.out) if cfg.out else Path(args.out) / f"{cfg.experiment}.csv"
+    harness.emit_csv(rows, csv_path)
+    print(f"wrote {csv_path} ({len(rows)} rows)")
     figure = harness.EXPERIMENT_TABLE[cfg.experiment].figure
     if figure:
         script_path = csv_path.with_name(csv_path.stem + "_plot.py")
-        harness.emit_plot_script(result, figure, csv_path, script_path)
+        harness.emit_plot_script(figure, csv_path, script_path)
         print(f"wrote {script_path}")
     return 0
 
@@ -194,10 +188,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    cfg = harness.default_config("property-suite")
-    if args.dims:
-        cfg = replace(cfg, dims=tuple(args.dims))
-    report = harness.run_property_suite(cfg)
+    suite = properties.run_property_suite
+    report = suite(tuple(args.dims)) if args.dims else suite()
     print(report.render())
     return 0 if report.ok else 1
 
@@ -253,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("suite", help="run the aggregated invariant suite")
-    p.add_argument("--dims", type=int, nargs="*", default=None)
+    p.add_argument("--dims", type=int, nargs="*", default=None, help="dimensions to check (default: 6 20)")
     p.set_defaults(func=_cmd_suite)
 
     return parser

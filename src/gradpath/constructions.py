@@ -19,10 +19,19 @@ from .errors import InputError, finite_number, positive_number
 from .objectives import Array, IntervalProductSet, ObjectiveSpec, QuadraticSpec, as_vector
 
 
-def _require_dim(d: int, minimum: int = 6) -> int:
+#: Smallest dimension of the PL lower-bound construction.
+PKL_MIN_DIM = 6
+
+#: Capture thresholds of the geometric-spectrum quadratic's checkpoint
+#: schedules: the flow's and the eta = 1/(2 a_1) descent's.
+QUAD_GF_DELTA = 0.07
+QUAD_GD_DELTA = math.exp(-3.0)
+
+
+def _require_dim(d: int) -> int:
     d = finite_number(d, "d", int)
-    if d < minimum:
-        raise InputError(f"the PL lower-bound construction requires an integer d >= {minimum}")
+    if d < PKL_MIN_DIM:
+        raise InputError(f"the PL lower-bound construction requires an integer d >= {PKL_MIN_DIM}")
     return d
 
 
@@ -41,12 +50,11 @@ class PklConstruction:
     continuously differentiable at gamma.  Globally L = 2 and the PL
     constant is mu = 2/(3 d^2).
 
-    :meth:`g_and_deriv`, :meth:`g` and :meth:`g_deriv` share one
-    evaluator, which writes each piece's formula once, on the coordinates
-    :meth:`_pieces` selects, and computes only the halves asked for.  For
-    a 1-D input in ascending order each piece is one contiguous index
-    run, found with 4 binary searches instead of one lookup per
-    coordinate.  Descent on the staircase stays on that path: the
+    :meth:`g_and_deriv` writes each piece's formula once, on the
+    coordinates :meth:`_pieces` selects; :meth:`g` and :meth:`g_deriv` are
+    its two halves.  For a 1-D input in ascending order each piece is one
+    contiguous index run, found with 4 binary searches instead of one
+    lookup per coordinate.  Descent on the staircase stays on that path: the
     staggered x0 is ascending (unless a reduced construction is lifted,
     which appends zeros), and with eta * L <= 1 the scalar map
     x -> x - eta g'(x) is nondecreasing, so every iterate is ascending
@@ -93,53 +101,33 @@ class PklConstruction:
         return [piece == i for i in range(5)]
 
     def g_and_deriv(self, x) -> tuple[Array, Array]:
-        """``(g(x), g'(x))`` from one selection of the pieces."""
-        return self._evaluate(x, True, True)
-
-    def g(self, x):
-        return self._evaluate(x, True, False)[0]
-
-    def g_deriv(self, x):
-        return self._evaluate(x, False, True)[1]
-
-    def _evaluate(self, x, with_value: bool, with_deriv: bool):
-        """``(g(x), g'(x))``, a half not asked for left None, from one
-        selection of the pieces.  This is the one place each piece's
-        formula is written; an empty piece (on the descent, always the
-        tail) is not written."""
+        """``(g(x), g'(x))`` from one selection of the pieces.  This is the
+        one place each piece's formula is written; an empty piece (on the
+        descent, always the tail) is not written."""
         x = np.asarray(x, dtype=float)
-        value = np.empty(x.shape) if with_value else None
-        deriv = np.empty(x.shape) if with_deriv else None
+        value, deriv = np.empty(x.shape), np.empty(x.shape)
         zero, quad, cap, linear, tail = self._pieces(x)
         if _occupied(zero):
-            if with_value:
-                value[zero] = 0.0
-            if with_deriv:
-                deriv[zero] = 0.0
+            value[zero] = deriv[zero] = 0.0
         if _occupied(quad):
             t = x[quad]
-            if with_value:
-                value[quad] = t**2
-            if with_deriv:
-                deriv[quad] = 2.0 * t
+            value[quad], deriv[quad] = t**2, 2.0 * t
         if _occupied(cap):
             u = 1.0 - x[cap]
-            if with_value:
-                value[cap] = 0.5 - u**2
-            if with_deriv:
-                deriv[cap] = 2.0 * u
+            value[cap], deriv[cap] = 0.5 - u**2, 2.0 * u
         if _occupied(linear):
-            if with_value:
-                value[linear] = (0.5 - self.delta**2) + 2.0 * self.delta * (x[linear] - (1.0 - self.delta))
-            if with_deriv:
-                deriv[linear] = 2.0 * self.delta
+            value[linear] = (0.5 - self.delta**2) + 2.0 * self.delta * (x[linear] - (1.0 - self.delta))
+            deriv[linear] = 2.0 * self.delta
         if _occupied(tail):
             t = x[tail]
-            if with_value:
-                value[tail] = self.quad_offset + self.quad_coeff * t**2
-            if with_deriv:
-                deriv[tail] = (2.0 * self.quad_coeff) * t
+            value[tail], deriv[tail] = self.quad_offset + self.quad_coeff * t**2, (2.0 * self.quad_coeff) * t
         return value, deriv
+
+    def g(self, x):
+        return self.g_and_deriv(x)[0]
+
+    def g_deriv(self, x):
+        return self.g_and_deriv(x)[1]
 
     def to_objective(self, name: str, dim: int | None = None) -> ObjectiveSpec:
         """The separable objective sum_i g(x_i) in dimension ``dim``.
@@ -188,7 +176,7 @@ def _active_dimension(d: int, target_kappa: float | None) -> int:
     if target_kappa < 216:
         raise InputError("target_kappa must be at least 216")
     d_prime = int(math.floor(math.sqrt(target_kappa / 3.0)))
-    return max(6, min(d, d_prime))
+    return max(PKL_MIN_DIM, min(d, d_prime))
 
 
 def _staggered_x0(d: int, kind: PklConstruction, spacing: float) -> Array:
@@ -276,9 +264,10 @@ class QuadLowerConstruction:
 
     a_i = omega^(d-i), x0 = (1, ..., 1), condition number omega^(d-1).
     The checkpoint schedules replay the capture argument: the flow
-    passes coordinate i at t_i = log(1/0.07)/a_i, the eta = 1/(2 a_1)
-    iteration at k_i = 3 omega^(i-1) steps (delta = e^-3), which are
-    integers whenever omega is an integer.
+    passes coordinate i at t_i = log(1/QUAD_GF_DELTA)/a_i, the
+    eta = 1/(2 a_1) iteration at k_i = 3 omega^(i-1) steps
+    (QUAD_GD_DELTA = e^-3), which are integers whenever omega is an
+    integer.
 
     :meth:`to_objective` evaluates the gradient elementwise as ``a * x``.
     The spectrum is already descending, so the eigen form's basis is the
@@ -292,16 +281,6 @@ class QuadLowerConstruction:
     omega: float
     spectrum: Array            # descending
     x0: Array
-    gf_delta: float = 0.07
-    gd_delta: float = math.exp(-3.0)
-
-    @classmethod
-    def build(cls, d: int, omega: float) -> "QuadLowerConstruction":
-        d, omega = positive_number(d, "dimension", int), finite_number(omega, "omega")
-        if omega <= 1:
-            raise InputError("omega must be finite and exceed 1")
-        powers = np.arange(d - 1, -1, -1, dtype=float)
-        return cls(d=d, omega=omega, spectrum=np.power(omega, powers), x0=np.ones(d))
 
     @property
     def kappa(self) -> float:
@@ -322,11 +301,11 @@ class QuadLowerConstruction:
 
     @property
     def gf_checkpoints(self) -> Array:
-        return math.log(1.0 / self.gf_delta) / self.spectrum
+        return math.log(1.0 / QUAD_GF_DELTA) / self.spectrum
 
     @property
     def gd_checkpoints(self) -> Array:
-        return float(self.spectrum[0]) * math.log(1.0 / self.gd_delta) / self.spectrum
+        return float(self.spectrum[0]) * math.log(1.0 / QUAD_GD_DELTA) / self.spectrum
 
     def to_quadratic(self) -> QuadraticSpec:
         return QuadraticSpec.diagonal(self.spectrum, self.x0)
@@ -339,7 +318,11 @@ class QuadLowerConstruction:
 
 def build_quad_lower(d: int, omega: float) -> QuadLowerConstruction:
     """Geometric-spectrum quadratic with x0 = all-ones."""
-    return QuadLowerConstruction.build(d, omega)
+    d, omega = positive_number(d, "dimension", int), finite_number(omega, "omega")
+    if omega <= 1:
+        raise InputError("omega must be finite and exceed 1")
+    powers = np.arange(d - 1, -1, -1, dtype=float)
+    return QuadLowerConstruction(d=d, omega=omega, spectrum=np.power(omega, powers), x0=np.ones(d))
 
 
 @dataclass(frozen=True)

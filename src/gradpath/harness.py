@@ -2,7 +2,7 @@
 
 Experiments are driven by a flat key/value config; every run is a pure
 function of the config and its seeds, so identical configs produce
-identical CSV files up to the runtime column.  Each CSV experiment is a
+identical CSV files up to the runtime column.  Each experiment is a
 grid of independent points.  A grid with at least two points projected
 to take ``FORK_MIN_STEPS`` descent steps or more is spread over forked
 workers (module ``workers``), one per CPU this process may use (POSIX
@@ -29,7 +29,6 @@ from .analysis import PlRatio, path_length_discrete, path_length_quadratic_gf
 from .analysis import effective_pkl_mu  # noqa: F401  (re-exported; bench/workloads.py traces it)
 from .errors import InputError, InvariantViolation, finite_number, positive_number
 from .optimizers import StopRule, gd_run
-from .properties import run_property_suite
 
 #: Relative slack granted to the bound sandwich (quadrature error).
 SANDWICH_SLACK = 1e-9
@@ -306,11 +305,10 @@ class Experiment:
     """One experiment id: its default grid fields, the function that turns
     one grid point into a CSV row, the figure its plot script draws and
     a point's projected descent steps (``None``: too cheap to fork for).
-    The grid is the product of the grid fields, in this order; the
-    property suite has no point function: it reports checks, not rows."""
+    The grid is the product of the grid fields, in this order."""
 
     grid: dict
-    point_row: Callable[[tuple, ExperimentConfig], ResultRow] | None = None
+    point_row: Callable[[tuple, ExperimentConfig], ResultRow]
     figure: str | None = None
     projected_steps: Callable[[tuple, ExperimentConfig], int] | None = None
 
@@ -324,7 +322,6 @@ EXPERIMENT_TABLE = {
     "quad-random": Experiment(dict(dims=(20,), kappas=(1e6,), seeds=tuple(range(10))),
                               _random_point, "f2-ratio-vs-logkappa"),
     "bound-sweep": Experiment(dict(dims=(6, 20, 150), omegas=(1.1, 2.0, 11.0)), _bound_point),
-    "property-suite": Experiment(dict(dims=(6, 20))),
 }
 
 EXPERIMENTS = tuple(EXPERIMENT_TABLE)
@@ -346,10 +343,8 @@ def _worker_count(entry: Experiment, points, cfg) -> int:
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Rows of a CSV experiment, sorted and sandwich-checked; the suite report for property-suite."""
+    """Rows of an experiment, sorted and sandwich-checked."""
     entry = EXPERIMENT_TABLE[cfg.experiment]
-    if entry.point_row is None:
-        return run_property_suite(cfg)
     points = list(itertools.product(*(getattr(cfg, name) for name in entry.grid)))
     if not points:
         raise InputError(f"experiment {cfg.experiment!r} has an empty grid")
@@ -386,8 +381,6 @@ def emit_csv(rows, path) -> str:
         fh.write(text)
     return text
 
-
-PLOT_FIGURES = ("f1-ratio-vs-kappa", "f2-ratio-vs-logkappa")
 
 _PLOT_TEMPLATE = '''\
 #!/usr/bin/env python3
@@ -428,40 +421,31 @@ plt.ylabel("path length ratio")
 '''
 
 _F2_BODY = '''\
-xs = [math.log(float(r["kappa_nominal"])) for r in rows if r["ratio"]]
-ys = [float(r["ratio"]) for r in rows if r["ratio"]]
-DIM = {dim}
 plt.figure(figsize=(6, 4))
-if xs:
-    plt.plot(xs, ys, "o", label="measured ratio")
-lo = min(xs) if xs else 1.0
-hi = max(xs) if xs else 30.0
-ref_x = [lo + (hi - lo) * i / 200 for i in range(201)]
-plt.plot(ref_x, [1 + 2.5 * math.sqrt(v) for v in ref_x], "-", label="upper bound")
-lower = [0.45 * math.sqrt(v) for v in ref_x]
-if DIM is not None:
-    lower = [min(v, 0.7 * math.sqrt(DIM)) for v in lower]
-plt.plot(ref_x, lower, "--", label="lower bound")
+for column, style, label in (("ratio", "o", "measured ratio"), ("bound_upper", "v", "upper bound"),
+                             ("bound_lower", "^", "lower bound")):
+    present = [r for r in rows if r[column]]
+    if present:
+        xs = [math.log(float(r["kappa_nominal"])) for r in present]
+        plt.plot(xs, [float(r[column]) for r in present], style, label=label)
 plt.xlabel("log condition number")
 plt.ylabel("path length ratio")
 '''
 
+#: The body of each figure's plot script.
+PLOT_FIGURES = {"f1-ratio-vs-kappa": _F1_BODY, "f2-ratio-vs-logkappa": _F2_BODY}
 
-def render_plot_script(rows, figure: str, csv_path: str) -> str:
+
+def render_plot_script(figure: str, csv_path: str) -> str:
+    """A standalone script that draws ``figure`` from the CSV at ``csv_path``."""
     if figure not in PLOT_FIGURES:
         raise InputError(f"unknown figure {figure!r}; known: {', '.join(PLOT_FIGURES)}")
     out_png = str(Path(csv_path).with_suffix(".png"))
-    if figure == "f1-ratio-vs-kappa":
-        body = _F1_BODY
-    else:
-        dims = sorted({row.d for row in rows})
-        dim = dims[0] if len(dims) == 1 else None
-        body = _F2_BODY.format(dim=dim)
-    return _PLOT_TEMPLATE.format(figure=figure, csv_path=str(csv_path), body=body, out_png=out_png)
+    return _PLOT_TEMPLATE.format(figure=figure, csv_path=str(csv_path), body=PLOT_FIGURES[figure], out_png=out_png)
 
 
-def emit_plot_script(rows, figure: str, csv_path, out_path) -> str:
-    text = render_plot_script(rows, figure, str(csv_path))
+def emit_plot_script(figure: str, csv_path, out_path) -> str:
+    text = render_plot_script(figure, str(csv_path))
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="\n") as fh:

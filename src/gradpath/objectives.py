@@ -335,11 +335,11 @@ class QuadraticSpec:
         )
 
 
-def quadratic_from_data(A, y, x0, rank_rtol: float = RANK_RTOL) -> QuadraticSpec:
+def quadratic_from_data(A, y, x0) -> QuadraticSpec:
     """Eigen-form spec of the least-squares objective f(x) = ||y - Ax||^2 / (2n).
 
     The Gram matrix A^T A / n is diagonalised through the SVD of A;
-    singular values of the Gram matrix below ``rank_rtol`` times its
+    singular values of the Gram matrix below ``RANK_RTOL`` times its
     largest one are zeroed, which defines the rank d+.  The returned
     projection point is (I - V V^T) x0 + pinv(A) y, the limit of both
     the flow and the small-step iteration started at ``x0``.
@@ -355,7 +355,7 @@ def quadratic_from_data(A, y, x0, rank_rtol: float = RANK_RTOL) -> QuadraticSpec
 
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     gram_sigma = s**2 / n
-    keep = gram_sigma > rank_rtol * gram_sigma[0]
+    keep = gram_sigma > RANK_RTOL * gram_sigma[0]
     basis = vt[keep].T
     sigma = gram_sigma[keep]
 

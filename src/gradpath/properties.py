@@ -2,8 +2,8 @@
 
 Each check either returns None (pass) or a witness string (fail);
 exceptions are reported as failures with their message.  The suite is
-parameterized by the config's dimension and seed grids and passes
-vacuously when the dimension grid is empty.
+parameterized by a grid of dimensions and passes vacuously when the grid
+is empty.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .analysis import (
     path_length_quadratic_gf,
     self_contracted_check,
 )
+from .errors import positive_number
 from .objectives import (
     ObjectiveSpec,
     QuadraticSpec,
@@ -88,32 +89,31 @@ def _zoo(dims):
 # --- individual checks ------------------------------------------------------
 
 
-def _check_zoo_gradients(cfg):
+def _check_zoo_gradients(dims):
     rng = np.random.default_rng(2024)
-    for inst in _zoo(cfg.dims):
+    for inst in _zoo(dims):
         pts = [inst.x0 * rng.uniform(0.2, 0.9) for _ in range(8)]
         pts += [rng.uniform(0.05, 0.45, inst.objective.dim) for _ in range(8)]
         check_gradient(inst.objective, pts, rel_tol=1e-5)
 
 
-def _check_quadratic_eigen_vs_data(cfg):
+def _check_quadratic_eigen_vs_data(dims):
     rng = np.random.default_rng(7)
-    for seed in cfg.seeds:
-        n, d = int(rng.integers(2, 8)), int(rng.integers(1, 6))
-        a = rng.standard_normal((n, d))
-        y = rng.standard_normal(n)
-        x0 = rng.standard_normal(d)
-        spec = quadratic_from_data(a, y, x0)
-        for _ in range(10):
-            x = rng.standard_normal(d)
-            lhs, rhs = spec.value(x), spec.value_from_data(x)
-            if abs(lhs - rhs) > 1e-10 * max(1.0, abs(rhs)):
-                return f"eigen/matrix value mismatch {lhs!r} vs {rhs!r}"
+    n, d = int(rng.integers(2, 8)), int(rng.integers(1, 6))
+    a = rng.standard_normal((n, d))
+    y = rng.standard_normal(n)
+    x0 = rng.standard_normal(d)
+    spec = quadratic_from_data(a, y, x0)
+    for _ in range(10):
+        x = rng.standard_normal(d)
+        lhs, rhs = spec.value(x), spec.value_from_data(x)
+        if abs(lhs - rhs) > 1e-10 * max(1.0, abs(rhs)):
+            return f"eigen/matrix value mismatch {lhs!r} vs {rhs!r}"
 
 
-def _check_projection_idempotent(cfg):
+def _check_projection_idempotent(dims):
     rng = np.random.default_rng(11)
-    for inst in _zoo(cfg.dims):
+    for inst in _zoo(dims):
         opt = inst.objective.optimal_set
         if opt is None:
             continue
@@ -125,9 +125,9 @@ def _check_projection_idempotent(cfg):
                 return f"projection not idempotent for {inst.label}"
 
 
-def _check_separable_pkl_mediant(cfg):
+def _check_separable_pkl_mediant(dims):
     rng = np.random.default_rng(13)
-    for d in cfg.dims:
+    for d in dims:
         inst = registry.make_instance("fsep-quartic", d=d)
         obj = inst.objective
         weights = np.arange(1, d + 1, dtype=float)
@@ -148,8 +148,8 @@ def _check_separable_pkl_mediant(cfg):
                 return f"aggregate ratio {total} below per-piece min {per_piece.min()}"
 
 
-def _check_gd_descent(cfg):
-    for inst in _zoo(cfg.dims):
+def _check_gd_descent(dims):
+    for inst in _zoo(dims):
         obj = inst.objective
         if obj.L is None or obj.optimal_set is None:
             continue
@@ -170,7 +170,7 @@ def _check_gd_descent(cfg):
             return f"distance descent at eta=2/L violated on {inst.label} (d0={d0})"
 
 
-def _check_gf_closed_form(cfg):
+def _check_gf_closed_form(dims):
     rng = np.random.default_rng(17)
     tol = 1e-10
     spec = _random_convex_quadratic(rng)
@@ -181,7 +181,7 @@ def _check_gf_closed_form(cfg):
         return f"flow deviates from closed form by {err:.3e}"
 
 
-def _check_pgd_feasible(cfg):
+def _check_pgd_feasible(dims):
     rng = np.random.default_rng(19)
     spec = _random_convex_quadratic(rng)
     proj = box_projector(np.full(spec.dim, -0.5), np.full(spec.dim, 0.5))
@@ -192,7 +192,7 @@ def _check_pgd_feasible(cfg):
             return f"iterate {k} left the constraint box"
 
 
-def _check_hb_beta_zero(cfg):
+def _check_hb_beta_zero(dims):
     rng = np.random.default_rng(23)
     spec = _random_convex_quadratic(rng)
     obj = spec.to_objective()
@@ -203,7 +203,7 @@ def _check_hb_beta_zero(cfg):
         return "beta=0 heavy ball differs bitwise from gradient descent"
 
 
-def _check_path_triangle(cfg):
+def _check_path_triangle(dims):
     rng = np.random.default_rng(29)
     for _ in range(10):
         spec = _random_convex_quadratic(rng)
@@ -215,7 +215,7 @@ def _check_path_triangle(cfg):
             return f"path {rep.raw_length} shorter than chord {chord}"
 
 
-def _check_quad_arc_brackets(cfg):
+def _check_quad_arc_brackets(dims):
     rng = np.random.default_rng(31)
     for _ in range(10):
         spec = _random_convex_quadratic(rng)
@@ -226,7 +226,7 @@ def _check_quad_arc_brackets(cfg):
             return f"arc {rep.length} outside [{lo}, {hi}]"
 
 
-def _check_gd_self_contracted(cfg):
+def _check_gd_self_contracted(dims):
     rng = np.random.default_rng(37)
     for _ in range(25):
         spec = _random_convex_quadratic(rng)
@@ -245,8 +245,8 @@ def _check_gd_self_contracted(cfg):
         return f"unexpected witness distances {verdict.dist_mid}, {verdict.dist_far}"
 
 
-def _check_effective_mu_floor(cfg):
-    for d in cfg.dims:
+def _check_effective_mu_floor(dims):
+    for d in dims:
         if d < 6:
             continue
         inst = registry.make_instance("pkl-lower-gd", d=d)
@@ -257,7 +257,7 @@ def _check_effective_mu_floor(cfg):
             return f"effective mu {mu} below declared {inst.objective.mu} at d={d}"
 
 
-def _check_linear_fit(cfg):
+def _check_linear_fit(dims):
     rng = np.random.default_rng(41)
     spec = _random_convex_quadratic(rng)
     obj = spec.to_objective()
@@ -271,7 +271,7 @@ def _check_linear_fit(cfg):
             return f"(A, c)=({a}, {c}) fails at step {k}"
 
 
-def _check_bound_monotonicity(cfg):
+def _check_bound_monotonicity(dims):
     kappas = np.linspace(1.0, 1e6, 40)
     prev_pkl = prev_fsep = prev_hb = -math.inf
     for k in kappas:
@@ -288,7 +288,7 @@ def _check_bound_monotonicity(cfg):
         prev = v
 
 
-def _check_gap_term(cfg):
+def _check_gap_term(dims):
     grid = np.exp(np.linspace(0.0, math.log(1e6), 400))
     for k in grid:
         val = bounds.spectral_gap_term(float(k))
@@ -300,9 +300,8 @@ def _check_gap_term(cfg):
         return "gap term at 6 below 0.5"
 
 
-def _check_pkl_breakpoints(cfg):
-    dims = sorted(set(cfg.dims) | {6, 20, 63, 200, 632, 2000})
-    for d in dims:
+def _check_pkl_breakpoints(dims):
+    for d in sorted(set(dims) | {6, 20, 63, 200, 632, 2000}):
         if d < 6:
             continue
         kind = constructions.PklConstruction.build(d)
@@ -316,8 +315,8 @@ def _check_pkl_breakpoints(cfg):
             return f"grid PL ratio {ratios.min()} below mu={kind.mu} (d={d})"
 
 
-def _check_pkl_checkpoints(cfg):
-    for d in cfg.dims:
+def _check_pkl_checkpoints(dims):
+    for d in dims:
         if d < 6:
             continue
         gf = constructions.build_pkl_gf_instance(d)
@@ -330,8 +329,8 @@ def _check_pkl_checkpoints(cfg):
             return f"descent checkpoint missed: {traj.points[-1][1]!r} (d={d})"
 
 
-def _check_construction_dist_bounds(cfg):
-    for d in cfg.dims:
+def _check_construction_dist_bounds(dims):
+    for d in dims:
         if d < 6:
             continue
         gf = constructions.build_pkl_gf_instance(d)
@@ -342,7 +341,7 @@ def _check_construction_dist_bounds(cfg):
             return f"descent init distance exceeds 4 sqrt(d) log d at d={d}"
 
 
-def _check_quad_checkpoints_integer(cfg):
+def _check_quad_checkpoints_integer(dims):
     for omega in (2, 3, 11):
         c = constructions.build_quad_lower(5, float(omega))
         ks = c.gd_checkpoints
@@ -373,17 +372,16 @@ _CHECKS = [
 ]
 
 
-def run_property_suite(cfg) -> SuiteReport:
-    """Run every module invariant over the config's grids.
-
-    An empty dimension grid makes the suite pass vacuously.
-    """
-    if not cfg.dims:
+def run_property_suite(dims=(6, 20)) -> SuiteReport:
+    """Run every module invariant over the dimensions ``dims`` (positive
+    integers); an empty grid makes the suite pass vacuously."""
+    dims = tuple(positive_number(d, "dims", int) for d in dims)
+    if not dims:
         return SuiteReport(results=[])
     results = []
     for name, fn in _CHECKS:
         try:
-            detail = fn(cfg)
+            detail = fn(dims)
         except Exception as exc:  # noqa: BLE001 - a failing check must not kill the suite
             results.append(SuiteResult(name, False, f"{type(exc).__name__}: {exc}"))
             continue

@@ -37,6 +37,9 @@ _KRONROD_W = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _GAUSS_IDX = np.arange(1, 15, 2)                            # Gauss subset
 _GAUSS_W = np.concatenate([_WG[:-1], _WG[::-1]])
 
+#: Segments from which an unconverged integration raises QuadratureError.
+MAX_SEGMENTS = 50_000
+
 
 def _gk15(f, a: float, b: float) -> tuple[float, float]:
     """Kronrod estimate and conservative |K - G| error for one segment."""
@@ -54,7 +57,6 @@ def adaptive_quadrature(
     b: float,
     abs_tol: float,
     breakpoints=None,
-    max_segments: int = 50_000,
 ) -> tuple[float, float, int]:
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``abs_tol``.
 
@@ -88,9 +90,9 @@ def adaptive_quadrature(
         total_err = -sum(item[0] for item in heap)
         if total_err <= abs_tol:
             break
-        if len(heap) >= max_segments:
+        if len(heap) >= MAX_SEGMENTS:
             raise QuadratureError(
-                f"quadrature did not converge within {max_segments} segments "
+                f"quadrature did not converge within {MAX_SEGMENTS} segments "
                 f"(error estimate {total_err:.2e} > {abs_tol:.2e})"
             )
         _, lo, hi, _ = heapq.heappop(heap)

@@ -1,5 +1,8 @@
+import json
 import math
 import os
+import subprocess
+import sys
 import threading
 from dataclasses import asdict, fields, replace
 
@@ -14,6 +17,7 @@ from gradpath import (
     StepSizeUnderflowError,
     StopRule,
     gf_integrate,
+    run_property_suite,
 )
 from gradpath.cli import main
 from gradpath.harness import (
@@ -34,7 +38,6 @@ from gradpath.harness import (
     render_csv,
     render_plot_script,
     run_experiment,
-    run_property_suite,
 )
 from gradpath.registry import parse_instance
 
@@ -120,7 +123,6 @@ EXPERIMENT_DEFAULTS = {
     "quad-lower-gd": (dict(dims=(6,), omegas=(11.0,)), "f2-ratio-vs-logkappa"),
     "quad-random": (dict(dims=(20,), kappas=(1e6,), seeds=tuple(range(10))), "f2-ratio-vs-logkappa"),
     "bound-sweep": (dict(dims=(6, 20, 150), omegas=(1.1, 2.0, 11.0)), None),
-    "property-suite": (dict(dims=(6, 20)), None),
 }
 
 #: a small grid per id, written as a config file
@@ -130,7 +132,6 @@ SMALL_GRIDS = {
     "quad-lower-gd": "dims = 4\nomegas = 3.0",
     "quad-random": "dims = 4\nkappas = 100.0",
     "bound-sweep": "dims = 6\nomegas = 2.0",
-    "property-suite": "dims = 6",
 }
 
 
@@ -243,10 +244,11 @@ class TestConfig:
     @pytest.mark.parametrize("line, match", [
         ("safety_cap = abc", "line 2: safety_cap: expected an integer"),
         ("dims = 6.5", "line 2: dims: expected an integer"),
+        ("dims = 6.0", "line 2: dims: expected an integer"),
         ("quad_abs_tol = nan", "line 2: quad_abs_tol must be finite"),
         ("omegas = 2.0, nan", "line 2: omegas must be finite"),
         ("kappas = inf", "line 2: kappas must be finite"),
-    ], ids=["int-malformed", "dims-not-int", "tol-nan", "omega-nan", "kappa-inf"])
+    ], ids=["int-malformed", "dims-not-int", "dims-float-text", "tol-nan", "omega-nan", "kappa-inf"])
     def test_malformed_or_non_finite_number_rejected(self, line, match, tmp_path):
         text = f"experiment = quad-lower-gf\n{line}\n"
         with pytest.raises(InputError, match=match):
@@ -402,12 +404,12 @@ class TestExperiments:
         assert all(r.bound_upper is not None for r in rows)
 
     def test_property_suite_vacuous_on_empty_grid(self):
-        report = run_property_suite(ExperimentConfig("property-suite", dims=()))
+        report = run_property_suite(dims=())
         assert report.ok
         assert report.results == []
 
     def test_property_suite_default_passes(self):
-        report = run_property_suite(ExperimentConfig("property-suite", dims=(6,)))
+        report = run_property_suite(dims=(6,))
         assert report.ok, report.render()
         assert len(report.results) >= 15
 
@@ -645,20 +647,13 @@ with open(CSV_PATH) as fh:
     for record in csv.DictReader(fh):
         rows.append(record)
 
-xs = [math.log(float(r["kappa_nominal"])) for r in rows if r["ratio"]]
-ys = [float(r["ratio"]) for r in rows if r["ratio"]]
-DIM = 6
 plt.figure(figsize=(6, 4))
-if xs:
-    plt.plot(xs, ys, "o", label="measured ratio")
-lo = min(xs) if xs else 1.0
-hi = max(xs) if xs else 30.0
-ref_x = [lo + (hi - lo) * i / 200 for i in range(201)]
-plt.plot(ref_x, [1 + 2.5 * math.sqrt(v) for v in ref_x], "-", label="upper bound")
-lower = [0.45 * math.sqrt(v) for v in ref_x]
-if DIM is not None:
-    lower = [min(v, 0.7 * math.sqrt(DIM)) for v in lower]
-plt.plot(ref_x, lower, "--", label="lower bound")
+for column, style, label in (("ratio", "o", "measured ratio"), ("bound_upper", "v", "upper bound"),
+                             ("bound_lower", "^", "lower bound")):
+    present = [r for r in rows if r[column]]
+    if present:
+        xs = [math.log(float(r["kappa_nominal"])) for r in present]
+        plt.plot(xs, [float(r[column]) for r in present], style, label=label)
 plt.xlabel("log condition number")
 plt.ylabel("path length ratio")
 
@@ -669,37 +664,86 @@ print("wrote", 'three.png')
 '''
 
 
+#: matplotlib.pyplot stand-in: records each plot call's (xs, ys, label)
+#: and writes them as JSON to the savefig path.
+STUB_PYPLOT = '''\
+import json
+
+_calls = []
+
+
+def plot(xs, ys, *style, label=None, **kwargs):
+    _calls.append([list(xs), list(ys), label])
+
+
+def savefig(path, **kwargs):
+    with open(path, "w") as fh:
+        json.dump(_calls, fh)
+
+
+def __getattr__(name):
+    return lambda *args, **kwargs: None
+'''
+
+
 class TestPlotScripts:
     def test_f1_empty_rows_golden(self):
-        assert render_plot_script([], "f1-ratio-vs-kappa", "demo.csv") == GOLDEN_F1_EMPTY
-
-    def test_f2_embeds_dimension(self):
-        text = render_plot_script([GOLDEN_ROW], "f2-ratio-vs-logkappa", "demo.csv")
-        assert "DIM = 6" in text
-        assert "0.45 * math.sqrt(v)" in text
-        assert "1 + 2.5 * math.sqrt(v)" in text
+        assert render_plot_script("f1-ratio-vs-kappa", "demo.csv") == GOLDEN_F1_EMPTY
 
     def test_f2_three_row_golden(self):
-        rows = [replace(GOLDEN_ROW, omega=w, kappa_nominal=w**5) for w in (2.0, 3.0, 11.0)]
-        assert render_plot_script(rows, "f2-ratio-vs-logkappa", "three.csv") == GOLDEN_F2_THREE
-
-    def test_f2_without_rows_has_no_truncation(self):
-        text = render_plot_script([], "f2-ratio-vs-logkappa", "demo.csv")
-        assert "DIM = None" in text
+        assert render_plot_script("f2-ratio-vs-logkappa", "three.csv") == GOLDEN_F2_THREE
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(InputError, match="unknown figure"):
-            render_plot_script([], "f3-something", "demo.csv")
+            render_plot_script("f3-something", "demo.csv")
+
+    @staticmethod
+    def plotted(rows, figure, tmp_path):
+        """The ``plot`` calls of the emitted ``figure`` script run on ``rows``,
+        as ``(xs, ys, label)``; a stub pyplot records them, so the scripts
+        run without matplotlib."""
+        stub = tmp_path / "stub" / "matplotlib"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text("")
+        (stub / "pyplot.py").write_text(STUB_PYPLOT)
+        csv_path = tmp_path / "rows.csv"
+        emit_csv(rows, csv_path)
+        emit_plot_script(figure, csv_path, tmp_path / "plot.py")
+        proc = subprocess.run(
+            [sys.executable, str(tmp_path / "plot.py")], capture_output=True, text=True,
+            env={"PYTHONPATH": str(stub.parent), "PATH": os.environ.get("PATH", "")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return [tuple(call) for call in json.loads((tmp_path / "rows.png").read_text())]
+
+    def test_f2_plots_the_rows_ratio_and_bounds(self, tmp_path):
+        rows = [replace(GOLDEN_ROW, omega=w, kappa_nominal=w**5, ratio=1.5 + w / 100, bound_upper=2.0 + w)
+                for w in (2.0, 3.0, 11.0)]
+        rows[1] = replace(rows[1], bound_lower=None)
+        rows.append(replace(GOLDEN_ROW, omega=20.0, kappa_nominal=20.0**5, ratio=None))
+
+        def column(name):
+            present = [r for r in rows if getattr(r, name) is not None]
+            return [math.log(r.kappa_nominal) for r in present], [getattr(r, name) for r in present]
+
+        assert self.plotted(rows, "f2-ratio-vs-logkappa", tmp_path) == [
+            (*column("ratio"), "measured ratio"),
+            (*column("bound_upper"), "upper bound"),
+            (*column("bound_lower"), "lower bound"),
+        ]
+
+    def test_f1_plots_the_rows_ratio_against_kappa_effective(self, tmp_path):
+        rows = [replace(GOLDEN_ROW, d=d, kappa_effective=10.0 * d**2, ratio=1.0 + d / 10) for d in (8, 20, 148)]
+        calls = self.plotted(rows, "f1-ratio-vs-kappa", tmp_path)
+        assert calls[0] == ([r.kappa_effective for r in rows], [r.ratio for r in rows], "measured ratio")
+        assert [label for _, _, label in calls[1:]] == ["3 k^(1/4) / log k"]
 
     def test_emitted_script_runs_headless(self, tmp_path):
         pytest.importorskip("matplotlib")
-        import subprocess
-        import sys
-
         csv_path = tmp_path / "rows.csv"
         emit_csv([GOLDEN_ROW], csv_path)
         script = tmp_path / "plot.py"
-        emit_plot_script([GOLDEN_ROW], "f2-ratio-vs-logkappa", csv_path, script)
+        emit_plot_script("f2-ratio-vs-logkappa", csv_path, script)
         proc = subprocess.run(
             [sys.executable, str(script)], capture_output=True, text=True,
             env={"MPLBACKEND": "Agg", "PATH": "/usr/bin:/bin"},
@@ -864,9 +908,7 @@ class TestCli:
         assert main(["experiment", experiment, "--out", str(tmp_path), "--config", str(config)]) == 0
         _, figure = EXPERIMENT_DEFAULTS[experiment]
         written = sorted(path.name for path in tmp_path.iterdir() if path != config)
-        if experiment == "property-suite":
-            assert written == []
-        elif figure is None:
+        if figure is None:
             assert written == [f"{experiment}.csv"]
         else:
             assert written == [f"{experiment}.csv", f"{experiment}_plot.py"]
@@ -903,11 +945,11 @@ class TestCli:
 
     @pytest.mark.parametrize("entry", ["zero", "negative", "config-file"])
     def test_non_positive_dims_is_exit_two(self, entry, tmp_path, capsys):
-        # each used to run the suite and exit 1 with "FAILED (15/19 checks)"
+        # `suite --dims 0` and `--dims -4` used to run the suite and exit 1 with "FAILED (15/19 checks)"
         if entry == "config-file":
-            cfg = tmp_path / "suite.cfg"
-            cfg.write_text("experiment = property-suite\ndims = 0\n")
-            argv = ["experiment", "property-suite", "--out", str(tmp_path), "--config", str(cfg)]
+            cfg = tmp_path / "grid.cfg"
+            cfg.write_text("experiment = quad-lower-gf\ndims = 0\n")
+            argv = ["experiment", "quad-lower-gf", "--out", str(tmp_path), "--config", str(cfg)]
         else:
             argv = ["suite", "--dims", "0" if entry == "zero" else "-4"]
         assert main(argv) == 2
@@ -919,6 +961,22 @@ class TestCli:
         assert main(["suite", "--dims", "6"]) == 0
         out = capsys.readouterr().out
         assert "OK" in out
+
+    def test_suite_is_no_experiment_id(self, tmp_path, capsys):
+        # the suite runs as `gradpath suite` only; every experiment writes rows
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "property-suite", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_suite_config_file_is_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("experiment = property-suite\ndims = 6\n")
+        assert main(["experiment", "quad-lower-gf", "--out", str(tmp_path), "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown experiment 'property-suite'; known: pkl-lower-gd,")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["suite.cfg"]
 
     @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if "seeds" not in EXPERIMENT_TABLE[e].grid])
     def test_seed_without_a_seeds_grid_is_exit_two(self, experiment, tmp_path, capsys):

@@ -47,6 +47,7 @@ def test_bad_parameter_rejected():
     ("quad-random:kappa=nan", "kappa in .* must be finite"),
     ("quad-geom:d=abc", "d in .*: expected an integer"),
     ("quad-geom:d=6.5", "d in .*: expected an integer"),
+    ("quad-geom:d=3.0", "d in .*: expected an integer"),
 ])
 def test_malformed_or_non_finite_parameter_rejected(text, match):
     with pytest.raises(InputError, match=match):
