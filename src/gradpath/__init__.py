@@ -54,13 +54,10 @@ from .objectives import (
     IntervalProductSet,
     ObjectiveSpec,
     QuadraticSpec,
-    ScalarPiece,
     SingletonSet,
     build_fsep_quartic,
-    build_separable,
     check_gradient,
     quadratic_from_data,
-    quadratic_piece,
 )
 from .optimizers import (
     StopRule,

@@ -50,9 +50,10 @@ class PklConstruction:
     continuously differentiable at gamma.  Globally L = 2 and the PL
     constant is mu = 2/(3 d^2).
 
-    :meth:`g_and_deriv` writes each piece's formula once, on the
-    coordinates :meth:`_pieces` selects; :meth:`g` and :meth:`g_deriv` are
-    its two halves.  For a 1-D input in ascending order each piece is one
+    :meth:`_values` and :meth:`_derivs` write each piece's formula once, on
+    the coordinates :meth:`_pieces` selects; :meth:`g` and :meth:`g_deriv`
+    each run one of them, and :meth:`g_and_deriv` both over one
+    selection.  For a 1-D input in ascending order each piece is one
     contiguous index run, found with 4 binary searches instead of one
     lookup per coordinate.  Descent on the staircase stays on that path: the
     staggered x0 is ascending (unless a reduced construction is lifted,
@@ -95,39 +96,57 @@ class PklConstruction:
         with b_(i-1) < x <= b_i (piece 4: x > gamma, and NaN).  Slices when
         ``x`` is a 1-D array in ascending order, else boolean masks."""
         if x.ndim == 1 and (x[:-1] <= x[1:]).all():
-            ends = [0, *x.searchsorted(self._edges, "right").tolist(), x.size]
-            return [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+            e1, e2, e3, e4 = x.searchsorted(self._edges, "right").tolist()
+            return [slice(0, e1), slice(e1, e2), slice(e2, e3), slice(e3, e4), slice(e4, x.size)]
         piece = np.searchsorted(self._edges, x)
         return [piece == i for i in range(5)]
 
-    def g_and_deriv(self, x) -> tuple[Array, Array]:
-        """``(g(x), g'(x))`` from one selection of the pieces.  This is the
-        one place each piece's formula is written; an empty piece (on the
+    def _values(self, x: Array, pieces: list) -> Array:
+        """g at ``x``, piece by selected piece; an empty piece (on the
         descent, always the tail) is not written."""
-        x = np.asarray(x, dtype=float)
-        value, deriv = np.empty(x.shape), np.empty(x.shape)
-        zero, quad, cap, linear, tail = self._pieces(x)
+        value = np.empty(x.shape)
+        zero, quad, cap, linear, tail = pieces
         if _occupied(zero):
-            value[zero] = deriv[zero] = 0.0
+            value[zero] = 0.0
         if _occupied(quad):
-            t = x[quad]
-            value[quad], deriv[quad] = t**2, 2.0 * t
+            value[quad] = x[quad] ** 2
         if _occupied(cap):
-            u = 1.0 - x[cap]
-            value[cap], deriv[cap] = 0.5 - u**2, 2.0 * u
+            value[cap] = 0.5 - (1.0 - x[cap]) ** 2
         if _occupied(linear):
             value[linear] = (0.5 - self.delta**2) + 2.0 * self.delta * (x[linear] - (1.0 - self.delta))
+        if _occupied(tail):
+            value[tail] = self.quad_offset + self.quad_coeff * x[tail] ** 2
+        return value
+
+    def _derivs(self, x: Array, pieces: list) -> Array:
+        """g' at ``x``, piece by selected piece."""
+        deriv = np.empty(x.shape)
+        zero, quad, cap, linear, tail = pieces
+        if _occupied(zero):
+            deriv[zero] = 0.0
+        if _occupied(quad):
+            deriv[quad] = 2.0 * x[quad]
+        if _occupied(cap):
+            deriv[cap] = 2.0 * (1.0 - x[cap])
+        if _occupied(linear):
             deriv[linear] = 2.0 * self.delta
         if _occupied(tail):
-            t = x[tail]
-            value[tail], deriv[tail] = self.quad_offset + self.quad_coeff * t**2, (2.0 * self.quad_coeff) * t
-        return value, deriv
+            deriv[tail] = (2.0 * self.quad_coeff) * x[tail]
+        return deriv
 
-    def g(self, x):
-        return self.g_and_deriv(x)[0]
+    def g_and_deriv(self, x) -> tuple[Array, Array]:
+        """``(g(x), g'(x))`` from one selection of the pieces."""
+        x = np.asarray(x, dtype=float)
+        pieces = self._pieces(x)
+        return self._values(x, pieces), self._derivs(x, pieces)
 
-    def g_deriv(self, x):
-        return self.g_and_deriv(x)[1]
+    def g(self, x) -> Array:
+        x = np.asarray(x, dtype=float)
+        return self._values(x, self._pieces(x))
+
+    def g_deriv(self, x) -> Array:
+        x = np.asarray(x, dtype=float)
+        return self._derivs(x, self._pieces(x))
 
     def to_objective(self, name: str, dim: int | None = None) -> ObjectiveSpec:
         """The separable objective sum_i g(x_i) in dimension ``dim``.

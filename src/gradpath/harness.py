@@ -73,6 +73,22 @@ class ExperimentConfig:
         for name, kind in CONFIG_KEYS.items():
             if kind in (int, float):
                 object.__setattr__(self, name, positive_number(getattr(self, name), name, kind))
+        for field in fields(self)[1:]:  # every field but the experiment id
+            value = getattr(self, field.name)
+            if value != field.default:
+                _require_read(self.experiment, field.name)
+            if isinstance(CONFIG_KEYS[field.name], tuple) and len(set(value)) < len(value):
+                repeated = next(v for i, v in enumerate(value) if v in value[:i])
+                raise InputError(f"{field.name} lists {repeated!r} more than once")
+
+
+def _require_read(experiment: str, key: str, where: str = ""):
+    """InputError unless ``experiment`` reads config ``key``: one of its
+    grid fields or scalar keys, or ``out``."""
+    entry = EXPERIMENT_TABLE[experiment]
+    accepted = (*entry.grid, *entry.keys, "out")
+    if key not in accepted:
+        raise InputError(f"{where}experiment {experiment!r} does not read {key!r}; its keys: {', '.join(accepted)}")
 
 
 def default_config(experiment: str) -> ExperimentConfig:
@@ -91,8 +107,10 @@ CONFIG_KEYS = {
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the flat ``key = value`` config format (unknown keys are errors)."""
+    """Parse the flat ``key = value`` config format.  Unknown keys, a key
+    set twice and a key the experiment does not read are errors."""
     raw: dict = {}
+    line_of: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -105,6 +123,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         kind = CONFIG_KEYS.get(key)
         if kind is None:
             raise InputError(f"config line {lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise InputError(f"config line {lineno}: key {key!r} is already set on line {line_of[key]}")
+        line_of[key] = lineno
         if isinstance(kind, tuple):
             items = [v for v in (s.strip() for s in value.split(",")) if v]
             raw[key] = tuple(finite_number(v, where, kind[0]) for v in items)
@@ -115,6 +136,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if "experiment" not in raw:
         raise InputError("config must set 'experiment'")
     cfg = default_config(raw.pop("experiment"))
+    for key in raw:
+        _require_read(cfg.experiment, key, f"config line {line_of[key]}: ")
     return replace(cfg, **raw)
 
 
@@ -302,26 +325,30 @@ def _bound_point(point, cfg: ExperimentConfig) -> ResultRow:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment id: its default grid fields, the function that turns
-    one grid point into a CSV row, the figure its plot script draws and
-    a point's projected descent steps (``None``: too cheap to fork for).
-    The grid is the product of the grid fields, in this order."""
+    """One experiment id: its default grid fields, the scalar config keys
+    its point function and ``projected_steps`` read, the function that
+    turns one grid point into a CSV row, the figure its plot script draws
+    and a point's projected descent steps (``None``: too cheap to fork
+    for).  The grid is the product of the grid fields, in this order.
+    Grid fields, scalar keys and ``out`` are the keys a config may set."""
 
     grid: dict
+    keys: tuple[str, ...]
     point_row: Callable[[tuple, ExperimentConfig], ResultRow]
     figure: str | None = None
     projected_steps: Callable[[tuple, ExperimentConfig], int] | None = None
 
 
 EXPERIMENT_TABLE = {
-    "pkl-lower-gd": Experiment(dict(dims=f1_dimension_grid()), _pkl_point, "f1-ratio-vs-kappa"),
-    "quad-lower-gf": Experiment(dict(dims=(20,), omegas=(1.1, 1.3, 1.6, 2.0)),
+    "pkl-lower-gd": Experiment(dict(dims=f1_dimension_grid()), ("stop_norm", "safety_cap", "mu_mode"),
+                               _pkl_point, "f1-ratio-vs-kappa"),
+    "quad-lower-gf": Experiment(dict(dims=(20,), omegas=(1.1, 1.3, 1.6, 2.0)), ("quad_abs_tol",),
                                 _quad_point, "f2-ratio-vs-logkappa"),
-    "quad-lower-gd": Experiment(dict(dims=(6,), omegas=(11.0,)), _quad_point, "f2-ratio-vs-logkappa",
-                                _quad_gd_steps),
-    "quad-random": Experiment(dict(dims=(20,), kappas=(1e6,), seeds=tuple(range(10))),
+    "quad-lower-gd": Experiment(dict(dims=(6,), omegas=(11.0,)), ("stop_coords", "safety_cap"),
+                                _quad_point, "f2-ratio-vs-logkappa", _quad_gd_steps),
+    "quad-random": Experiment(dict(dims=(20,), kappas=(1e6,), seeds=tuple(range(10))), ("quad_abs_tol",),
                               _random_point, "f2-ratio-vs-logkappa"),
-    "bound-sweep": Experiment(dict(dims=(6, 20, 150), omegas=(1.1, 2.0, 11.0)), _bound_point),
+    "bound-sweep": Experiment(dict(dims=(6, 20, 150), omegas=(1.1, 2.0, 11.0)), (), _bound_point),
 }
 
 EXPERIMENTS = tuple(EXPERIMENT_TABLE)

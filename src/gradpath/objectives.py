@@ -376,62 +376,6 @@ def quadratic_from_data(A, y, x0) -> QuadraticSpec:
     )
 
 
-# ---------------------------------------------------------------------------
-# Separable objectives
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalarPiece:
-    """One-dimensional building block of a separable objective."""
-
-    value: Callable[[float], float]
-    deriv: Callable[[float], float]
-    optimum: tuple[float, float] | None = None  # optimal interval [lo, hi]
-    min_value: float | None = None
-
-
-def quadratic_piece(coefficient: float) -> ScalarPiece:
-    """The scalar piece g(x) = coefficient * x^2."""
-    coefficient = positive_number(coefficient, "coefficient")
-    return ScalarPiece(
-        value=lambda x: coefficient * x * x,
-        deriv=lambda x: 2.0 * coefficient * x,
-        optimum=(0.0, 0.0),
-        min_value=0.0,
-    )
-
-
-def build_separable(pieces: Sequence[ScalarPiece], name: str = "separable") -> ObjectiveSpec:
-    """Objective f(x) = sum_i g_i(x_i) from scalar value/derivative pairs."""
-    pieces = list(pieces)
-    if not pieces:
-        raise InputError("at least one scalar piece is required")
-    d = len(pieces)
-
-    def value(x):
-        x = as_vector(x, d)
-        return float(sum(p.value(float(x[i])) for i, p in enumerate(pieces)))
-
-    def gradient(x):
-        x = as_vector(x, d)
-        return np.array([p.deriv(float(x[i])) for i, p in enumerate(pieces)])
-
-    optimal_set = None
-    if all(p.optimum is not None for p in pieces):
-        lo = np.array([p.optimum[0] for p in pieces], dtype=float)
-        hi = np.array([p.optimum[1] for p in pieces], dtype=float)
-        optimal_set = IntervalProductSet(lo=lo, hi=hi)
-    f_star = None
-    if all(p.min_value is not None for p in pieces):
-        f_star = float(sum(p.min_value for p in pieces))
-
-    return ObjectiveSpec(
-        dim=d, value=value, gradient=gradient,
-        f_star=f_star, optimal_set=optimal_set, name=name,
-    )
-
-
 def build_fsep_quartic(d: int, quartic_coeff: float = 0.1, box_halfwidth: float = 1.0) -> ObjectiveSpec:
     """Strongly convex separable objective f(x) = sum_i (i x_i^2 + c x_i^4).
 

@@ -135,6 +135,30 @@ SMALL_GRIDS = {
 }
 
 
+#: a config line and its library value, differing from the default, per key some experiment does not read
+UNREAD_VALUES = {
+    "omegas": ("omegas = 2.0", (2.0,)),
+    "kappas": ("kappas = 7.0", (7.0,)),
+    "seeds": ("seeds = 3", (3,)),
+    "mu_mode": ("mu_mode = paper_max", "paper_max"),
+    "quad_abs_tol": ("quad_abs_tol = 0.1", 0.1),
+    "stop_norm": ("stop_norm = 0.5", 0.5),
+    "stop_coords": ("stop_coords = 0.9", 0.9),
+    "safety_cap": ("safety_cap = 1", 1),
+}
+
+
+class ReadRecorder:
+    """A config proxy that records the name of each attribute read from it."""
+
+    def __init__(self, cfg):
+        self.cfg, self.read = cfg, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.cfg, name)
+
+
 @pytest.fixture(scope="module")
 def pinned_row():
     """The one row of a config, computed once per module: the pinned-row
@@ -274,6 +298,50 @@ class TestConfig:
     def test_empty_grid_rejected_at_run(self):
         with pytest.raises(InputError, match="empty grid"):
             run_experiment(ExperimentConfig("quad-lower-gf", dims=(), omegas=(2.0,)))
+
+    @pytest.mark.parametrize("experiment, key", [
+        (experiment, key) for experiment in EXPERIMENTS for key in UNREAD_VALUES
+        if key not in EXPERIMENT_TABLE[experiment].grid and key not in EXPERIMENT_TABLE[experiment].keys
+    ])
+    def test_unread_key_rejected(self, experiment, key):
+        # every such key used to be accepted and ignored
+        text, value = UNREAD_VALUES[key]
+        message = f"experiment '{experiment}' does not read '{key}'"
+        with pytest.raises(InputError, match=f"^config line 3: {message}"):
+            parse_config_text(f"experiment = {experiment}\n{SMALL_GRIDS[experiment].splitlines()[0]}\n{text}\n")
+        with pytest.raises(InputError, match=f"^{message}"):
+            ExperimentConfig(experiment, **{key: value})
+
+    def test_unread_key_at_its_default_value(self):
+        # a config file names only keys its experiment reads; the library
+        # cannot tell a default it was given from one it was not
+        with pytest.raises(InputError, match="line 2: experiment 'bound-sweep' does not read 'stop_norm'"):
+            parse_config_text("experiment = bound-sweep\nstop_norm = 1e-6\n")
+        assert ExperimentConfig("bound-sweep", stop_norm=1e-6) == ExperimentConfig("bound-sweep")
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_point_reads_exactly_its_declared_keys(self, experiment):
+        # the declaration cannot drift from the code: one cheap point,
+        # through a proxy that records each config attribute read
+        entry = EXPERIMENT_TABLE[experiment]
+        cfg = parse_config_text(f"experiment = {experiment}\n{SMALL_GRIDS[experiment]}\n")
+        recorder = ReadRecorder(cfg)
+        point = tuple(getattr(cfg, name)[0] for name in entry.grid)
+        entry.point_row(point, recorder)
+        if entry.projected_steps is not None:
+            entry.projected_steps(point, recorder)
+        assert recorder.read == {"experiment", *entry.keys}
+
+    @pytest.mark.parametrize("experiment, field, values, message", [
+        ("bound-sweep", "dims", (6, 6.0), "dims lists 6 more than once"),
+        ("bound-sweep", "omegas", (2.0, 3.0, 2), "omegas lists 2 more than once"),
+        ("quad-random", "kappas", (1e2, 1e4, 100.0), "kappas lists 100.0 more than once"),
+        ("quad-random", "seeds", (1, 2, 1), "seeds lists 1 more than once"),
+    ])
+    def test_repeated_grid_value_rejected(self, experiment, field, values, message):
+        # each repeat used to write one identical row more
+        with pytest.raises(InputError, match=f"^{message}$"):
+            ExperimentConfig(experiment, **{field: values})
 
 
 class TestCsv:
@@ -914,6 +982,35 @@ class TestCli:
             assert written == [f"{experiment}.csv", f"{experiment}_plot.py"]
             script = (tmp_path / f"{experiment}_plot.py").read_text()
             assert f"generated by gradpath ({figure})" in script
+
+    @pytest.mark.parametrize("experiment, lines, where", [
+        ("bound-sweep", "kappas = 7.0\nstop_norm = 0.5\nsafety_cap = 1\nmu_mode = paper_max", "line 2"),
+        ("pkl-lower-gd", "dims = 148\nkappas = 1000", "line 3"),
+    ], ids=["bound-sweep", "pkl-lower-gd-kappas"])
+    def test_unread_config_key_is_exit_two(self, experiment, lines, where, tmp_path, capsys):
+        # both ran and exited 0: the first wrote the default CSV, the second
+        # the kappa = 3 * 148^2 row, not a kappa = 1000 one
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(f"experiment = {experiment}\n{lines}\n")
+        assert main(["experiment", experiment, "--out", str(tmp_path), "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config {where}: experiment '{experiment}' does not read 'kappas'; ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["unread.cfg"]
+
+    @pytest.mark.parametrize("experiment, lines, message", [
+        ("quad-lower-gf", "omegas = 11\ndims = 6\nomegas = 2", "config line 4: key 'omegas' is already set on line 2"),
+        ("bound-sweep", "dims = 6, 6\nomegas = 2.0, 2", "dims lists 6 more than once"),
+    ], ids=["repeated-key", "repeated-value"])
+    def test_repeat_in_config_is_exit_two(self, experiment, lines, message, tmp_path, capsys):
+        # the first ran omega = 2 alone, the second wrote 4 identical rows
+        cfg = tmp_path / "repeat.cfg"
+        cfg.write_text(f"experiment = {experiment}\n{lines}\n")
+        assert main(["experiment", experiment, "--out", str(tmp_path), "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["repeat.cfg"]
 
     def test_experiment_config_mismatch(self, tmp_path):
         cfg = _write_config(tmp_path)

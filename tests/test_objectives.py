@@ -9,13 +9,10 @@ from gradpath import (
     IntervalProductSet,
     ObjectiveSpec,
     QuadraticSpec,
-    ScalarPiece,
     SingletonSet,
     build_fsep_quartic,
-    build_separable,
     check_gradient,
     quadratic_from_data,
-    quadratic_piece,
 )
 from gradpath.objectives import as_vector
 
@@ -166,41 +163,6 @@ class TestOptimalSets:
 
 
 class TestSeparable:
-    def test_two_squares(self):
-        obj = build_separable([quadratic_piece(1.0), quadratic_piece(1.0)])
-        assert obj.value_at([1.0, 1.0]) == pytest.approx(2.0)
-        assert np.allclose(obj.gradient_at([1.0, 1.0]), [2.0, 2.0])
-        assert obj.f_star == 0.0
-        assert isinstance(obj.optimal_set, IntervalProductSet)
-
-    def test_weighted_quartic_pieces(self):
-        pieces = [
-            ScalarPiece(
-                value=lambda x, i=i: i * x * x + 0.1 * x**4,
-                deriv=lambda x, i=i: 2 * i * x + 0.4 * x**3,
-                optimum=(0.0, 0.0),
-                min_value=0.0,
-            )
-            for i in (1, 2, 3)
-        ]
-        obj = build_separable(pieces)
-        assert obj.value_at([1.0, 1.0, 1.0]) == pytest.approx(6.3)
-
-    def test_pl_component_pieces(self):
-        from gradpath import PklConstruction
-
-        kind = PklConstruction.build(6)
-        pieces = [
-            ScalarPiece(value=lambda x: float(kind.g(x)), deriv=lambda x: float(kind.g_deriv(x)))
-            for _ in range(6)
-        ]
-        obj = build_separable(pieces)
-        assert obj.value_at(np.full(6, 0.5)) == pytest.approx(1.5, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            build_separable([])
-
     def test_pl_ratio_dominated_by_worst_piece(self, rng):
         obj = build_fsep_quartic(4, 0.1, 1.0)
         weights = np.arange(1, 5, dtype=float)
