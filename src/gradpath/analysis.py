@@ -194,7 +194,7 @@ class PlRatio:
     """Running min and max of the PL ratio ||g||^2 / (2 (f(x) - f*)).
 
     Call it as ``observe(x, f, g)`` with each iterate, its value and its
-    gradient, e.g. ``gd_run(..., keep_iterates=False, observe=PlRatio(obj))``,
+    gradient, e.g. ``gd_run(..., observe=PlRatio(obj))``,
     so the ratio is taken inside the loop that already holds f and g.
     Points with f(x) - f* <= 1e-300 are skipped.
     """
@@ -297,11 +297,13 @@ class DistanceEnvelope:
 
 
 def effective_pkl_mu(traj: Trajectory, obj: ObjectiveSpec, mode: str = "min") -> float:
-    """:class:`PlRatio` aggregate over the stored iterates of a full record
-    (a partial record is refused: a min over a subset overstates mu)."""
+    """:class:`PlRatio` aggregate over a record of every iterate x_0 ... x_N,
+    such as the points an ``observe`` callback saw.  A run's own record of
+    x_0 and x_N is refused after two steps or more: a min over a subset
+    overstates mu."""
     if len(traj.points) != traj.n_steps + 1:
         raise InputError(
-            f"this analysis needs every iterate (keep_iterates=True); "
+            f"this analysis needs every iterate; "
             f"the record holds {len(traj.points)} of {traj.n_steps + 1}"
         )
     pl = PlRatio(obj)

@@ -64,18 +64,11 @@ def _parse_projector(text: str, dim: int):
     raise InputError(f"unknown projector {text!r}; use 'box:lo,hi' or 'ball:r'")
 
 
-def _write_trajectory_csv(traj, path):
-    lines = ["index,t," + ",".join(f"x{i}" for i in range(traj.dim))]
-    for t, p in zip(traj.times, traj.points):
-        coords = ",".join(repr(float(v)) for v in p)
-        if traj.kind == "discrete":
-            lines.append(f"{int(t)},{int(t)},{coords}")
-        else:
-            lines.append(f",{repr(float(t))},{coords}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def _coords(x) -> str:
+    return ",".join(repr(float(v)) for v in x)
 
 
-def _report_run(traj, instance, out):
+def _report_run(traj, instance, out, lines):
     rep = path_length_discrete(traj, instance.objective.optimal_set) if traj.kind == "discrete" else None
     print(f"stop: {traj.stop_reason} after {traj.n_steps} steps")
     if rep is not None:
@@ -89,7 +82,7 @@ def _report_run(traj, instance, out):
     if not instance.objective.in_declared_box(traj.final_point):
         warnings.warn("trajectory left the box on which L was declared")
     if out:
-        _write_trajectory_csv(traj, out)
+        Path(out).write_text("\n".join(lines) + "\n")
         print(f"wrote {out}")
 
 
@@ -97,12 +90,19 @@ def _cmd_run(args) -> int:
     instance = parse_instance(args.objective)
     x0 = _parse_x0(args.x0, instance)
     stop = parse_stop_rule(args.stop)
-    # discrete runs keep only their endpoints unless the trajectory is written out
-    keep = bool(args.csv_out)
+    lines = ["index,t," + ",".join(f"x{i}" for i in range(instance.objective.dim))]
+
+    def csv_line(x, f, g):
+        # a discrete run keeps only its endpoints; its CSV sees every iterate here
+        k = len(lines) - 1
+        lines.append(f"{k},{k},{_coords(x)}")
+
+    observe = csv_line if args.csv_out else None
     if args.command == "run-gd":
-        traj = gd_run(instance.objective, x0, _parse_eta(args.eta, instance), stop, keep_iterates=keep)
+        traj = gd_run(instance.objective, x0, _parse_eta(args.eta, instance), stop, observe=observe)
     elif args.command == "run-gf":
         traj = gf_integrate(instance.objective, x0, args.tol, stop)
+        lines += [f",{float(t)!r},{_coords(p)}" for t, p in zip(traj.times, traj.points)]
     elif args.command == "run-hb":
         if (args.alpha is None) != (args.beta is None):
             raise InputError("pass both --alpha and --beta, or neither")
@@ -113,12 +113,12 @@ def _cmd_run(args) -> int:
             if obj.mu is None or obj.L is None:
                 raise InputError("objective lacks (mu, L); pass --alpha and --beta")
             alpha, beta = hb_params(obj.mu, obj.L)
-        traj = heavy_ball_run(instance.objective, x0, alpha, beta, stop, keep_iterates=keep)
+        traj = heavy_ball_run(instance.objective, x0, alpha, beta, stop, observe=observe)
     else:  # run-pgd
         projector = _parse_projector(args.project, instance.objective.dim)
         traj = pgd_run(instance.objective, projector, x0, _parse_eta(args.eta, instance), stop,
-                       keep_iterates=keep)
-    _report_run(traj, instance, args.csv_out)
+                       observe=observe)
+    _report_run(traj, instance, args.csv_out, lines)
     return 0
 
 

@@ -213,8 +213,7 @@ def _pkl_point(point, cfg: ExperimentConfig) -> ResultRow:
     pl = PlRatio(inst.objective)
     traj = gd_run(
         inst.objective, inst.x0, inst.eta,
-        StopRule.norm_below(cfg.stop_norm), safety_cap=cfg.safety_cap,
-        keep_iterates=False, observe=pl,
+        StopRule.norm_below(cfg.stop_norm), safety_cap=cfg.safety_cap, observe=pl,
     )
     rep = path_length_discrete(traj, inst.objective.optimal_set)
     mu_eff = pl.aggregate(cfg.mu_mode)
@@ -275,7 +274,7 @@ def _quad_point(point, cfg: ExperimentConfig) -> ResultRow:
         traj = gd_run(
             c.to_objective(), c.x0, c.eta,
             StopRule.coords_below_except_last(cfg.stop_coords),
-            safety_cap=cfg.safety_cap, keep_iterates=False,
+            safety_cap=cfg.safety_cap,
         )
         rep = path_length_discrete(traj, spec.optimal_set())
         steps, stop_reason = traj.n_steps, traj.stop_reason

@@ -1,25 +1,24 @@
 """Trajectory producers: gradient descent, gradient flow, heavy ball, PGD.
 
-Discrete runs record every iterate by default; ``keep_iterates=False``
-keeps only the two endpoints, so memory stays O(d), while the running
-path-length accumulator stays exact.  An ``observe(x, f, g)`` callback
-sees every iterate with its value and gradient, both from one evaluation
-inside the loop, so diagnostics need no stored points.  The loop takes
-one dot product per vector: the squared norms of the gradient, the new
-iterate and the step serve the finiteness, stop, step-norm and
-divergence checks; the iterate's serves the point-stop test built once
-per run (:meth:`StopRule.point_test`, a witness coordinate for the
-coords rule) and Brent's cycle detection, which stops a run whose state
-repeats.  The continuous runner, :func:`gf_integrate`, is an adaptive
-Dormand-Prince 5(4) integrator that carries the arc length as an
-augmented ODE state and accumulates the chord sum in its loop.
+Discrete runs keep only their endpoints, x_0 and x_N, so memory stays
+O(d), while the running path-length accumulator is exact.  An
+``observe(x, f, g)`` callback sees every iterate with its value and
+gradient, both from one evaluation inside the loop; it is the one way to
+read the iterates in between, so diagnostics need no stored points.  The
+loop takes one dot product per vector: the squared norms of the
+gradient, the new iterate and the step serve the finiteness, stop,
+step-norm and divergence checks; the iterate's serves the point-stop test
+built once per run (:meth:`StopRule.point_test`, a witness coordinate
+for the coords rule) and Brent's cycle detection, which stops a run
+whose state repeats.  The continuous runner, :func:`gf_integrate`, is an
+adaptive Dormand-Prince 5(4) integrator that carries the arc length as
+an augmented ODE state and accumulates the chord sum in its loop.
 
-Both loops write each kept state as a row of one float64 buffer that
-doubles when full: 8 d bytes per discrete iterate, 8 (d + 2) per
-accepted flow point (x, t and the local error).  At return the rows are
-copied into trimmed arrays and the buffer is dropped, so a run keeping m
-> RECORD_ROWS states peaks below three times its rows' bytes, plus 8 m
-for a discrete run's int64 times.
+The flow writes each accepted point (x, t and the local error) as a
+row of one float64 buffer that doubles when full, 8 (d + 2) bytes a row.
+At return the rows are copied into trimmed arrays and the buffer is
+dropped, so a flow keeping m > RECORD_ROWS points peaks below three
+times its rows' bytes.
 """
 
 from __future__ import annotations
@@ -136,22 +135,23 @@ class Trajectory:
     """Ordered record of an optimization curve.
 
     ``times`` holds iterate indices (discrete) or ODE times (continuous)
-    for the *recorded* points.  Discrete runs record every iterate, or
-    only the first and the last with ``keep_iterates=False``.  ``n_steps``
-    counts every update taken and ``path_sum`` accumulates the full
-    step-norm sum even when no intermediate point is kept.  Continuous
-    trajectories record every accepted point (there is no dense output
-    between them); their ``path_sum`` is the chord sum over accepted
-    steps, a cross-check on ``arc_length``, the arc length integrated as
-    an ODE state.  They also carry per-step local error estimates and the
-    integrator's counts: ``n_steps`` accepted and ``n_rejected`` rejected
-    steps.  ``n_feval`` counts gradient calls, a fused value-and-gradient
-    call as one.
+    for the *recorded* points.  A discrete run records x_0 and, once a
+    step has been taken, x_N: ``times`` is ``[0]`` or ``[0, N]``, and
+    only an ``observe`` callback sees the iterates in between.
+    ``n_steps`` counts every update taken and ``path_sum`` accumulates
+    the full step-norm sum.  Continuous trajectories record every
+    accepted point (there is no dense output between them); their
+    ``path_sum`` is the chord sum over accepted steps, a cross-check on
+    ``arc_length``, the arc length integrated as an ODE state.  They
+    also carry per-step local error estimates and the integrator's
+    counts: ``n_steps`` accepted and ``n_rejected`` rejected steps.
+    ``n_feval`` counts gradient calls, a fused value-and-gradient call
+    as one.
 
     ``points`` (m, d) float64, ``times`` (m,), float64 for flows and int64
-    for discrete runs, and a flow's ``local_errors`` (m,) float64 are
-    C-contiguous arrays that own their data: a kept state costs 8 d + 8
-    bytes, 8 d + 16 for a flow.
+    for discrete runs (m is 1 or 2), and a flow's ``local_errors`` (m,)
+    float64 are C-contiguous arrays that own their data: a flow's
+    accepted point costs 8 d + 16 bytes.
     """
 
     kind: str
@@ -167,10 +167,6 @@ class Trajectory:
     n_feval: int = 0
 
     @property
-    def dim(self) -> int:
-        return int(self.points.shape[1])
-
-    @property
     def final_point(self) -> Array:
         return self.points[-1]
 
@@ -179,23 +175,24 @@ class Trajectory:
         return float(self.times[-1])
 
 
-#: Rows a kept-state record holds before it first grows.
+#: Rows a flow's record holds before it first grows.
 RECORD_ROWS = 64
 
 
 class _Record:
-    """The kept states of one run, each a row of one float64 buffer.
+    """The accepted points of one flow, each a row of one float64 buffer.
 
-    A full buffer is replaced by one with twice the rows.  Once grown, a
-    record of m rows of w bytes has fewer than 2 m rows, so with the old
-    buffer during a growth, or with the trimmed copies taken at return,
-    it holds less than 3 m w bytes.
+    The buffer starts at RECORD_ROWS rows and a full one is replaced by
+    one with twice the rows.  Once grown, a record of m rows of w bytes
+    has fewer than 2 m rows, so with the old buffer during a growth, or
+    with the trimmed copies taken at return, it holds less than 3 m w
+    bytes.  Discrete runs keep no record: only x_0 and x_N.
     """
 
     __slots__ = ("rows", "n")
 
-    def __init__(self, width: int, capacity: int = RECORD_ROWS):
-        self.rows = np.empty((capacity, width))
+    def __init__(self, width: int):
+        self.rows = np.empty((RECORD_ROWS, width))
         self.n = 0
 
     def add(self) -> Array:
@@ -207,7 +204,7 @@ class _Record:
         self.n += 1
         return self.rows[self.n - 1]
 
-    def kept(self, columns=slice(None)) -> Array:
+    def kept(self, columns) -> Array:
         """A C-contiguous copy of ``columns`` of the kept rows."""
         return self.rows[: self.n, columns].copy()
 
@@ -224,15 +221,12 @@ def _discrete_run(
     update: Callable[[Array, Array], Array],
     *,
     safety_cap: int,
-    keep_iterates: bool,
     observe: Callable[[Array, float, Array], None] | None,
 ) -> Trajectory:
     if stop.kind == "horizon":
         raise InputError("horizon stop rules apply to flows only")
     k, path_sum = 0, 0.0
-    # keep_iterates=False keeps x_0 and, after a step, x_N
-    record = _Record(obj.dim, RECORD_ROWS if keep_iterates else 1)
-    record.add()[:] = x
+    x0 = x.copy()
     gradient_at, value_and_gradient_at = obj.gradient_at, obj.value_and_gradient_at
     kind, eps = stop.kind, stop.threshold
     grad_stop, point_stop = kind == "grad_below", stop.point_test(obj.dim)
@@ -278,8 +272,6 @@ def _discrete_run(
             break
         k += 1
         path_sum += step_norm
-        if keep_iterates:
-            record.add()[:] = x_new
         if math.sqrt(xsq) > DIVERGENCE_RADIUS:
             raise DivergenceError(f"trajectory norm exceeded {DIVERGENCE_RADIUS:g} at iterate {k}")
         x_prev, x, g = x, x_new, None
@@ -292,16 +284,10 @@ def _discrete_run(
         f, g = value_and_gradient_at(x)
         _check_finite(g, k)
         observe(x, f, g)
-    if keep_iterates:
-        times = np.arange(k + 1, dtype=np.int64)
-    else:
-        times = np.array([0, k] if k else [0], dtype=np.int64)
-        if k:
-            record.add()[:] = x
     return Trajectory(
         kind="discrete",
-        times=times,
-        points=record.kept(),
+        times=np.array([0, k] if k else [0], dtype=np.int64),
+        points=np.array([x0, x] if k else [x0]),
         stop_reason=reason,
         n_steps=k,
         path_sum=path_sum,
@@ -317,16 +303,15 @@ def gd_run(
     stop: StopRule,
     *,
     safety_cap: int = MAX_DISCRETE_STEPS,
-    keep_iterates: bool = True,
     observe: Callable[[Array, float, Array], None] | None = None,
 ) -> Trajectory:
     """Gradient descent x_{k+1} = x_k - eta * grad f(x_k).
 
-    ``keep_iterates=False`` stores only x_0 and x_N.
-    ``observe(x, f, g)``, if given, is called with every iterate x_0 ...
-    x_N, its value and its gradient, the last one included; the two come
-    from one :meth:`ObjectiveSpec.value_and_gradient_at` call.
-    :func:`heavy_ball_run` and :func:`pgd_run` take both options too.
+    The trajectory keeps x_0 and x_N.  ``observe(x, f, g)``, if given, is
+    called with every iterate x_0 ... x_N, its value and its gradient,
+    the last one included; the two come from one
+    :meth:`ObjectiveSpec.value_and_gradient_at` call.
+    :func:`heavy_ball_run` and :func:`pgd_run` take it too.
     A run whose state repeats exactly stops with reason ``cycle``.
     """
     eta = positive_number(eta, "step size")
@@ -334,7 +319,7 @@ def gd_run(
     return _discrete_run(
         obj, x0, stop,
         lambda x, g: x - eta * g,
-        safety_cap=safety_cap, keep_iterates=keep_iterates, observe=observe,
+        safety_cap=safety_cap, observe=observe,
     )
 
 
@@ -354,7 +339,6 @@ def heavy_ball_run(
     stop: StopRule,
     *,
     safety_cap: int = MAX_DISCRETE_STEPS,
-    keep_iterates: bool = True,
     observe: Callable[[Array, float, Array], None] | None = None,
 ) -> Trajectory:
     """Polyak heavy ball: x+ = x - alpha * grad f(x) + beta (x - x-).
@@ -379,7 +363,7 @@ def heavy_ball_run(
 
     return _discrete_run(
         obj, x0, stop, update,
-        safety_cap=safety_cap, keep_iterates=keep_iterates, observe=observe,
+        safety_cap=safety_cap, observe=observe,
     )
 
 
@@ -409,7 +393,6 @@ def pgd_run(
     stop: StopRule,
     *,
     safety_cap: int = MAX_DISCRETE_STEPS,
-    keep_iterates: bool = True,
     observe: Callable[[Array, float, Array], None] | None = None,
 ) -> Trajectory:
     """Projected gradient descent x_{k+1} = P(x_k - eta * grad f(x_k))."""
@@ -419,7 +402,7 @@ def pgd_run(
     return _discrete_run(
         obj, x0, stop,
         lambda x, g: np.array(projector(x - eta * g), dtype=float),
-        safety_cap=safety_cap, keep_iterates=keep_iterates, observe=observe,
+        safety_cap=safety_cap, observe=observe,
     )
 
 

@@ -74,6 +74,13 @@ def _random_convex_quadratic(rng, d_max: int = 5):
     return QuadraticSpec(dim=d, sigma=sig, basis=q, projection=p, alpha=alpha, x0=x0)
 
 
+def _observed(run, *args, **options):
+    """The iterates x_0 ... x_N of a discrete run, as its ``observe`` sees them."""
+    points = []
+    run(*args, observe=lambda x, f, g: points.append(x.copy()), **options)
+    return np.array(points)
+
+
 def _zoo(dims):
     members = []
     for d in dims:
@@ -156,18 +163,17 @@ def _check_gd_descent(dims):
         if obj.name.startswith("pkl-lower"):
             continue  # not convex
         eta = 1.0 / obj.L
-        traj = gd_run(obj, inst.x0, eta, StopRule.max_steps(60))
-        for k in range(len(traj.points) - 1):
-            fx = obj.value_at(traj.points[k])
-            fn = obj.value_at(traj.points[k + 1])
-            g = obj.gradient_at(traj.points[k])
-            if fn > fx - 0.5 * eta * float(g @ g) + 1e-12 * max(1.0, abs(fx)):
+        seen = []  # (f, ||g||^2) at each iterate
+        gd_run(obj, inst.x0, eta, StopRule.max_steps(60),
+               observe=lambda x, f, g: seen.append((f, float(g @ g))))
+        for k, ((fx, gsq), (fn, _)) in enumerate(zip(seen, seen[1:])):
+            if fn > fx - 0.5 * eta * gsq + 1e-12 * max(1.0, abs(fx)):
                 return f"descent inequality violated on {inst.label} at step {k}"
-        d0 = obj.optimal_set.distance(traj.points[0])
-        traj2 = gd_run(obj, inst.x0, 2.0 / obj.L, StopRule.max_steps(60))
-        dists = [obj.optimal_set.distance(p) for p in traj2.points]
+        envelope = DistanceEnvelope(obj.optimal_set)
+        gd_run(obj, inst.x0, 2.0 / obj.L, StopRule.max_steps(60), observe=envelope)
+        dists = envelope.dists
         if any(b > a * (1 + 1e-12) for a, b in zip(dists, dists[1:])):
-            return f"distance descent at eta=2/L violated on {inst.label} (d0={d0})"
+            return f"distance descent at eta=2/L violated on {inst.label} (d0={dists[0]})"
 
 
 def _check_gf_closed_form(dims):
@@ -186,8 +192,9 @@ def _check_pgd_feasible(dims):
     spec = _random_convex_quadratic(rng)
     proj = box_projector(np.full(spec.dim, -0.5), np.full(spec.dim, 0.5))
     x0 = np.zeros(spec.dim)
-    traj = pgd_run(spec.to_objective(), proj, x0, 0.3 / float(spec.sigma[0]), StopRule.max_steps(40))
-    for k, p in enumerate(traj.points):
+    eta = 0.3 / float(spec.sigma[0])
+    points = _observed(pgd_run, spec.to_objective(), proj, x0, eta, StopRule.max_steps(40))
+    for k, p in enumerate(points):
         if float(np.linalg.norm(proj(p) - p)) > 1e-12:
             return f"iterate {k} left the constraint box"
 
@@ -197,9 +204,9 @@ def _check_hb_beta_zero(dims):
     spec = _random_convex_quadratic(rng)
     obj = spec.to_objective()
     eta = 0.4 / float(spec.sigma[0])
-    a = gd_run(obj, spec.x0, eta, StopRule.max_steps(30))
-    b = heavy_ball_run(obj, spec.x0, eta, 0.0, StopRule.max_steps(30))
-    if not np.array_equal(a.points, b.points):
+    a = _observed(gd_run, obj, spec.x0, eta, StopRule.max_steps(30))
+    b = _observed(heavy_ball_run, obj, spec.x0, eta, 0.0, StopRule.max_steps(30))
+    if not np.array_equal(a, b):
         return "beta=0 heavy ball differs bitwise from gradient descent"
 
 
@@ -231,14 +238,13 @@ def _check_gd_self_contracted(dims):
     for _ in range(25):
         spec = _random_convex_quadratic(rng)
         obj = spec.to_objective()
-        traj = gd_run(obj, spec.x0, 1.0 / float(spec.sigma[0]), StopRule.max_steps(40))
-        verdict = self_contracted_check(traj.points)
+        points = _observed(gd_run, obj, spec.x0, 1.0 / float(spec.sigma[0]), StopRule.max_steps(40))
+        verdict = self_contracted_check(points)
         if not verdict.holds:
             return f"GD at eta=1/L not self-contracted, witness {verdict.witness}"
     # step size 7/8 on x^2 from 8 must fail with the documented witness
     counter = ObjectiveSpec(dim=1, value=lambda x: float(x[0] ** 2), gradient=lambda x: 2 * x)
-    traj = gd_run(counter, [8.0], 7 / 8, StopRule.max_steps(2))
-    verdict = self_contracted_check(traj.points)
+    verdict = self_contracted_check(_observed(gd_run, counter, [8.0], 7 / 8, StopRule.max_steps(2)))
     if verdict.holds or verdict.witness != (0, 1, 2):
         return "overshooting counterexample was not caught"
     if not (verdict.dist_mid == 10.5 and verdict.dist_far == 3.5):
@@ -251,7 +257,7 @@ def _check_effective_mu_floor(dims):
             continue
         inst = registry.make_instance("pkl-lower-gd", d=d)
         pl = PlRatio(inst.objective)
-        gd_run(inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6), keep_iterates=False, observe=pl)
+        gd_run(inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6), observe=pl)
         mu = pl.aggregate("min")
         if mu < inst.objective.mu * (1 - 1e-9):
             return f"effective mu {mu} below declared {inst.objective.mu} at d={d}"
@@ -262,12 +268,12 @@ def _check_linear_fit(dims):
     spec = _random_convex_quadratic(rng)
     obj = spec.to_objective()
     dists = DistanceEnvelope(obj.optimal_set)
-    traj = gd_run(obj, spec.x0, 1.0 / float(spec.sigma[0]), StopRule.max_steps(60), observe=dists)
+    gd_run(obj, spec.x0, 1.0 / float(spec.sigma[0]), StopRule.max_steps(60), observe=dists)
     a, c = dists.fit()
-    envelope = obj.optimal_set.distance(traj.points[0])
-    for k in range(1, len(traj.points)):
+    envelope = dists.dists[0]
+    for k, dist in enumerate(dists.dists[1:], start=1):
         envelope *= 1 - c
-        if obj.optimal_set.distance(traj.points[k]) > a * envelope * (1 + 1e-9) + 1e-250:
+        if dist > a * envelope * (1 + 1e-9) + 1e-250:
             return f"(A, c)=({a}, {c}) fails at step {k}"
 
 

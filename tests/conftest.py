@@ -28,3 +28,11 @@ def scalar_objective(value, deriv):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def run_observed(runner, *args, **kwargs):
+    """A discrete run and its iterates x_0 ... x_N stacked into an (N + 1, d)
+    array, each copied as the run's ``observe`` sees it."""
+    points = []
+    traj = runner(*args, observe=lambda x, f, g: points.append(x.copy()), **kwargs)
+    return traj, np.array(points)

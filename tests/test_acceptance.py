@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import run_observed
 from gradpath import (
     PklConstruction,
     QuadraticSpec,
@@ -213,8 +214,8 @@ def test_criterion_6_self_contracted_property():
             alpha=basis.T @ (x0 - p), x0=x0,
         )
         obj = spec.to_objective()
-        traj = gd_run(obj, x0, 1.0 / obj.L, StopRule.max_steps(49))
-        if not self_contracted_check(traj.points).holds:
+        _, points = run_observed(gd_run, obj, x0, 1.0 / obj.L, StopRule.max_steps(49))
+        if not self_contracted_check(points).holds:
             failures.append(trial)
 
     import gradpath
@@ -222,8 +223,8 @@ def test_criterion_6_self_contracted_property():
     counter = gradpath.ObjectiveSpec(
         dim=1, value=lambda x: float(x[0] ** 2), gradient=lambda x: 2.0 * np.asarray(x)
     )
-    traj = gd_run(counter, [8.0], 7 / 8, StopRule.max_steps(2))
-    verdict = self_contracted_check(traj.points)
+    _, points = run_observed(gd_run, counter, [8.0], 7 / 8, StopRule.max_steps(2))
+    verdict = self_contracted_check(points)
     counter_ok = (
         not verdict.holds
         and verdict.witness == (0, 1, 2)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import pytest
 
 import gradpath.analysis
 
-from conftest import random_convex_quadratic, scalar_objective
+from conftest import random_convex_quadratic, run_observed, scalar_objective
 from gradpath import (
     DistanceEnvelope,
     InputError,
@@ -174,8 +175,8 @@ class TestSelfContracted:
         for _ in range(20):
             spec = random_convex_quadratic(rng)
             obj = spec.to_objective()
-            traj = gd_run(obj, spec.x0, 1.0 / obj.L, StopRule.max_steps(40))
-            assert self_contracted_check(traj.points).holds
+            _, points = run_observed(gd_run, obj, spec.x0, 1.0 / obj.L, StopRule.max_steps(40))
+            assert self_contracted_check(points).holds
 
     def test_refuses_oversized_input(self, rng):
         pts = rng.standard_normal((2001, 2))
@@ -234,20 +235,25 @@ class TestEffectiveConstants:
             effective_pkl_mu(discrete_traj([1.0]), obj, mode="median")
 
 
-def replay(observer, traj):
-    """Feed an observer each stored point of a record; the distance and
+def replay(observer, points):
+    """Feed an observer each point of a sequence; the distance and
     overshoot observers read only x, so f and g are placeholders."""
-    for point in traj.points:
+    for point in np.asarray(points, dtype=float).reshape(len(points), -1):
         observer(point, math.nan, None)
     return observer
 
 
 def envelope_fit(points):
-    return replay(DistanceEnvelope(SingletonSet(point=np.zeros(1))), discrete_traj(points)).fit()
+    return replay(DistanceEnvelope(SingletonSet(point=np.zeros(1))), points).fit()
 
 
-def no_overshoot(traj, optimal_set):
-    return replay(NoOvershoot(optimal_set), traj).holds
+def no_overshoot(points, optimal_set):
+    return replay(NoOvershoot(optimal_set), points).holds
+
+
+def full_record(traj, points):
+    """``traj`` with every observed iterate as its record, for ``effective_pkl_mu``."""
+    return dataclasses.replace(traj, points=points, times=np.arange(len(points)))
 
 
 class TestLinearConvergenceFit:
@@ -265,13 +271,13 @@ class TestLinearConvergenceFit:
     def test_envelope_certified_on_gd(self, rng):
         spec = random_convex_quadratic(rng)
         obj = spec.to_objective()
-        traj = gd_run(obj, spec.x0, 1.0 / obj.L, StopRule.max_steps(60))
-        a, c = replay(DistanceEnvelope(obj.optimal_set), traj).fit()
+        _, points = run_observed(gd_run, obj, spec.x0, 1.0 / obj.L, StopRule.max_steps(60))
+        a, c = replay(DistanceEnvelope(obj.optimal_set), points).fit()
         assert a >= 1.0 and 0 < c <= 1.0
-        envelope = obj.optimal_set.distance(traj.points[0])
-        for k in range(1, len(traj.points)):
+        envelope = obj.optimal_set.distance(points[0])
+        for k in range(1, len(points)):
             envelope *= 1 - c
-            assert obj.optimal_set.distance(traj.points[k]) <= a * envelope * (1 + 1e-9) + 1e-250
+            assert obj.optimal_set.distance(points[k]) <= a * envelope * (1 + 1e-9) + 1e-250
 
     def test_non_monotone_rejected(self):
         with pytest.raises(InputError, match="envelope"):
@@ -299,24 +305,21 @@ class TestNoOvershoot:
         sigma = np.sort(rng.uniform(0.5, 4.0, 4))[::-1]
         spec = QuadraticSpec.diagonal(sigma, rng.standard_normal(4))
         obj = spec.to_objective()
-        traj = gd_run(obj, spec.x0, 1.0 / obj.L, StopRule.max_steps(50))
+        _, points = run_observed(gd_run, obj, spec.x0, 1.0 / obj.L, StopRule.max_steps(50))
         intervals = IntervalProductSet(lo=np.zeros(4), hi=np.zeros(4))
-        assert no_overshoot(traj, intervals)
+        assert no_overshoot(points, intervals)
 
     def test_overshooting_counterexample(self):
-        traj = discrete_traj([8.0, -6.0, 4.5])
         intervals = IntervalProductSet(lo=np.zeros(1), hi=np.zeros(1))
-        assert not no_overshoot(traj, intervals)
+        assert not no_overshoot([8.0, -6.0, 4.5], intervals)
 
     def test_constant_at_optimum(self):
-        traj = discrete_traj([0.0, 0.0, 0.0])
         intervals = IntervalProductSet(lo=np.zeros(1), hi=np.zeros(1))
-        assert no_overshoot(traj, intervals)
+        assert no_overshoot([0.0, 0.0, 0.0], intervals)
 
     def test_requires_interval_set(self):
-        traj = discrete_traj([1.0, 0.5])
         with pytest.raises(InputError):
-            no_overshoot(traj, SingletonSet(point=np.zeros(1)))
+            no_overshoot([1.0, 0.5], SingletonSet(point=np.zeros(1)))
 
 
 class TestPlRatio:
@@ -325,8 +328,8 @@ class TestPlRatio:
         inst = build_pkl_gd_instance(d)
         stop = StopRule.norm_below(1e-6)
         pl = PlRatio(inst.objective)
-        streamed = gd_run(inst.objective, inst.x0, inst.eta, stop, keep_iterates=False, observe=pl)
-        stored = gd_run(inst.objective, inst.x0, inst.eta, stop)
+        streamed = gd_run(inst.objective, inst.x0, inst.eta, stop, observe=pl)
+        stored = full_record(*run_observed(gd_run, inst.objective, inst.x0, inst.eta, stop))
         assert streamed.n_steps == stored.n_steps
         assert pl.count == len(stored.points)
         for mode in ("min", "paper_max"):
@@ -358,7 +361,7 @@ def pkl_row(request):
     opt = inst.objective.optimal_set
     pl, no, dists = PlRatio(inst.objective), NoOvershoot(opt), DistanceEnvelope(opt)
     traj = gd_run(
-        inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6), keep_iterates=False,
+        inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6),
         observe=lambda x, f, g: (pl(x, f, g), no(x, f, g), dists(x, f, g)),
     )
     assert len(dists.dists) == traj.n_steps + 1
@@ -404,9 +407,9 @@ def test_thinned_trajectory_refused(name):
     inst = build_pkl_gd_instance(6)
     analysis = FULL_RECORD_ANALYSES[name]
     stop = StopRule.max_steps(12)
-    analysis(gd_run(inst.objective, inst.x0, inst.eta, stop), inst.objective)
-    ends = gd_run(inst.objective, inst.x0, inst.eta, stop, keep_iterates=False)
-    with pytest.raises(InputError, match="every iterate"):
+    analysis(full_record(*run_observed(gd_run, inst.objective, inst.x0, inst.eta, stop)), inst.objective)
+    ends = gd_run(inst.objective, inst.x0, inst.eta, stop)
+    with pytest.raises(InputError, match="^this analysis needs every iterate; the record holds 2 of 13$"):
         analysis(ends, inst.objective)
 
 
@@ -418,8 +421,12 @@ def test_short_endpoints_record_accepted(name, steps):
     inst = build_pkl_gd_instance(6)
     analysis = FULL_RECORD_ANALYSES[name]
 
-    def outcome(keep):
-        traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.max_steps(steps), keep_iterates=keep)
+    def outcome(observed):
+        stop = StopRule.max_steps(steps)
+        if observed:
+            traj = full_record(*run_observed(gd_run, inst.objective, inst.x0, inst.eta, stop))
+        else:
+            traj = gd_run(inst.objective, inst.x0, inst.eta, stop)
         assert len(traj.points) == steps + 1
         try:
             return analysis(traj, inst.objective)
@@ -439,16 +446,15 @@ def _verdict(observer):
 @pytest.mark.parametrize("steps", [0, 1, 12])
 @pytest.mark.parametrize("observer", [NoOvershoot, DistanceEnvelope], ids=lambda cls: cls.__name__)
 def test_streamed_equals_replay(observer, steps):
-    # an observer sees every iterate inside the loop, so a run that keeps
-    # only its endpoints gives the verdict, the pair or the error text of
-    # a replay over the stored run
+    # an observer sees every iterate inside the loop, so it gives the
+    # verdict, the pair or the error text of a replay over the iterates
     inst = build_pkl_gd_instance(6)
     stop = StopRule.max_steps(steps)
     streamed = observer(inst.objective.optimal_set)
-    gd_run(inst.objective, inst.x0, inst.eta, stop, keep_iterates=False, observe=streamed)
-    stored = gd_run(inst.objective, inst.x0, inst.eta, stop)
-    assert len(stored.points) == steps + 1
-    assert _verdict(streamed) == _verdict(replay(observer(inst.objective.optimal_set), stored))
+    gd_run(inst.objective, inst.x0, inst.eta, stop, observe=streamed)
+    _, points = run_observed(gd_run, inst.objective, inst.x0, inst.eta, stop)
+    assert len(points) == steps + 1
+    assert _verdict(streamed) == _verdict(replay(observer(inst.objective.optimal_set), points))
 
 
 def test_analyses_read_only_trajectory_endpoints():

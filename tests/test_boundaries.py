@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_observed
 from gradpath import (
     ExperimentConfig,
     InputError,
@@ -126,27 +127,29 @@ def test_runner_start_rejected_by_name(runner, x0):
         _run_from(x0)[runner]()
 
 
-def _run_bits(traj):
-    return traj.stop_reason, traj.n_steps, traj.path_sum.hex(), traj.points.tobytes()
+def _run_bits(traj, points):
+    return traj.stop_reason, traj.n_steps, traj.path_sum.hex(), points.tobytes()
 
 
 def _runs(num):
-    """The four runners on one instance, each number given as ``num(text)``."""
+    """The four runners on one instance, each number given as ``num(text)``,
+    each with every point it passed through."""
     c = build_quad_lower(3, 4.0)
     obj, steps = c.to_objective(), StopRule("max_steps", num("40"))
     box = box_projector([-2.0] * 3, [2.0] * 3)
+    flow = gf_integrate(obj, c.x0, num("1e-6"), StopRule("norm_below", num("1e-3")))
     return [
-        gd_run(obj, c.x0, num("0.02"), steps),
-        heavy_ball_run(obj, c.x0, num("0.02"), num("0.5"), steps),
-        pgd_run(obj, box, c.x0, num("0.02"), steps),
-        gf_integrate(obj, c.x0, num("1e-6"), StopRule("norm_below", num("1e-3"))),
+        run_observed(gd_run, obj, c.x0, num("0.02"), steps),
+        run_observed(heavy_ball_run, obj, c.x0, num("0.02"), num("0.5"), steps),
+        run_observed(pgd_run, obj, box, c.x0, num("0.02"), steps),
+        (flow, flow.points),
     ]
 
 
 def test_numeric_text_runs_as_the_float_it_spells():
     # each text input used to end in a TypeError inside the run
     for text, number in zip(_runs(str), _runs(float)):
-        assert _run_bits(text) == _run_bits(number)
+        assert _run_bits(*text) == _run_bits(*number)
 
 
 @pytest.mark.parametrize("text_call, number_call", [

@@ -174,8 +174,7 @@ class TestPklIntervalLookup:
             assert np.array_equal(g, obj.gradient_at(x))
             seen.append(x.size)
 
-        traj = gd_run(obj, inst.x0, inst.eta, StopRule.norm_below(1e-6),
-                      keep_iterates=False, observe=observe)
+        traj = gd_run(obj, inst.x0, inst.eta, StopRule.norm_below(1e-6), observe=observe)
         assert traj.n_steps == 1036
         assert len(seen) == traj.n_steps + 1
 
@@ -192,8 +191,7 @@ class TestPklIntervalLookup:
 
         monkeypatch.setattr(PklConstruction, "_pieces", counted)
         inst = build_pkl_gd_instance(148)
-        traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6),
-                      keep_iterates=False, observe=lambda x, f, g: None)
+        traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6), observe=lambda x, f, g: None)
         assert len(selections) == traj.n_steps + 1 == 1037
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -820,6 +821,15 @@ class TestPlotScripts:
         assert (tmp_path / "rows.png").exists()
 
 
+#: SHA-256 of the --csv-out file of each run in TestCli, as written from a
+#: stored record of every iterate, before the file was built by an observer
+CSV_OUT_SHA256 = {
+    "run-gd": "77fc76c20b85441f6e0cab060fdef4a74d31ebb4a8dfccd4f413e7dbb90ced43",
+    "run-hb": "3bababcaf1e879be92fda4bbfc69020fa108fc4a80bc6bd403ea64df82a4d0e3",
+    "run-pgd": "72a5a60ac6c859096580dc085fc656473a9588bb398ff573ba35f4c59fed81af",
+}
+
+
 class TestCli:
     def test_run_gd(self, capsys, tmp_path):
         out = tmp_path / "traj.csv"
@@ -838,7 +848,7 @@ class TestCli:
          "--project", "box:0.25,0.75", "--stop", "max_steps:30"],
     ], ids=lambda argv: argv[0])
     def test_run_report_same_without_csv(self, argv, capsys, tmp_path):
-        # without --csv-out only the endpoints are kept; the report must not change
+        # with --csv-out an observer writes every iterate; the report must not change
         assert main(argv) == 0
         lean = capsys.readouterr().out.splitlines()
         out = tmp_path / "traj.csv"
@@ -848,6 +858,15 @@ class TestCli:
         assert [line.split()[0] for line in lean][:2] == ["stop:", "path"]
         steps = int(lean[0].split()[-2])
         assert len(out.read_text().splitlines()) == steps + 2  # header, x_0 ... x_N
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_OUT_SHA256[argv[0]]
+
+    def test_failed_run_writes_no_csv(self, capsys, tmp_path):
+        # the observer collects the lines; the file is written only once the run returns
+        out = tmp_path / "traj.csv"
+        argv = ["run-gd", "--objective", "quad-geom:d=3,omega=4", "--eta", "10", "--stop", "max_steps:1000"]
+        assert main(argv + ["--csv-out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: trajectory norm exceeded 1e+12 at iterate 6\n"
+        assert not out.exists()
 
     def test_run_gf(self, capsys):
         code = main(["run-gf", "--objective", "fsep-quartic:d=2", "--stop", "grad_below:1e-8"])

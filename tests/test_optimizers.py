@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_convex_quadratic, scalar_objective
+from conftest import random_convex_quadratic, run_observed, scalar_objective
 from gradpath import (
     DivergenceError,
     InputError,
@@ -193,8 +193,8 @@ class TestGdRun:
         assert traj.stop_reason == "stationary"
 
     def test_overshooting_step(self):
-        traj = gd_run(square(), [8.0], 7 / 8, StopRule.max_steps(2))
-        assert traj.points[:, 0].tolist() == [8.0, -6.0, 4.5]
+        traj, points = run_observed(gd_run, square(), [8.0], 7 / 8, StopRule.max_steps(2))
+        assert points[:, 0].tolist() == [8.0, -6.0, 4.5]
         assert traj.stop_reason == "max_steps"
 
     def test_two_dim_hand_steps(self):
@@ -203,34 +203,34 @@ class TestGdRun:
             value=lambda x: float(x[0] ** 2 + 0.5 * x[1] ** 2),
             gradient=lambda x: np.array([2 * x[0], x[1]]),
         )
-        traj = gd_run(obj, [1.0, 1.0], 0.5, StopRule.max_steps(2))
-        assert np.allclose(traj.points[1], [0.0, 0.5])
-        assert np.allclose(traj.points[2], [0.0, 0.25])
+        _, points = run_observed(gd_run, obj, [1.0, 1.0], 0.5, StopRule.max_steps(2))
+        assert np.allclose(points[1], [0.0, 0.5])
+        assert np.allclose(points[2], [0.0, 0.25])
 
     def test_update_rule_recomputable(self, rng):
         spec = random_convex_quadratic(rng)
         obj = spec.to_objective()
         eta = 0.7 / float(spec.sigma[0])
-        traj = gd_run(obj, spec.x0, eta, StopRule.max_steps(25))
-        for k in range(len(traj.points) - 1):
-            recomputed = traj.points[k] - eta * obj.gradient_at(traj.points[k])
-            assert np.linalg.norm(recomputed - traj.points[k + 1]) <= 1e-12
+        _, points = run_observed(gd_run, obj, spec.x0, eta, StopRule.max_steps(25))
+        for k in range(len(points) - 1):
+            recomputed = points[k] - eta * obj.gradient_at(points[k])
+            assert np.linalg.norm(recomputed - points[k + 1]) <= 1e-12
 
     def test_descent_inequality_small_step(self, rng):
         spec = random_convex_quadratic(rng)
         obj = spec.to_objective()
         eta = 1.0 / obj.L
-        traj = gd_run(obj, spec.x0, eta, StopRule.max_steps(40))
-        for k in range(len(traj.points) - 1):
-            g = obj.gradient_at(traj.points[k])
-            drop = obj.value_at(traj.points[k]) - 0.5 * eta * float(g @ g)
-            assert obj.value_at(traj.points[k + 1]) <= drop + 1e-10
+        _, points = run_observed(gd_run, obj, spec.x0, eta, StopRule.max_steps(40))
+        for k in range(len(points) - 1):
+            g = obj.gradient_at(points[k])
+            drop = obj.value_at(points[k]) - 0.5 * eta * float(g @ g)
+            assert obj.value_at(points[k + 1]) <= drop + 1e-10
 
     def test_distance_descent_two_over_L(self, rng):
         spec = random_convex_quadratic(rng)
         obj = spec.to_objective()
-        traj = gd_run(obj, spec.x0, 2.0 / obj.L, StopRule.max_steps(40))
-        dists = [obj.optimal_set.distance(p) for p in traj.points]
+        _, points = run_observed(gd_run, obj, spec.x0, 2.0 / obj.L, StopRule.max_steps(40))
+        dists = [obj.optimal_set.distance(p) for p in points]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(dists, dists[1:]))
 
     def test_norm_stop_and_indices(self):
@@ -388,28 +388,28 @@ class TestHeavyBall:
         spec = random_convex_quadratic(rng)
         obj = spec.to_objective()
         eta = 0.6 / obj.L
-        a = gd_run(obj, spec.x0, eta, StopRule.max_steps(30))
-        b = heavy_ball_run(obj, spec.x0, eta, 0.0, StopRule.max_steps(30))
-        assert np.array_equal(a.points, b.points)
+        _, a = run_observed(gd_run, obj, spec.x0, eta, StopRule.max_steps(30))
+        _, b = run_observed(heavy_ball_run, obj, spec.x0, eta, 0.0, StopRule.max_steps(30))
+        assert np.array_equal(a, b)
 
     def test_hand_steps(self):
-        traj = heavy_ball_run(half_square(), [1.0], 1.0, 0.5, StopRule.max_steps(2))
-        assert traj.points[:, 0].tolist() == [1.0, 0.0, -0.5]
+        _, points = run_observed(heavy_ball_run, half_square(), [1.0], 1.0, 0.5, StopRule.max_steps(2))
+        assert points[:, 0].tolist() == [1.0, 0.0, -0.5]
 
     def test_asymptotic_rate_matches_design(self):
         # per-step contraction tends to 1 - c with c = 2/(sqrt(kappa)+1)
         obj = QuadraticSpec.diagonal([4.0, 1.0], [1.0, 1.0]).to_objective()
         alpha, beta = hb_params(1.0, 4.0)
         c = 2.0 / (math.sqrt(4.0) + 1.0)
-        traj = heavy_ball_run(obj, [1.0, 1.0], alpha, beta, StopRule.max_steps(220))
-        d0 = float(np.linalg.norm(traj.points[0]))
-        dk = float(np.linalg.norm(traj.points[200]))
+        _, points = run_observed(heavy_ball_run, obj, [1.0, 1.0], alpha, beta, StopRule.max_steps(220))
+        d0 = float(np.linalg.norm(points[0]))
+        dk = float(np.linalg.norm(points[200]))
         assert (dk / d0) ** (1 / 200) == pytest.approx(1 - c, abs=0.02)
         # distances respect the defective-mode envelope (k+1)(1-c)^k but not
         # the bare geometric envelope: the first step is a plain gradient step
-        for k, p in enumerate(traj.points):
+        for k, p in enumerate(points):
             assert np.linalg.norm(p) <= 2.5 * (k + 1) * (1 - c) ** k * d0 + 1e-12
-        assert np.linalg.norm(traj.points[1]) > (1 - c) * d0
+        assert np.linalg.norm(points[1]) > (1 - c) * d0
 
     def test_divergence_guard(self):
         obj = scalar_objective(lambda x: 0.5 * x * x, lambda x: x)
@@ -420,12 +420,12 @@ class TestHeavyBall:
         spec = random_convex_quadratic(rng)
         obj = spec.to_objective()
         alpha, beta = hb_params(float(spec.sigma[-1]), float(spec.sigma[0]))
-        traj = heavy_ball_run(obj, spec.x0, alpha, beta, StopRule.max_steps(25))
-        prev = traj.points[0]
-        for k in range(len(traj.points) - 1):
-            x = traj.points[k]
+        _, points = run_observed(heavy_ball_run, obj, spec.x0, alpha, beta, StopRule.max_steps(25))
+        prev = points[0]
+        for k in range(len(points) - 1):
+            x = points[k]
             recomputed = x - alpha * obj.gradient_at(x) + beta * (x - prev)
-            assert np.linalg.norm(recomputed - traj.points[k + 1]) <= 1e-12
+            assert np.linalg.norm(recomputed - points[k + 1]) <= 1e-12
             prev = x
 
     def test_param_validation(self):
@@ -440,9 +440,9 @@ class TestPgd:
         spec = random_convex_quadratic(rng)
         obj = spec.to_objective()
         eta = 0.8 / obj.L
-        a = gd_run(obj, spec.x0, eta, StopRule.max_steps(25))
-        b = pgd_run(obj, lambda x: x, spec.x0, eta, StopRule.max_steps(25))
-        assert np.array_equal(a.points, b.points)
+        _, a = run_observed(gd_run, obj, spec.x0, eta, StopRule.max_steps(25))
+        _, b = run_observed(pgd_run, obj, lambda x: x, spec.x0, eta, StopRule.max_steps(25))
+        assert np.array_equal(a, b)
 
     def test_box_fixed_point(self):
         obj = scalar_objective(lambda x: 0.5 * (x - 2.0) ** 2, lambda x: x - 2.0)
@@ -468,8 +468,8 @@ class TestPgd:
         spec = random_convex_quadratic(rng)
         obj = spec.to_objective()
         proj = box_projector(np.full(spec.dim, -0.25), np.full(spec.dim, 0.25))
-        traj = pgd_run(obj, proj, np.zeros(spec.dim), 0.5 / obj.L, StopRule.max_steps(30))
-        for p in traj.points:
+        _, points = run_observed(pgd_run, obj, proj, np.zeros(spec.dim), 0.5 / obj.L, StopRule.max_steps(30))
+        for p in points:
             assert np.linalg.norm(proj(p) - p) <= 1e-12
 
     def test_projector_writing_one_buffer_matches_box_projector(self):
@@ -479,11 +479,11 @@ class TestPgd:
         in_place = lambda z: np.clip(z, -1.0, 1.0, out=buf)
         obj = QuadraticSpec.diagonal([1.0, 2.0], [0.9, 0.9]).to_objective()
         stop = StopRule.norm_below(1e-6)
-        a = pgd_run(obj, box_projector(-1.0, 1.0), [0.9, 0.9], 0.1, stop)
-        b = pgd_run(obj, in_place, [0.9, 0.9], 0.1, stop)
+        a, a_points = run_observed(pgd_run, obj, box_projector(-1.0, 1.0), [0.9, 0.9], 0.1, stop)
+        b, b_points = run_observed(pgd_run, obj, in_place, [0.9, 0.9], 0.1, stop)
         assert (a.stop_reason, a.n_steps) == ("norm_below", 131)
         assert (b.stop_reason, b.n_steps, b.path_sum.hex()) == (a.stop_reason, a.n_steps, a.path_sum.hex())
-        assert a.points.tobytes() == b.points.tobytes()
+        assert a_points.tobytes() == b_points.tobytes()
 
     def test_bad_projector_rejected(self):
         obj = half_square()
@@ -504,7 +504,7 @@ class TestPgd:
 
 
 class TestEndpointsOnly:
-    """``keep_iterates=False`` keeps x_0 and x_N; ``observe`` sees every iterate."""
+    """A discrete run keeps x_0 and x_N; ``observe`` sees every iterate."""
 
     @staticmethod
     def run(method, spec, **options):
@@ -521,24 +521,30 @@ class TestEndpointsOnly:
     @pytest.mark.parametrize("method", ["gd", "hb", "pgd"])
     def test_same_run_as_full_record(self, rng, method):
         spec = random_convex_quadratic(rng)
-        full = self.run(method, spec)
-        ends = self.run(method, spec, keep_iterates=False)
-        assert ends.points.shape == (2, spec.dim)
-        assert ends.times.tolist() == [0, full.n_steps]
-        assert np.array_equal(ends.points[0], full.points[0])
-        assert np.array_equal(ends.final_point, full.final_point)
-        assert ends.n_steps == full.n_steps > 1
-        assert ends.path_sum == full.path_sum
-        assert ends.stop_reason == full.stop_reason
+        ends = self.run(method, spec)
+        observed, points = run_observed(self.run, method, spec)
+        _assert_owned_rows(ends.points, (2, spec.dim), np.float64)
+        _assert_owned_rows(ends.times, (2,), np.int64)
+        assert ends.times.tolist() == [0, observed.n_steps]
+        assert ends.points.tobytes() == points[[0, -1]].tobytes() == observed.points.tobytes()
+        assert ends.n_steps == observed.n_steps == len(points) - 1 > 1
+        assert ends.path_sum == observed.path_sum
+        assert ends.stop_reason == observed.stop_reason
 
     @pytest.mark.parametrize("method", ["gd", "hb", "pgd"])
     def test_observe_sees_every_recorded_point(self, rng, method):
         spec = random_convex_quadratic(rng)
         seen = []
-        self.run(method, spec, keep_iterates=False,
-                 observe=lambda x, f, g: seen.append((x.copy(), f, g.copy())))
-        full = self.run(method, spec)
-        assert np.array_equal(np.array([x for x, _, _ in seen]), full.points)
+        traj = self.run(method, spec, observe=lambda x, f, g: seen.append((x.copy(), f, g.copy())))
+        points = np.array([x for x, _, _ in seen])
+        assert len(points) == traj.n_steps + 1
+        assert np.array_equal(points[[0, -1]], traj.points)
+        # the loop's step norms, sqrt(d . d), summed in its order: the
+        # observed points are the ones the run stepped through, to the bit
+        path_sum = 0.0
+        for step in np.diff(points, axis=0):
+            path_sum += math.sqrt(float(step.dot(step)))
+        assert path_sum.hex() == traj.path_sum.hex()
         obj = spec.to_objective()
         assert all(np.array_equal(g, obj.gradient_at(x)) for x, _, g in seen)
         # the value handed over is value_at's, to the bit
@@ -559,22 +565,10 @@ def _assert_owned_rows(a, shape, dtype):
 
 
 class TestRecord:
-    """Kept states below, at and just above the record's first capacity,
-    and past several doublings of it."""
+    """A flow's accepted points below, at and just above the record's first
+    capacity, and past several doublings of it; a discrete run's x_0 and x_N."""
 
     ROWS = [RECORD_ROWS - 1, RECORD_ROWS, RECORD_ROWS + 1, 5 * RECORD_ROWS]
-
-    @pytest.mark.parametrize("m", ROWS)
-    def test_discrete_rows_are_the_observed_iterates(self, m):
-        c = build_quad_lower(6, 5.0)
-        seen = []
-        traj = gd_run(c.to_objective(), c.x0, c.eta, StopRule.max_steps(m - 1),
-                      observe=lambda x, f, g: seen.append(x.copy()))
-        assert (traj.stop_reason, traj.n_steps) == ("max_steps", m - 1)
-        _assert_owned_rows(traj.points, (m, 6), np.float64)
-        _assert_owned_rows(traj.times, (m,), np.int64)
-        assert traj.points.tobytes() == np.array(seen).tobytes()
-        assert traj.times.tolist() == list(range(m))
 
     @pytest.mark.parametrize("m", ROWS)
     def test_flow_rows_follow_the_closed_form(self, m):
@@ -592,26 +586,28 @@ class TestRecord:
         assert float(np.max(np.linalg.norm(traj.points - exact, axis=1))) <= 10 * tol
 
     def test_endpoints_only_record(self):
-        traj = gd_run(half_square(), [1.0], 0.5, StopRule.max_steps(0), keep_iterates=False)
+        traj = gd_run(half_square(), [1.0], 0.5, StopRule.max_steps(0))
         _assert_owned_rows(traj.points, (1, 1), np.float64)
         _assert_owned_rows(traj.times, (1,), np.int64)
-        traj = gd_run(half_square(), [1.0], 0.5, StopRule.max_steps(3), keep_iterates=False)
-        assert traj.points[:, 0].tolist() == [1.0, 0.125] and traj.times.tolist() == [0, 3]
+        assert traj.points[:, 0].tolist() == [1.0] and traj.times.tolist() == [0]
+        traj = gd_run(half_square(), [1.0], 0.5, StopRule.max_steps(3))
+        _assert_owned_rows(traj.points, (2, 1), np.float64)
         _assert_owned_rows(traj.times, (2,), np.int64)
+        assert traj.points[:, 0].tolist() == [1.0, 0.125] and traj.times.tolist() == [0, 3]
 
 
 class TestRecordMemory:
-    """Traced bytes per kept state, bounded from the record's layout.
+    """Traced bytes of a run, bounded from what it keeps.
 
-    A record of rows of w bytes doubles when full, so after keeping m >
-    RECORD_ROWS rows its capacity C is below 2m.  While it grows it holds
-    the old and the new buffer, 1.5 C w < 3 m w bytes; at return it holds
-    C w bytes and the trimmed copies, which take at most w + 8 bytes per
-    row (a flow's row of x, t and local error splits into its three
-    arrays, w in all; a discrete run adds int64 times to its rows of x).
+    A flow's record of rows of w bytes doubles when full, so after keeping
+    m > RECORD_ROWS rows its capacity C is below 2m.  While it grows it
+    holds the old and the new buffer, 1.5 C w < 3 m w bytes; at return it
+    holds C w bytes and the trimmed copies, which take at most w + 8 bytes
+    per row (a row of x, t and local error splits into its three arrays).
     So the peak is below (3 w + 8) m bytes plus the run's working set,
     which does not grow with m.  Lists of per-step arrays and floats took
-    about 300 bytes per step here.
+    about 300 bytes per step here.  A discrete run keeps only x_0 and x_N,
+    so its peak is the working set however long it runs.
     """
 
     M = 32 * RECORD_ROWS + 1  # just past a doubling: the growth peak is the largest
@@ -636,12 +632,14 @@ class TestRecordMemory:
         assert peak <= (3 * w + 8) * self.M + self.WORKING_SET
 
     def test_gradient_descent(self):
+        # the peak does not grow with the step count: a record of every
+        # iterate would take 8 d bytes a step, 96 KiB at M steps
         c = build_quad_lower(6, 5.0)
-        traj, peak = self.traced_peak(
-            lambda: gd_run(c.to_objective(), c.x0, c.eta, StopRule.max_steps(self.M - 1)))
-        assert len(traj.points) == self.M
-        w = 6 * 8
-        assert peak <= (3 * w + 8) * self.M + self.WORKING_SET
+        for steps in (self.M, 8 * self.M):
+            traj, peak = self.traced_peak(
+                lambda: gd_run(c.to_objective(), c.x0, c.eta, StopRule.max_steps(steps)))
+            assert (traj.stop_reason, traj.n_steps, len(traj.points)) == ("max_steps", steps, 2)
+            assert peak <= self.WORKING_SET, steps
 
 
 def _counted(obj):
@@ -689,8 +687,7 @@ class TestDiscreteGradientCalls:
             return inst.objective.value_and_gradient(x)
 
         obj = dataclasses.replace(obj, value_and_gradient=value_and_gradient)
-        traj = gd_run(obj, inst.x0, inst.eta, StopRule.norm_below(1e-6),
-                      keep_iterates=False, observe=lambda x, f, g: None)
+        traj = gd_run(obj, inst.x0, inst.eta, StopRule.norm_below(1e-6), observe=lambda x, f, g: None)
         assert traj.stop_reason == "norm_below"
         assert (counted[0], fused[0], traj.n_feval) == (0, traj.n_steps + 1, traj.n_steps + 1)
 
@@ -869,43 +866,43 @@ class TestCycleStop:
         obj = spec.to_objective()
         alpha, beta = hb_params(obj.mu, obj.L)
         start = time.perf_counter()
-        traj = heavy_ball_run(obj, spec.x0, alpha, beta, StopRule.norm_below(1e-3))
+        traj, points = run_observed(heavy_ball_run, obj, spec.x0, alpha, beta, StopRule.norm_below(1e-3))
         assert time.perf_counter() - start < 1.0
         assert (traj.stop_reason, traj.n_steps) == ("cycle", 526)
         assert math.isclose(float(np.linalg.norm(traj.final_point)), 1.42, abs_tol=0.01)
         # the last state is the one 14 steps earlier, bit for bit
-        assert np.array_equal(traj.points[-2:], traj.points[-16:-14])
-        assert not np.array_equal(traj.points[-2:], traj.points[-15:-13])
+        assert np.array_equal(points[-2:], points[-16:-14])
+        assert not np.array_equal(points[-2:], points[-15:-13])
 
     def test_period_two_cycle_of_gradient_descent(self):
         # eta * L = 2 on 0.5 x^2 flips the sign of x every step: 1, -1, 1, ...
-        traj = gd_run(half_square(), [1.0], 2.0, StopRule.norm_below(1e-3))
+        traj, points = run_observed(gd_run, half_square(), [1.0], 2.0, StopRule.norm_below(1e-3))
         assert (traj.stop_reason, traj.n_steps) == ("cycle", 4)
-        assert traj.points[:, 0].tolist() == [1.0, -1.0, 1.0, -1.0, 1.0]
+        assert points[:, 0].tolist() == [1.0, -1.0, 1.0, -1.0, 1.0]
         assert traj.path_sum == 8.0
 
 
 class TestDiscreteStopStep:
-    """The stop step of a stored run, checked against the rule's own
+    """The stop step of an observed run, checked against the rule's own
     definition: every iterate before the last fails it, the last passes."""
 
     @pytest.mark.parametrize("omega", [3.0, 4.0])
     def test_coords_rule_on_quad_lower(self, omega):
         c = build_quad_lower(6, omega)
         eps = 1e-4
-        traj = gd_run(c.to_objective(), c.x0, c.eta, StopRule.coords_below_except_last(eps), keep_iterates=True)
+        traj, points = run_observed(gd_run, c.to_objective(), c.x0, c.eta, StopRule.coords_below_except_last(eps))
         assert traj.stop_reason == "coords_below_except_last"
-        assert traj.points.shape == (traj.n_steps + 1, 6)
-        below = np.abs(traj.points[:, :-1]).max(axis=1) < eps
+        assert points.shape == (traj.n_steps + 1, 6)
+        below = np.abs(points[:, :-1]).max(axis=1) < eps
         assert not below[:-1].any() and below[-1]
 
     def test_norm_rule_on_pkl_lower_gd(self):
         inst = build_pkl_gd_instance(9)
         eps = 1e-6
-        traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.norm_below(eps), keep_iterates=True)
+        traj, points = run_observed(gd_run, inst.objective, inst.x0, inst.eta, StopRule.norm_below(eps))
         assert traj.stop_reason == "norm_below"
-        assert traj.points.shape == (traj.n_steps + 1, 9)
-        below = np.linalg.norm(traj.points, axis=1) <= eps
+        assert points.shape == (traj.n_steps + 1, 9)
+        below = np.linalg.norm(points, axis=1) <= eps
         assert not below[:-1].any() and below[-1]
 
 
