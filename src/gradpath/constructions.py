@@ -315,10 +315,6 @@ class QuadLowerConstruction:
         return 1.0 / (2.0 * float(self.spectrum[0]))
 
     @property
-    def dist0(self) -> float:
-        return math.sqrt(self.d)
-
-    @property
     def gf_checkpoints(self) -> Array:
         return math.log(1.0 / QUAD_GF_DELTA) / self.spectrum
 

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import bounds, constructions
-from .analysis import PlRatio, path_length_discrete, path_length_quadratic_gf
+from .analysis import PathLengthReport, PlRatio, path_length_discrete, path_length_quadratic_gf
 from .analysis import effective_pkl_mu  # noqa: F401  (re-exported; bench/workloads.py traces it)
 from .errors import InputError, InvariantViolation, finite_number, positive_number
 from .optimizers import StopRule, gd_run
@@ -150,23 +150,25 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ResultRow:
+    """One CSV row; a default marks a cell the experiment does not produce."""
+
     experiment: str
     d: int
-    omega: float | None
+    omega: float | None = None
     kappa_nominal: float
-    kappa_effective: float | None
-    mu_mode: str
+    kappa_effective: float | None = None
+    mu_mode: str = ""
     dist0: float
-    zeta: float | None
-    ratio: float | None
-    bound_upper: float | None
-    bound_lower: float | None
-    steps: int
+    zeta: float | None = None
+    ratio: float | None = None
+    bound_upper: float | None = None
+    bound_lower: float | None = None
+    steps: int = 0
     runtime_s: float
-    seed: int | None
-    stop_reason: str
+    seed: int | None = None
+    stop_reason: str = ""
 
     def sort_key(self):
         return (
@@ -206,31 +208,27 @@ def _verify_sandwich(row: ResultRow):
 # ---------------------------------------------------------------------------
 
 
-def _pkl_point(point, cfg: ExperimentConfig) -> ResultRow:
+def _report_fields(rep: PathLengthReport) -> dict:
+    """The row fields a path-length report measures."""
+    return dict(dist0=rep.dist0, zeta=rep.length, ratio=rep.ratio, steps=rep.steps, stop_reason=rep.stop_reason)
+
+
+def _pkl_point(point, cfg: ExperimentConfig) -> dict:
     (d,) = point
-    start = time.perf_counter()
     inst = constructions.build_pkl_gd_instance(d)
     pl = PlRatio(inst.objective)
     traj = gd_run(
         inst.objective, inst.x0, inst.eta,
         StopRule.norm_below(cfg.stop_norm), safety_cap=cfg.safety_cap, observe=pl,
     )
-    rep = path_length_discrete(traj, inst.objective.optimal_set)
-    mu_eff = pl.aggregate(cfg.mu_mode)
-    kappa_nom = 3.0 * d * d
-    # the instance's own guarantee is the dimension branch of the PL
-    # lower bound; the kappa branch only enters via dimension reduction
-    lower = math.sqrt(d) / (16.0 * math.log(d))
-    return ResultRow(
-        experiment=cfg.experiment, d=d, omega=None,
-        kappa_nominal=kappa_nom,
-        kappa_effective=inst.objective.L / mu_eff,
-        mu_mode=cfg.mu_mode,
-        dist0=rep.dist0, zeta=rep.length, ratio=rep.ratio,
+    return dict(
+        _report_fields(path_length_discrete(traj, inst.objective.optimal_set)),
+        d=d, kappa_nominal=3.0 * d * d,
+        kappa_effective=inst.objective.L / pl.aggregate(cfg.mu_mode), mu_mode=cfg.mu_mode,
         bound_upper=bounds.bound_pkl(inst.objective.mu, inst.objective.L, "gd"),
-        bound_lower=lower,
-        steps=traj.n_steps, runtime_s=time.perf_counter() - start,
-        seed=None, stop_reason=traj.stop_reason,
+        # the instance's own guarantee is the dimension branch of the PL
+        # lower bound; the kappa branch only enters via dimension reduction
+        bound_lower=math.sqrt(d) / (16.0 * math.log(d)),
     )
 
 
@@ -254,86 +252,66 @@ def _quad_gd_steps(point, cfg: ExperimentConfig) -> int:
     return 0 if steps > cfg.safety_cap else steps
 
 
-def _quad_point(point, cfg: ExperimentConfig) -> ResultRow:
+def _quad_lower(point, flavor: str):
+    """The construction of a ``(d, omega)`` point, its spectrum, and the
+    row fields they fix: the point, kappa, dist0 and the ``flavor`` bounds
+    (the lower one needs kappa >= 5)."""
     d, omega = point
-    start = time.perf_counter()
     c = constructions.build_quad_lower(d, omega)
     spec = c.to_quadratic()
-    kappa = c.kappa
-    flavor = "gf" if cfg.experiment == "quad-lower-gf" else "gd"
-    upper = bounds.bound_quadratic(spec, flavor)
-    lower = bounds.lower_bound_quadratic(d, kappa, flavor) if kappa >= 5 else None
-    if flavor == "gf":
-        rep = path_length_quadratic_gf(spec, cfg.quad_abs_tol)
-        steps, stop_reason = rep.steps, rep.stop_reason
-        zeta, ratio = rep.length, rep.ratio
-    elif _projected_gd_steps(c, cfg.stop_coords) > cfg.safety_cap:
-        steps, stop_reason = 0, "cap"
-        zeta = ratio = None
-    else:
-        traj = gd_run(
-            c.to_objective(), c.x0, c.eta,
-            StopRule.coords_below_except_last(cfg.stop_coords),
-            safety_cap=cfg.safety_cap,
-        )
-        rep = path_length_discrete(traj, spec.optimal_set())
-        steps, stop_reason = traj.n_steps, traj.stop_reason
-        zeta, ratio = rep.length, rep.ratio
-    return ResultRow(
-        experiment=cfg.experiment, d=d, omega=omega, kappa_nominal=kappa,
-        kappa_effective=spec.kappa, mu_mode="", dist0=c.dist0,
-        zeta=zeta, ratio=ratio, bound_upper=upper, bound_lower=lower,
-        steps=steps, runtime_s=time.perf_counter() - start, seed=None,
-        stop_reason=stop_reason,
+    lower = bounds.lower_bound_quadratic(d, c.kappa, flavor) if c.kappa >= 5 else None
+    return c, spec, dict(d=d, omega=omega, kappa_nominal=c.kappa, dist0=spec.dist0,
+                         bound_upper=bounds.bound_quadratic(spec, flavor), bound_lower=lower)
+
+
+def _quad_gf_point(point, cfg: ExperimentConfig) -> dict:
+    _, spec, row = _quad_lower(point, "gf")
+    row["kappa_effective"] = spec.kappa
+    return row | _report_fields(path_length_quadratic_gf(spec, cfg.quad_abs_tol))
+
+
+def _quad_gd_point(point, cfg: ExperimentConfig) -> dict:
+    c, spec, row = _quad_lower(point, "gd")
+    row["kappa_effective"] = spec.kappa
+    if _projected_gd_steps(c, cfg.stop_coords) > cfg.safety_cap:
+        return row | dict(stop_reason="cap")
+    traj = gd_run(
+        c.to_objective(), c.x0, c.eta,
+        StopRule.coords_below_except_last(cfg.stop_coords), safety_cap=cfg.safety_cap,
     )
+    return row | _report_fields(path_length_discrete(traj, spec.optimal_set()))
 
 
-def _random_point(point, cfg: ExperimentConfig) -> ResultRow:
+def _random_point(point, cfg: ExperimentConfig) -> dict:
     d, kappa, seed = point
-    start = time.perf_counter()
-    inst = constructions.build_quad_random(d, kappa, seed)
-    spec = inst.to_quadratic()
-    rep = path_length_quadratic_gf(spec, cfg.quad_abs_tol)
-    return ResultRow(
-        experiment=cfg.experiment, d=d, omega=None, kappa_nominal=kappa,
-        kappa_effective=spec.kappa, mu_mode="", dist0=rep.dist0,
-        zeta=rep.length, ratio=rep.ratio,
-        bound_upper=bounds.bound_quadratic(spec, "gf"),
-        bound_lower=None,  # the worst-case lower bound does not apply to random spectra
-        steps=rep.steps, runtime_s=time.perf_counter() - start,
-        seed=seed, stop_reason=rep.stop_reason,
+    spec = constructions.build_quad_random(d, kappa, seed).to_quadratic()
+    # no bound_lower: the worst-case lower bound does not apply to random spectra
+    return dict(
+        _report_fields(path_length_quadratic_gf(spec, cfg.quad_abs_tol)),
+        d=d, kappa_nominal=kappa, kappa_effective=spec.kappa,
+        bound_upper=bounds.bound_quadratic(spec, "gf"), seed=seed,
     )
 
 
-def _bound_point(point, cfg: ExperimentConfig) -> ResultRow:
-    d, omega = point
-    start = time.perf_counter()
-    c = constructions.build_quad_lower(d, omega)
-    spec = c.to_quadratic()
-    kappa = c.kappa
-    lower = bounds.lower_bound_quadratic(d, kappa, "gf") if kappa >= 5 else None
-    return ResultRow(
-        experiment=cfg.experiment, d=d, omega=omega, kappa_nominal=kappa,
-        kappa_effective=None, mu_mode="", dist0=c.dist0,
-        zeta=None, ratio=None,
-        bound_upper=bounds.bound_quadratic(spec, "gf"),
-        bound_lower=lower, steps=0,
-        runtime_s=time.perf_counter() - start, seed=None, stop_reason="",
-    )
+def _bound_point(point, cfg: ExperimentConfig) -> dict:
+    return _quad_lower(point, "gf")[2]
 
 
 @dataclass(frozen=True)
 class Experiment:
     """One experiment id: its default grid fields, the scalar config keys
-    its point function and ``projected_steps`` read, the function that
-    turns one grid point into a CSV row, the figure its plot script draws
-    and a point's projected descent steps (``None``: too cheap to fork
-    for).  The grid is the product of the grid fields, in this order.
-    Grid fields, scalar keys and ``out`` are the keys a config may set."""
+    its point function and ``projected_steps`` read, the point function,
+    the figure its plot script draws and a point's projected descent
+    steps (``None``: too cheap to fork for).  The grid is the product of
+    the grid fields, in this order.  Grid fields, scalar keys and ``out``
+    are the keys a config may set.  The point function returns the
+    ``ResultRow`` fields it measured for one grid point, as a dict;
+    :func:`run_experiment` adds ``experiment`` and ``runtime_s``, and
+    every other field keeps its default."""
 
     grid: dict
     keys: tuple[str, ...]
-    point_row: Callable[[tuple, ExperimentConfig], ResultRow]
+    point_row: Callable[[tuple, ExperimentConfig], dict]
     figure: str | None = None
     projected_steps: Callable[[tuple, ExperimentConfig], int] | None = None
 
@@ -342,9 +320,9 @@ EXPERIMENT_TABLE = {
     "pkl-lower-gd": Experiment(dict(dims=f1_dimension_grid()), ("stop_norm", "safety_cap", "mu_mode"),
                                _pkl_point, "f1-ratio-vs-kappa"),
     "quad-lower-gf": Experiment(dict(dims=(20,), omegas=(1.1, 1.3, 1.6, 2.0)), ("quad_abs_tol",),
-                                _quad_point, "f2-ratio-vs-logkappa"),
+                                _quad_gf_point, "f2-ratio-vs-logkappa"),
     "quad-lower-gd": Experiment(dict(dims=(6,), omegas=(11.0,)), ("stop_coords", "safety_cap"),
-                                _quad_point, "f2-ratio-vs-logkappa", _quad_gd_steps),
+                                _quad_gd_point, "f2-ratio-vs-logkappa", _quad_gd_steps),
     "quad-random": Experiment(dict(dims=(20,), kappas=(1e6,), seeds=tuple(range(10))), ("quad_abs_tol",),
                               _random_point, "f2-ratio-vs-logkappa"),
     "bound-sweep": Experiment(dict(dims=(6, 20, 150), omegas=(1.1, 2.0, 11.0)), (), _bound_point),
@@ -374,14 +352,20 @@ def run_experiment(cfg: ExperimentConfig):
     points = list(itertools.product(*(getattr(cfg, name) for name in entry.grid)))
     if not points:
         raise InputError(f"experiment {cfg.experiment!r} has an empty grid")
+
+    def point_row(point, cfg):
+        start = time.perf_counter()
+        measured = entry.point_row(point, cfg)
+        return ResultRow(experiment=cfg.experiment, runtime_s=time.perf_counter() - start, **measured)
+
     n = _worker_count(entry, points, cfg)
     if n == 1:
-        rows = [entry.point_row(point, cfg) for point in points]
+        rows = [point_row(point, cfg) for point in points]
     else:
         # imported here, so that a grid run in-process never loads (or compiles) the fork code
         from .workers import grid_rows
 
-        rows = grid_rows(entry.point_row, points, n, cfg)
+        rows = grid_rows(point_row, points, n, cfg)
     rows.sort(key=ResultRow.sort_key)
     for row in rows:
         _verify_sandwich(row)

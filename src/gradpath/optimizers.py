@@ -236,19 +236,13 @@ def _discrete_run(
     # vector, and a vector with a NaN or an infinite entry has a
     # non-finite square (a finite one may overflow; the exact check decides).
     xsq = float(x.dot(x))
-    g = None  # gradient at x, once evaluated
     # Brent's cycle detection: the pair (x_{k-1}, x_k) is the whole state
     # of every update here, so once it repeats the run repeats forever.
     # The pair after step k is saved at each power of two k and compared
     # with every later pair, squared norm first and bytes only on a tie.
-    saved, saved_sq, save_at = None, math.nan, 1
+    saved, saved_sq, save_at, cycle = None, math.nan, 1, False
     while True:
-        if point_stop is not None and point_stop(x, xsq):
-            reason = kind
-            break
-        if k >= limit:
-            reason = limit_reason
-            break
+        # every iterate the run returns, x_N included, is evaluated once
         if observe is None:
             g = gradient_at(x)
         else:
@@ -258,6 +252,15 @@ def _discrete_run(
             _check_finite(g, k)
         if observe is not None:
             observe(x, f, g)
+        if cycle:
+            reason = "cycle"
+            break
+        if point_stop is not None and point_stop(x, xsq):
+            reason = kind
+            break
+        if k >= limit:
+            reason = limit_reason
+            break
         if grad_stop and math.sqrt(gsq) <= eps:
             reason = kind
             break
@@ -274,16 +277,10 @@ def _discrete_run(
         path_sum += step_norm
         if math.sqrt(xsq) > DIVERGENCE_RADIUS:
             raise DivergenceError(f"trajectory norm exceeded {DIVERGENCE_RADIUS:g} at iterate {k}")
-        x_prev, x, g = x, x_new, None
-        if xsq == saved_sq and x.tobytes() == saved[1].tobytes() and x_prev.tobytes() == saved[0].tobytes():
-            reason = "cycle"
-            break
+        x_prev, x = x, x_new
+        cycle = xsq == saved_sq and x.tobytes() == saved[1].tobytes() and x_prev.tobytes() == saved[0].tobytes()
         if k == save_at:
             saved, saved_sq, save_at = (x_prev, x), xsq, 2 * k
-    if observe is not None and g is None:
-        f, g = value_and_gradient_at(x)
-        _check_finite(g, k)
-        observe(x, f, g)
     return Trajectory(
         kind="discrete",
         times=np.array([0, k] if k else [0], dtype=np.int64),
@@ -291,8 +288,7 @@ def _discrete_run(
         stop_reason=reason,
         n_steps=k,
         path_sum=path_sum,
-        # one gradient per step taken, and one at the last x if it was evaluated
-        n_feval=k + (g is not None),
+        n_feval=k + 1,  # one gradient per iterate x_0 ... x_N
     )
 
 
@@ -307,9 +303,11 @@ def gd_run(
 ) -> Trajectory:
     """Gradient descent x_{k+1} = x_k - eta * grad f(x_k).
 
-    The trajectory keeps x_0 and x_N.  ``observe(x, f, g)``, if given, is
-    called with every iterate x_0 ... x_N, its value and its gradient,
-    the last one included; the two come from one
+    The trajectory keeps x_0 and x_N.  The gradient is evaluated once at
+    every iterate x_0 ... x_N, the last one included, observed or not, so
+    a non-finite gradient at x_N fails the run either way.
+    ``observe(x, f, g)``, if given, is called with each of them, its
+    value and its gradient; the two come from one
     :meth:`ObjectiveSpec.value_and_gradient_at` call.
     :func:`heavy_ball_run` and :func:`pgd_run` take it too.
     A run whose state repeats exactly stops with reason ``cycle``.

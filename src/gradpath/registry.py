@@ -53,7 +53,7 @@ def _pkl_lower_gf(d: int = 6) -> Instance:
         label=built.objective.name,
         objective=built.objective,
         x0=built.x0,
-        eta=0.5,  # 1/L, admissible for descent runs on the same instance
+        eta=1.0 / built.objective.L,  # admissible for descent runs on the same instance
     )
 
 

@@ -307,7 +307,7 @@ class TestQuadLower:
         c = build_quad_lower(3, 11.0)
         assert np.allclose(c.spectrum, [121.0, 11.0, 1.0])
         assert c.kappa == pytest.approx(121.0)
-        assert c.dist0 == pytest.approx(math.sqrt(3.0))
+        assert c.to_quadratic().dist0 == pytest.approx(math.sqrt(3.0))
         assert c.eta == pytest.approx(1.0 / 242.0)
 
     def test_single_dimension(self):

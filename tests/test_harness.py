@@ -114,6 +114,27 @@ PINNED_ROWS = [
         "zeta": "None", "ratio": "None", "bound_upper": "4.47213595499958",
         "bound_lower": "1.6330596367568424", "steps": "0", "seed": "None", "stop_reason": "''",
     }),
+    (ExperimentConfig("quad-lower-gf", dims=(20,), omegas=(1.3,)), {
+        "experiment": "'quad-lower-gf'", "d": "20", "omega": "1.3", "kappa_nominal": "146.1920290375447",
+        "kappa_effective": "146.1920290375447", "mu_mode": "''", "dist0": "4.47213595499958",
+        "zeta": "6.2404873049016825", "ratio": "1.3954153826484619",
+        "bound_upper": "2.8286067939927944", "bound_lower": "1.004712151583065",
+        "steps": "585", "seed": "None", "stop_reason": "'quadrature'",
+    }),
+    # about 7.5 M projected steps, over the 5 M safety cap: emitted, not run
+    (ExperimentConfig("quad-lower-gd", dims=(6,), omegas=(30.0,)), {
+        "experiment": "'quad-lower-gd'", "d": "6", "omega": "30.0", "kappa_nominal": "24300000.0",
+        "kappa_effective": "24300000.0", "mu_mode": "''", "dist0": "2.449489742783178",
+        "zeta": "None", "ratio": "None", "bound_upper": "3.449489742783178",
+        "bound_lower": "1.224744871391589", "steps": "0", "seed": "None", "stop_reason": "'cap'",
+    }),
+    # kappa = 2 < 5: no lower bound
+    (ExperimentConfig("bound-sweep", dims=(2,), omegas=(2.0,)), {
+        "experiment": "'bound-sweep'", "d": "2", "omega": "2.0", "kappa_nominal": "2.0",
+        "kappa_effective": "None", "mu_mode": "''", "dist0": "1.4142135623730951",
+        "zeta": "None", "ratio": "None", "bound_upper": "1.25",
+        "bound_lower": "None", "steps": "0", "seed": "None", "stop_reason": "''",
+    }),
 ]
 
 
@@ -331,7 +352,7 @@ class TestConfig:
         entry.point_row(point, recorder)
         if entry.projected_steps is not None:
             entry.projected_steps(point, recorder)
-        assert recorder.read == {"experiment", *entry.keys}
+        assert recorder.read == set(entry.keys)
 
     @pytest.mark.parametrize("experiment, field, values, message", [
         ("bound-sweep", "dims", (6, 6.0), "dims lists 6 more than once"),
@@ -427,7 +448,8 @@ class TestExperiments:
 
     @pytest.mark.parametrize(
         "cfg, pinned", PINNED_ROWS,
-        ids=["pkl-148-min", "pkl-148-paper_max", "pkl-2000-min", "quad-6-10", "quad-6-11", "random-6-1e4-1", "sweep-20-2"],
+        ids=["pkl-148-min", "pkl-148-paper_max", "pkl-2000-min", "quad-6-10", "quad-6-11", "random-6-1e4-1", "sweep-20-2",
+             "gf-20-1.3", "quad-6-30-cap", "sweep-2-2"],
     )
     def test_rows_match_pinned_values(self, cfg, pinned, pinned_row):
         row = pinned_row(cfg)

@@ -286,6 +286,11 @@ class TestLoopChecks:
             gd_run(obj, [1.0], 0.5, StopRule.max_steps(10))
         with pytest.raises(NonFiniteError, match="^non-finite gradient at iterate 2$"):
             heavy_ball_run(obj, [1.0], 0.5, 0.0, StopRule.max_steps(10))
+        # x_2 also meets the stop rule; its gradient is evaluated all the
+        # same, so an observer cannot decide whether the run fails
+        for options in ({}, {"observe": lambda x, f, g: None}):
+            with pytest.raises(NonFiniteError, match="^non-finite gradient at iterate 2$"):
+                gd_run(obj, [1.0], 0.5, StopRule.norm_below(0.3), **options)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_iterate_reported_as_iterate(self):
@@ -655,27 +660,26 @@ def _counted(obj):
 
 class TestDiscreteGradientCalls:
     """``n_feval`` of a discrete run counts its gradient calls: one per
-    step taken, one more where the last point was evaluated."""
+    iterate x_0 ... x_N, observed or not, whatever stopped the run."""
 
     # half_square from x = 1: eta 0.5 halves x, eta 1 reaches 0, eta 2 flips its sign
-    @pytest.mark.parametrize("eta, stop, cap, reason, steps, calls, observed_calls", [
-        (0.5, StopRule.norm_below(0.1), None, "norm_below", 4, 4, 5),
-        (0.5, StopRule.grad_below(0.1), None, "grad_below", 4, 5, 5),
-        (1.0, StopRule.max_steps(5), None, "stationary", 1, 2, 2),
-        (2.0, StopRule.norm_below(1e-3), None, "cycle", 4, 4, 5),
-        (0.5, StopRule.norm_below(1e-3), 3, "cap", 3, 3, 4),
-        (0.5, StopRule.max_steps(0), None, "max_steps", 0, 0, 1),
+    @pytest.mark.parametrize("eta, stop, cap, reason, steps, calls", [
+        (0.5, StopRule.norm_below(0.1), None, "norm_below", 4, 5),
+        (0.5, StopRule.grad_below(0.1), None, "grad_below", 4, 5),
+        (1.0, StopRule.max_steps(5), None, "stationary", 1, 2),
+        (2.0, StopRule.norm_below(1e-3), None, "cycle", 4, 5),
+        (0.5, StopRule.norm_below(1e-3), 3, "cap", 3, 4),
+        (0.5, StopRule.max_steps(0), None, "max_steps", 0, 1),
     ])
     @pytest.mark.parametrize("observed", [False, True])
-    def test_counts_by_stop_reason(self, eta, stop, cap, reason, steps, calls, observed_calls, observed):
+    def test_counts_by_stop_reason(self, eta, stop, cap, reason, steps, calls, observed):
         obj, counted = _counted(half_square())
         options = {"observe": lambda x, f, g: None} if observed else {}
         if cap is not None:
             options["safety_cap"] = cap
         traj = gd_run(obj, [1.0], eta, stop, **options)
-        expected = observed_calls if observed else calls
-        assert (traj.stop_reason, traj.n_steps, traj.n_feval) == (reason, steps, expected)
-        assert counted[0] == expected
+        assert (traj.stop_reason, traj.n_steps, traj.n_feval) == (reason, steps, calls)
+        assert counted[0] == calls
 
     def test_fused_value_and_gradient_counts_once(self):
         inst = build_pkl_gd_instance(9)
