@@ -24,7 +24,9 @@ from .bounds import (
     bound_quadratic,
     bound_separable,
     evaluate_bound,
+    lower_bound_linconv,
     lower_bound_pkl,
+    lower_bound_pkl_dim,
     lower_bound_quadratic,
     pgd_step_factor,
     spectral_gap_term,
@@ -32,7 +34,6 @@ from .bounds import (
 from .constructions import (
     PklConstruction,
     QuadLowerConstruction,
-    QuadRandomInstance,
     build_pkl_gd_instance,
     build_pkl_gf_instance,
     build_quad_lower,

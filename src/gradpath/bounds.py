@@ -13,10 +13,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 
-import numpy as np
-
 from .errors import InputError, finite_number, positive_number
-from .objectives import QuadraticSpec
 
 DIST_OPT = "dist(x0, X*)"
 DIST_LIMIT = "||x0 - x_inf||"
@@ -32,6 +29,15 @@ class BoundReport:
     distance_base: str
     log2_scale: bool = False
     inputs: dict = field(default_factory=dict)
+
+
+def _pick(which: str, gf, gd):
+    """``gf`` for the flow variant ``"gf"``, ``gd`` for descent ``"gd"``."""
+    if which == "gf":
+        return gf
+    if which == "gd":
+        return gd
+    raise InputError(f"unknown variant {which!r}")
 
 
 def _check_linconv(a: float, c: float) -> tuple[float, float]:
@@ -95,11 +101,7 @@ def bound_pkl(mu: float, L: float, which: str = "gf") -> float:
     """sqrt(kappa) (flow) or 2 sqrt(kappa) (descent, eta <= 1/L) under the PL inequality."""
     mu, L = curvature_pair(mu, L)
     root = math.sqrt(L / mu)
-    if which == "gf":
-        return root
-    if which == "gd":
-        return 2.0 * root
-    raise InputError(f"unknown variant {which!r}")
+    return _pick(which, root, 2.0 * root)
 
 
 def spectral_gap_term(kappa_j: float) -> float:
@@ -116,18 +118,22 @@ def spectral_gap_term(kappa_j: float) -> float:
     return kappa_j ** (-1.0 / (kappa_j - 1.0)) * (1.0 - 1.0 / kappa_j)
 
 
-def bound_quadratic(spec: QuadraticSpec, which: str = "gf") -> float:
-    """Quadratic-objective factor: min of the rank, spectral-gap and
-    log-condition expressions; the descent variant adds 1."""
-    if which not in ("gf", "gd"):
-        raise InputError(f"unknown variant {which!r}")
-    gap_sum = sum(spectral_gap_term(float(k)) for k in spec.kappa_js)
+def bound_quadratic(spectrum, which: str = "gf") -> float:
+    """Quadratic-objective factor of the nonzero ``spectrum``, given in
+    any order: min of the rank, spectral-gap and log-condition
+    expressions; the descent variant adds 1."""
+    extra = _pick(which, 0.0, 1.0)
+    sigma = sorted((positive_number(s, "spectrum item") for s in spectrum), reverse=True)
+    if not sigma:
+        raise InputError("the spectrum must be nonempty")
+    gap_sum = sum(spectral_gap_term(a / b) for a, b in zip(sigma, sigma[1:]))
+    kappa = sigma[0] / sigma[-1]
     factor = min(
-        math.sqrt(spec.dplus),
+        math.sqrt(len(sigma)),
         1.0 + gap_sum,
-        1.0 + 2.5 * math.sqrt(math.log(spec.kappa)) if spec.kappa > 1 else 1.0,
+        1.0 + 2.5 * math.sqrt(math.log(kappa)) if kappa > 1 else 1.0,
     )
-    return factor + 1.0 if which == "gd" else factor
+    return factor + extra
 
 
 def bound_fsep(mu: float, L: float) -> float:
@@ -160,39 +166,35 @@ def bound_separable(d: int) -> float:
     return math.sqrt(positive_number(d, "d", int))
 
 
-def lower_bound_pkl(
-    d: int | None = None,
-    kappa: float | None = None,
-    which: str = "gf",
-    c: float | None = None,
-) -> float:
-    """Worst-case lower-bound factors for PL objectives.
+def lower_bound_pkl_dim(d: int, which: str = "gf") -> float:
+    """Dimension branch sqrt(d)/(q log d) of the PL lower bound (d >= 6):
+    the ratio the PL construction in dimension d forces on its own."""
+    q = _pick(which, 6.0, 16.0)
+    d = finite_number(d, "d", int)
+    if d < 6:
+        raise InputError("the PL lower bound is defined only for d >= 6")
+    return math.sqrt(d) / (q * math.log(d))
 
-    ``gf``/``gd`` need d >= 6 and kappa >= 216 and return
-    min(sqrt(d)/(q log d), kappa^(1/4)/(q log kappa)) with q = 6 resp. 16.
-    ``linconv_gf``/``linconv_gd`` need c in (0, 5.8e-3) and return
-    sqrt(1/c)/(q log^1.5(1/c)) with q = 12 resp. 64.
-    """
-    if which in ("gf", "gd"):
-        if d is None or kappa is None:
-            raise InputError("d and kappa are required for the PL forms")
-        d, kappa = finite_number(d, "d", int), finite_number(kappa, "kappa")
-        if d < 6 or kappa < 216:
-            raise InputError("the PL lower bound is defined only for d >= 6 and kappa >= 216")
-        q = 6.0 if which == "gf" else 16.0
-        return min(
-            math.sqrt(d) / (q * math.log(d)),
-            kappa**0.25 / (q * math.log(kappa)),
-        )
-    if which in ("linconv_gf", "linconv_gd"):
-        if c is None:
-            raise InputError("c is required for the linear-convergence forms")
-        c = finite_number(c, "c")
-        if not 0 < c < 5.8e-3:
-            raise InputError("the linear-convergence lower bound requires c in (0, 5.8e-3)")
-        q = 12.0 if which == "linconv_gf" else 64.0
-        return math.sqrt(1.0 / c) / (q * math.log(1.0 / c) ** 1.5)
-    raise InputError(f"unknown variant {which!r}")
+
+def lower_bound_pkl(d: int, kappa: float, which: str = "gf") -> float:
+    """Worst-case lower-bound factors for PL objectives: for d >= 6 and
+    kappa >= 216, min(sqrt(d)/(q log d), kappa^(1/4)/(q log kappa)) with
+    q = 6 (``gf``) resp. 16 (``gd``)."""
+    kappa = finite_number(kappa, "kappa")
+    if kappa < 216:
+        raise InputError("the PL lower bound is defined only for kappa >= 216")
+    return min(lower_bound_pkl_dim(d, which), kappa**0.25 / (_pick(which, 6.0, 16.0) * math.log(kappa)))
+
+
+def lower_bound_linconv(c: float, which: str = "gf") -> float:
+    """Worst-case lower-bound factors for linearly convergent dynamics:
+    for c in (0, 5.8e-3), sqrt(1/c)/(q log^1.5(1/c)) with q = 12 (``gf``)
+    resp. 64 (``gd``)."""
+    q = _pick(which, 12.0, 64.0)
+    c = finite_number(c, "c")
+    if not 0 < c < 5.8e-3:
+        raise InputError("the linear-convergence lower bound requires c in (0, 5.8e-3)")
+    return math.sqrt(1.0 / c) / (q * math.log(1.0 / c) ** 1.5)
 
 
 def lower_bound_quadratic(d: int, kappa: float, which: str = "gf") -> float:
@@ -204,22 +206,12 @@ def lower_bound_quadratic(d: int, kappa: float, which: str = "gf") -> float:
         raise InputError("the quadratic lower bound requires kappa >= 5")
     d = positive_number(d, "d", int)
     root_log = math.sqrt(math.log(kappa))
-    if which == "gf":
-        return min(0.7 * math.sqrt(d), 0.45 * root_log)
-    if which == "gd":
-        return min(0.5 * math.sqrt(d), 0.3 * root_log)
-    raise InputError(f"unknown variant {which!r}")
+    return _pick(which, min(0.7 * math.sqrt(d), 0.45 * root_log), min(0.5 * math.sqrt(d), 0.3 * root_log))
 
 
 # ---------------------------------------------------------------------------
 # Named evaluation for the CLI
 # ---------------------------------------------------------------------------
-
-
-def _quadratic(which: str):
-    def factor(spectrum):
-        return bound_quadratic(QuadraticSpec.diagonal(spectrum, np.zeros(len(spectrum))), which)
-    return factor
 
 
 #: name -> (factor function, its input names in call order, distance base).
@@ -233,8 +225,8 @@ BOUND_TABLE = {
     "pgd": (bound_pgd_factor, ("eta", "L", "A", "c"), DIST_OPT),
     "pkl-gf": (partial(bound_pkl, which="gf"), ("mu", "L"), DIST_OPT),
     "pkl-gd": (partial(bound_pkl, which="gd"), ("mu", "L"), DIST_OPT),
-    "quadratic-gf": (_quadratic("gf"), ("spectrum",), DIST_OPT),
-    "quadratic-gd": (_quadratic("gd"), ("spectrum",), DIST_OPT),
+    "quadratic-gf": (partial(bound_quadratic, which="gf"), ("spectrum",), DIST_OPT),
+    "quadratic-gd": (partial(bound_quadratic, which="gd"), ("spectrum",), DIST_OPT),
     "fsep": (bound_fsep, ("mu", "L"), DIST_OPT),
     "convex-gf": (partial(bound_convex_qc, which="gf_quasiconvex"), ("d",), DIST_LIMIT),
     "convex-gd-std": (partial(bound_convex_qc, which="gd_eta_invL"), ("d",), DIST_LIMIT),
@@ -242,8 +234,8 @@ BOUND_TABLE = {
     "separable": (bound_separable, ("d",), DIST_OPT),
     "lower-pkl-gf": (partial(lower_bound_pkl, which="gf"), ("d", "kappa"), DIST_OPT),
     "lower-pkl-gd": (partial(lower_bound_pkl, which="gd"), ("d", "kappa"), DIST_OPT),
-    "lower-linconv-gf": (lambda c: lower_bound_pkl(which="linconv_gf", c=c), ("c",), DIST_OPT),
-    "lower-linconv-gd": (lambda c: lower_bound_pkl(which="linconv_gd", c=c), ("c",), DIST_OPT),
+    "lower-linconv-gf": (partial(lower_bound_linconv, which="gf"), ("c",), DIST_OPT),
+    "lower-linconv-gd": (partial(lower_bound_linconv, which="gd"), ("c",), DIST_OPT),
     "lower-quadratic-gf": (partial(lower_bound_quadratic, which="gf"), ("d", "kappa"), DIST_OPT),
     "lower-quadratic-gd": (partial(lower_bound_quadratic, which="gd"), ("d", "kappa"), DIST_OPT),
 }

@@ -340,27 +340,9 @@ def build_quad_lower(d: int, omega: float) -> QuadLowerConstruction:
     return QuadLowerConstruction(d=d, omega=omega, spectrum=np.power(omega, powers), x0=np.ones(d))
 
 
-@dataclass(frozen=True)
-class QuadRandomInstance:
-    """Random-spectrum comparison quadratic (endpoints pinned to 1 and 1/kappa)."""
-
-    d: int
-    kappa: float
-    seed: int
-    coefficients: Array
-    x0: Array
-
-    def to_quadratic(self) -> QuadraticSpec:
-        return QuadraticSpec.diagonal(self.coefficients, self.x0)
-
-    def to_objective(self) -> ObjectiveSpec:
-        return self.to_quadratic().to_objective(
-            name=f"quad-random(d={self.d},kappa={self.kappa:g},seed={self.seed})"
-        )
-
-
-def build_quad_random(d: int, kappa: float, seed: int) -> QuadRandomInstance:
-    """Spectrum a_1 = 1, a_d = 1/kappa, interior Unif(1/kappa, 1); x0 scaled to ||x0|| = sqrt(d).
+def build_quad_random(d: int, kappa: float, seed: int) -> QuadraticSpec:
+    """Random-spectrum comparison quadratic 0.5 * sum_i a_i x_i^2: a_1 = 1,
+    a_d = 1/kappa, interior Unif(1/kappa, 1); x0 scaled to ||x0|| = sqrt(d).
 
     Draws come from a seeded counter-based generator (Philox), so a
     fixed seed reproduces the instance bit-for-bit across runs.
@@ -381,7 +363,7 @@ def build_quad_random(d: int, kappa: float, seed: int) -> QuadRandomInstance:
         a[1:-1] = rng.uniform(1.0 / kappa, 1.0, d - 2)
     x0 = rng.uniform(0.0, 1.0, d)
     x0 *= math.sqrt(d) / float(np.linalg.norm(x0))
-    return QuadRandomInstance(d=d, kappa=kappa, seed=seed, coefficients=a, x0=x0)
+    return QuadraticSpec.diagonal(a, x0)
 
 
 def construction_linconv_constants(d: int, which: str = "gf") -> tuple[float, float]:

@@ -29,6 +29,7 @@ from .analysis import PathLengthReport, PlRatio, path_length_discrete, path_leng
 from .analysis import effective_pkl_mu  # noqa: F401  (re-exported; bench/workloads.py traces it)
 from .errors import InputError, InvariantViolation, finite_number, positive_number
 from .optimizers import StopRule, gd_run
+from .workers import grid_rows
 
 #: Relative slack granted to the bound sandwich (quadrature error).
 SANDWICH_SLACK = 1e-9
@@ -228,7 +229,7 @@ def _pkl_point(point, cfg: ExperimentConfig) -> dict:
         bound_upper=bounds.bound_pkl(inst.objective.mu, inst.objective.L, "gd"),
         # the instance's own guarantee is the dimension branch of the PL
         # lower bound; the kappa branch only enters via dimension reduction
-        bound_lower=math.sqrt(d) / (16.0 * math.log(d)),
+        bound_lower=bounds.lower_bound_pkl_dim(d, "gd"),
     )
 
 
@@ -261,7 +262,7 @@ def _quad_lower(point, flavor: str):
     spec = c.to_quadratic()
     lower = bounds.lower_bound_quadratic(d, c.kappa, flavor) if c.kappa >= 5 else None
     return c, spec, dict(d=d, omega=omega, kappa_nominal=c.kappa, dist0=spec.dist0,
-                         bound_upper=bounds.bound_quadratic(spec, flavor), bound_lower=lower)
+                         bound_upper=bounds.bound_quadratic(spec.sigma, flavor), bound_lower=lower)
 
 
 def _quad_gf_point(point, cfg: ExperimentConfig) -> dict:
@@ -284,12 +285,12 @@ def _quad_gd_point(point, cfg: ExperimentConfig) -> dict:
 
 def _random_point(point, cfg: ExperimentConfig) -> dict:
     d, kappa, seed = point
-    spec = constructions.build_quad_random(d, kappa, seed).to_quadratic()
+    spec = constructions.build_quad_random(d, kappa, seed)
     # no bound_lower: the worst-case lower bound does not apply to random spectra
     return dict(
         _report_fields(path_length_quadratic_gf(spec, cfg.quad_abs_tol)),
         d=d, kappa_nominal=kappa, kappa_effective=spec.kappa,
-        bound_upper=bounds.bound_quadratic(spec, "gf"), seed=seed,
+        bound_upper=bounds.bound_quadratic(spec.sigma, "gf"), seed=seed,
     )
 
 
@@ -358,14 +359,7 @@ def run_experiment(cfg: ExperimentConfig):
         measured = entry.point_row(point, cfg)
         return ResultRow(experiment=cfg.experiment, runtime_s=time.perf_counter() - start, **measured)
 
-    n = _worker_count(entry, points, cfg)
-    if n == 1:
-        rows = [point_row(point, cfg) for point in points]
-    else:
-        # imported here, so that a grid run in-process never loads (or compiles) the fork code
-        from .workers import grid_rows
-
-        rows = grid_rows(point_row, points, n, cfg)
+    rows = grid_rows(point_row, points, _worker_count(entry, points, cfg), cfg)
     rows.sort(key=ResultRow.sort_key)
     for row in rows:
         _verify_sandwich(row)

@@ -266,11 +266,6 @@ class QuadraticSpec:
         return float(self.sigma[0] / self.sigma[-1])
 
     @property
-    def kappa_js(self) -> Array:
-        """Consecutive spectral ratios sigma_j / sigma_{j+1}."""
-        return self.sigma[:-1] / self.sigma[1:]
-
-    @property
     def dist0(self) -> float:
         return float(np.linalg.norm(self.alpha))
 

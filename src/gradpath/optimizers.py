@@ -218,7 +218,7 @@ def _discrete_run(
     obj: ObjectiveSpec,
     x: Array,
     stop: StopRule,
-    update: Callable[[Array, Array], Array],
+    update: Callable[[Array, Array, Array], Array],
     *,
     safety_cap: int,
     observe: Callable[[Array, float, Array], None] | None,
@@ -226,7 +226,8 @@ def _discrete_run(
     if stop.kind == "horizon":
         raise InputError("horizon stop rules apply to flows only")
     k, path_sum = 0, 0.0
-    x0 = x.copy()
+    # update(x_k, x_{k-1}, g_k) gives x_{k+1}; x_{-1} is x_0
+    x0, x_prev = x.copy(), x
     gradient_at, value_and_gradient_at = obj.gradient_at, obj.value_and_gradient_at
     kind, eps = stop.kind, stop.threshold
     grad_stop, point_stop = kind == "grad_below", stop.point_test(obj.dim)
@@ -264,7 +265,7 @@ def _discrete_run(
         if grad_stop and math.sqrt(gsq) <= eps:
             reason = kind
             break
-        x_new = update(x, g)
+        x_new = update(x, x_prev, g)
         xsq = float(x_new.dot(x_new))
         if not math.isfinite(xsq):
             _check_finite(x_new, k + 1, "iterate")
@@ -316,7 +317,7 @@ def gd_run(
     x0 = finite_vector(x0, "x0", obj.dim)
     return _discrete_run(
         obj, x0, stop,
-        lambda x, g: x - eta * g,
+        lambda x, x_prev, g: x - eta * g,
         safety_cap=safety_cap, observe=observe,
     )
 
@@ -350,13 +351,11 @@ def heavy_ball_run(
     if not 0 <= beta < 1:
         raise InputError("beta must lie in [0, 1)")
     x0 = finite_vector(x0, "x0", obj.dim)
-    prev = {"x": x0}
 
-    def update(x, g):
+    def update(x, x_prev, g):
         x_new = x - alpha * g
         if beta != 0.0:
-            x_new = x_new + beta * (x - prev["x"])
-        prev["x"] = x
+            x_new = x_new + beta * (x - x_prev)
         return x_new
 
     return _discrete_run(
@@ -399,7 +398,7 @@ def pgd_run(
     _spot_check_projector(projector, x0)
     return _discrete_run(
         obj, x0, stop,
-        lambda x, g: np.array(projector(x - eta * g), dtype=float),
+        lambda x, x_prev, g: np.array(projector(x - eta * g), dtype=float),
         safety_cap=safety_cap, observe=observe,
     )
 

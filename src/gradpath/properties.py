@@ -129,7 +129,7 @@ def _check_projection_idempotent(dims):
             p1 = opt.project(x)
             p2 = opt.project(p1)
             if float(np.linalg.norm(p2 - p1)) > 1e-12 * max(1.0, float(np.linalg.norm(p1))):
-                return f"projection not idempotent for {inst.label}"
+                return f"projection not idempotent for {inst.objective.name}"
 
 
 def _check_separable_pkl_mediant(dims):
@@ -168,12 +168,12 @@ def _check_gd_descent(dims):
                observe=lambda x, f, g: seen.append((f, float(g @ g))))
         for k, ((fx, gsq), (fn, _)) in enumerate(zip(seen, seen[1:])):
             if fn > fx - 0.5 * eta * gsq + 1e-12 * max(1.0, abs(fx)):
-                return f"descent inequality violated on {inst.label} at step {k}"
+                return f"descent inequality violated on {inst.objective.name} at step {k}"
         envelope = DistanceEnvelope(obj.optimal_set)
         gd_run(obj, inst.x0, 2.0 / obj.L, StopRule.max_steps(60), observe=envelope)
         dists = envelope.dists
         if any(b > a * (1 + 1e-12) for a, b in zip(dists, dists[1:])):
-            return f"distance descent at eta=2/L violated on {inst.label} (d0={dists[0]})"
+            return f"distance descent at eta=2/L violated on {inst.objective.name} (d0={dists[0]})"
 
 
 def _check_gf_closed_form(dims):

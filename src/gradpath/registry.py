@@ -7,6 +7,7 @@ instance defaults.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ from .objectives import Array, ObjectiveSpec, build_fsep_quartic
 class Instance:
     """A runnable zoo member: objective, initial point, suggested step."""
 
-    label: str
     objective: ObjectiveSpec
     x0: Array
     eta: float | None = None
@@ -29,7 +29,6 @@ class Instance:
 def _quad_geom(d: int = 6, omega: float = 11.0) -> Instance:
     built = constructions.build_quad_lower(d, omega)
     return Instance(
-        label=f"quad-geom(d={built.d},omega={built.omega:g})",
         objective=built.to_objective(),
         x0=built.x0,
         eta=built.eta,
@@ -37,20 +36,17 @@ def _quad_geom(d: int = 6, omega: float = 11.0) -> Instance:
 
 
 def _quad_random(d: int = 10, kappa: float = 100.0, seed: int = 0) -> Instance:
-    built = constructions.build_quad_random(d, kappa, seed)
-    obj = built.to_objective()
+    spec = constructions.build_quad_random(d, kappa, seed)
     return Instance(
-        label=obj.name,
-        objective=obj,
-        x0=built.x0,
-        eta=1.0 / (2.0 * float(built.coefficients.max())),
+        objective=spec.to_objective(name=f"quad-random(d={spec.dim},kappa={float(kappa):g},seed={int(seed)})"),
+        x0=spec.x0,
+        eta=1.0 / (2.0 * float(spec.sigma[0])),
     )
 
 
 def _pkl_lower_gf(d: int = 6) -> Instance:
     built = constructions.build_pkl_gf_instance(d)
     return Instance(
-        label=built.objective.name,
         objective=built.objective,
         x0=built.x0,
         eta=1.0 / built.objective.L,  # admissible for descent runs on the same instance
@@ -60,7 +56,6 @@ def _pkl_lower_gf(d: int = 6) -> Instance:
 def _pkl_lower_gd(d: int = 6) -> Instance:
     built = constructions.build_pkl_gd_instance(d)
     return Instance(
-        label=built.objective.name,
         objective=built.objective,
         x0=built.x0,
         eta=built.eta,
@@ -70,7 +65,6 @@ def _pkl_lower_gd(d: int = 6) -> Instance:
 def _fsep_quartic(d: int = 3, coeff: float = 0.1, box: float = 1.0) -> Instance:
     obj = build_fsep_quartic(d, coeff, box)
     return Instance(
-        label=obj.name,
         objective=obj,
         x0=np.full(obj.dim, min(1.0, obj.box_halfwidth)),
         eta=1.0 / obj.L,
@@ -88,14 +82,14 @@ REGISTRY = {
 
 
 def make_instance(name: str, **params) -> Instance:
-    try:
-        factory = REGISTRY[name]
-    except KeyError:
+    if name not in REGISTRY:
         raise InputError(f"unknown objective {name!r}; known: {', '.join(sorted(REGISTRY))}")
-    try:
-        return factory(**params)
-    except TypeError as exc:
-        raise InputError(f"bad parameters for {name!r}: {exc}") from exc
+    factory = REGISTRY[name]
+    known = inspect.signature(factory).parameters
+    unknown = [key for key in params if key not in known]
+    if unknown:
+        raise InputError(f"bad parameters for {name!r}: {', '.join(unknown)}; known: {', '.join(known)}")
+    return factory(**params)
 
 
 def parse_instance(text: str) -> Instance:

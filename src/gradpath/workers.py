@@ -1,7 +1,7 @@
 """Run an experiment grid's points over forked worker processes (POSIX
 ``os.fork``); each child sends its rows, or its first failure, back
 pickled through a pipe.  ``harness.run_experiment`` chooses the worker
-count and runs a one-worker grid itself."""
+count; with one worker nothing is forked."""
 
 import os
 import pickle

@@ -93,12 +93,12 @@ def test_criterion_2_quadratic_sandwich_desk_scale():
     rep_gf = path_length_quadratic_gf(spec, abs_tol=1e-12)
     lower_gf = min(0.7 * math.sqrt(6), 0.45 * math.sqrt(math.log(kappa)))
     assert lower_gf == pytest.approx(lower_bound_quadratic(6, kappa, "gf"), rel=1e-12)
-    upper_gf = bound_quadratic(spec, "gf")
+    upper_gf = bound_quadratic(spec.sigma, "gf")
 
     traj = gd_run(c.to_objective(), c.x0, c.eta, StopRule.coords_below_except_last(1e-2))
     rep_gd = path_length_discrete(traj, spec.optimal_set())
     lower_gd = min(0.5 * math.sqrt(6), 0.3 * math.sqrt(math.log(kappa)))
-    upper_gd = bound_quadratic(spec, "gd")
+    upper_gd = bound_quadratic(spec.sigma, "gd")
     elapsed = time.time() - start
 
     ok = (
@@ -143,7 +143,7 @@ def test_criterion_4_randomized_separation():
     geo = build_quad_lower(20, omega)
     geo_ratio = path_length_quadratic_gf(geo.to_quadratic(), 1e-12).ratio
     random_ratios = [
-        path_length_quadratic_gf(build_quad_random(20, 1e6, seed).to_quadratic(), 1e-12).ratio
+        path_length_quadratic_gf(build_quad_random(20, 1e6, seed), 1e-12).ratio
         for seed in range(10)
     ]
     mean_random = float(np.mean(random_ratios))
@@ -295,14 +295,14 @@ def test_criterion_9a_pl_descent_upper_bound():
     cases = []
     for d in (6, 12):
         inst = make_instance("pkl-lower-gd", d=d)
-        cases.append((inst.label, inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6)))
+        cases.append((inst.objective.name, inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6)))
     for d in (3, 8):
         inst = make_instance("fsep-quartic", d=d)
-        cases.append((inst.label, inst.objective, inst.x0, inst.eta, StopRule.grad_below(1e-9)))
+        cases.append((inst.objective.name, inst.objective, inst.x0, inst.eta, StopRule.grad_below(1e-9)))
     inst = make_instance("quad-geom", d=6, omega=3.0)
-    cases.append((inst.label, inst.objective, inst.x0, inst.eta, StopRule.grad_below(1e-8)))
+    cases.append((inst.objective.name, inst.objective, inst.x0, inst.eta, StopRule.grad_below(1e-8)))
     inst = make_instance("quad-random", d=10, kappa=100.0, seed=0)
-    cases.append((inst.label, inst.objective, inst.x0, inst.eta, StopRule.grad_below(1e-8)))
+    cases.append((inst.objective.name, inst.objective, inst.x0, inst.eta, StopRule.grad_below(1e-8)))
 
     for label, obj, x0, eta, stop in cases:
         assert eta <= 1.0 / obj.L * (1 + 1e-12)
@@ -319,16 +319,16 @@ def test_criterion_9b_separable_upper_bound():
     ok = True
     cases = []
     inst = make_instance("pkl-lower-gf", d=6)
-    cases.append((inst.label, inst.objective, inst.x0, 0.5, StopRule.norm_below(1e-6)))
+    cases.append((inst.objective.name, inst.objective, inst.x0, 0.5, StopRule.norm_below(1e-6)))
     inst = make_instance("pkl-lower-gd", d=9)
-    cases.append((inst.label, inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6)))
+    cases.append((inst.objective.name, inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6)))
     inst = make_instance("quad-geom", d=6, omega=3.0)
-    cases.append((inst.label, inst.objective, inst.x0, inst.eta, StopRule.grad_below(1e-8)))
+    cases.append((inst.objective.name, inst.objective, inst.x0, inst.eta, StopRule.grad_below(1e-8)))
     inst = make_instance("quad-geom", d=20, omega=1.3)
-    cases.append((inst.label, inst.objective, inst.x0, inst.eta,
+    cases.append((inst.objective.name, inst.objective, inst.x0, inst.eta,
                   StopRule.coords_below_except_last(1e-4)))
     inst = make_instance("fsep-quartic", d=5)
-    cases.append((inst.label, inst.objective, inst.x0, inst.eta, StopRule.grad_below(1e-9)))
+    cases.append((inst.objective.name, inst.objective, inst.x0, inst.eta, StopRule.grad_below(1e-9)))
 
     for label, obj, x0, eta, stop in cases:
         assert eta <= 1.0 / obj.L * (1 + 1e-12)
@@ -368,6 +368,6 @@ def test_criterion_9c_heavy_ball_upper_bound():
         x_star = obj.optimal_set.project(inst.x0)
         bound = bound_hb(obj.mu, obj.L) * float(np.linalg.norm(inst.x0 - x_star))
         ok &= rep.length <= bound * slack
-        details.append(f"{inst.label}: {rep.length:.2f} vs {bound:.2f}")
+        details.append(f"{inst.objective.name}: {rep.length:.2f} vs {bound:.2f}")
     report(9, ok, "heavy-ball bound sqrt(kappa)||x0 - x*|| on the strongly convex zoo",
            "; ".join(details))

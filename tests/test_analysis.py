@@ -26,7 +26,7 @@ from gradpath import (
     construction_linconv_constants,
     effective_pkl_mu,
     gd_run,
-    lower_bound_pkl,
+    lower_bound_linconv,
     path_length_discrete,
     path_length_quadratic_gf,
     self_contracted_check,
@@ -393,7 +393,7 @@ class TestPklRows:
         assert c_fit >= c_cert
         inst, ratio = pkl_row.inst, pkl_row.report.ratio
         assert ratio <= bound_linconv_gd(a_fit, c_fit, inst.eta, inst.objective.L) * (1 + SANDWICH_SLACK)
-        assert ratio >= lower_bound_pkl(which="linconv_gd", c=c_cert) * (1 - SANDWICH_SLACK)
+        assert ratio >= lower_bound_linconv(c_cert, "gd") * (1 - SANDWICH_SLACK)
 
 
 #: The one analysis that still reads a record's stored iterates.

@@ -5,7 +5,6 @@ import pytest
 
 from gradpath import (
     InputError,
-    QuadraticSpec,
     bound_convex_qc,
     bound_fsep,
     bound_hb,
@@ -17,7 +16,9 @@ from gradpath import (
     bound_quadratic,
     bound_separable,
     evaluate_bound,
+    lower_bound_linconv,
     lower_bound_pkl,
+    lower_bound_pkl_dim,
     lower_bound_quadratic,
     pgd_step_factor,
     spectral_gap_term,
@@ -134,29 +135,34 @@ class TestSpectralGapTerm:
 
 class TestQuadraticBound:
     def test_flat_spectrum(self):
-        spec = QuadraticSpec.diagonal(np.ones(5), np.ones(5))
-        assert bound_quadratic(spec, "gf") == pytest.approx(1.0)
-        assert bound_quadratic(spec, "gd") == pytest.approx(2.0)
+        spectrum = np.ones(5)
+        assert bound_quadratic(spectrum, "gf") == pytest.approx(1.0)
+        assert bound_quadratic(spectrum, "gd") == pytest.approx(2.0)
 
     def test_single_large_gap_capped_at_two(self):
-        spec = QuadraticSpec.diagonal([1e6, 1.0, 1.0, 1.0], np.ones(4))
-        assert bound_quadratic(spec, "gf") <= 2.0
+        assert bound_quadratic([1e6, 1.0, 1.0, 1.0], "gf") <= 2.0
 
     def test_rank_branch(self):
-        spec = QuadraticSpec.diagonal([121.0, 11.0, 1.0], np.ones(3))
         # sqrt(3) < 1 + 2 * gap(11) and < 1 + 2.5 sqrt(log 121)
-        assert bound_quadratic(spec, "gf") == pytest.approx(math.sqrt(3.0), rel=1e-12)
+        assert bound_quadratic([121.0, 11.0, 1.0], "gf") == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
     def test_gap_branch_wins_for_gentle_spectra(self):
         omega = 1.1
-        spec = QuadraticSpec.diagonal(omega ** np.arange(19, -1, -1.0), np.ones(20))
         expected = 1.0 + 19 * spectral_gap_term(omega)
-        assert bound_quadratic(spec, "gf") == pytest.approx(expected, rel=1e-12)
+        assert bound_quadratic(omega ** np.arange(19, -1, -1.0), "gf") == pytest.approx(expected, rel=1e-12)
 
     def test_variant_validation(self):
-        spec = QuadraticSpec.diagonal([1.0], [1.0])
         with pytest.raises(InputError):
-            bound_quadratic(spec, "flow")
+            bound_quadratic([1.0], "flow")
+
+    @pytest.mark.parametrize("spectrum", [[], [1.0, 0.0], [1.0, math.nan]], ids=["empty", "zero", "nan"])
+    def test_spectrum_rejected(self, spectrum):
+        with pytest.raises(InputError):
+            bound_quadratic(spectrum, "gf")
+
+    def test_any_order_same_bits(self):
+        for which in ("gf", "gd"):
+            assert bound_quadratic([1.0, 11.0, 121.0], which) == bound_quadratic([121.0, 11.0, 1.0], which)
 
 
 class TestFsepBound:
@@ -200,6 +206,17 @@ class TestLowerBounds:
         got = lower_bound_pkl(d, 1e12, "gf")
         assert got == pytest.approx(math.sqrt(d) / (6 * math.log(d)), rel=1e-12)
 
+    def test_pkl_dimension_branch_alone(self):
+        # the PL construction's own guarantee, bit for bit the formula it names
+        for d in (6, 20, 2000):
+            assert lower_bound_pkl_dim(d, "gd") == math.sqrt(d) / (16.0 * math.log(d))
+            assert lower_bound_pkl_dim(d, "gf") == math.sqrt(d) / (6.0 * math.log(d))
+        assert lower_bound_pkl(20, 1e12, "gd") == lower_bound_pkl_dim(20, "gd")
+        with pytest.raises(InputError):
+            lower_bound_pkl_dim(5, "gd")
+        with pytest.raises(InputError):
+            lower_bound_pkl_dim(6, "linconv_gd")
+
     def test_pkl_boundary_point(self):
         got = lower_bound_pkl(6, 216.0, "gd")
         expected = min(
@@ -209,9 +226,9 @@ class TestLowerBounds:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_linconv_value(self):
-        got = lower_bound_pkl(which="linconv_gf", c=1e-3)
+        got = lower_bound_linconv(1e-3, "gf")
         assert got == pytest.approx(0.1451, abs=2e-4)
-        assert lower_bound_pkl(which="linconv_gd", c=1e-3) == pytest.approx(got * 12 / 64, rel=1e-12)
+        assert lower_bound_linconv(1e-3, "gd") == pytest.approx(got * 12 / 64, rel=1e-12)
 
     def test_preconditions(self):
         with pytest.raises(InputError):
@@ -219,9 +236,7 @@ class TestLowerBounds:
         with pytest.raises(InputError):
             lower_bound_pkl(10, 100.0, "gd")
         with pytest.raises(InputError):
-            lower_bound_pkl(which="linconv_gf", c=0.01)
-        with pytest.raises(InputError):
-            lower_bound_pkl(which="linconv_gf")
+            lower_bound_linconv(0.01, "gf")
 
     def test_quadratic_values(self):
         assert lower_bound_quadratic(1, 5.0, "gf") == pytest.approx(
@@ -259,8 +274,7 @@ class TestEvaluateBound:
 
     def test_quadratic_via_spectrum(self):
         rep = evaluate_bound("quadratic-gd", spectrum=[4.0, 2.0, 1.0])
-        spec = QuadraticSpec.diagonal([4.0, 2.0, 1.0], np.zeros(3))
-        assert rep.factor == pytest.approx(bound_quadratic(spec, "gd"))
+        assert rep.factor == pytest.approx(bound_quadratic([4.0, 2.0, 1.0], "gd"))
 
     def test_missing_inputs(self):
         with pytest.raises(InputError, match="requires"):
@@ -305,10 +319,8 @@ class TestEvaluateBound:
         "pgd": (lambda: bound_pgd_factor(0.5, 4.0, 2.0, 0.001), OPT, False),
         "pkl-gf": (lambda: bound_pkl(0.01, 4.0, "gf"), OPT, False),
         "pkl-gd": (lambda: bound_pkl(0.01, 4.0, "gd"), OPT, False),
-        "quadratic-gf": (lambda: bound_quadratic(QuadraticSpec.diagonal([4.0, 2.0, 1.0], np.zeros(3)), "gf"),
-                         OPT, False),
-        "quadratic-gd": (lambda: bound_quadratic(QuadraticSpec.diagonal([4.0, 2.0, 1.0], np.zeros(3)), "gd"),
-                         OPT, False),
+        "quadratic-gf": (lambda: bound_quadratic([4.0, 2.0, 1.0], "gf"), OPT, False),
+        "quadratic-gd": (lambda: bound_quadratic([4.0, 2.0, 1.0], "gd"), OPT, False),
         "fsep": (lambda: bound_fsep(0.01, 4.0), OPT, False),
         "convex-gf": (lambda: bound_convex_qc(10, "gf_quasiconvex"), LIMIT, True),
         "convex-gd-std": (lambda: bound_convex_qc(10, "gd_eta_invL"), LIMIT, True),
@@ -316,8 +328,8 @@ class TestEvaluateBound:
         "separable": (lambda: bound_separable(10), OPT, False),
         "lower-pkl-gf": (lambda: lower_bound_pkl(10, 1e4, "gf"), OPT, False),
         "lower-pkl-gd": (lambda: lower_bound_pkl(10, 1e4, "gd"), OPT, False),
-        "lower-linconv-gf": (lambda: lower_bound_pkl(which="linconv_gf", c=0.001), OPT, False),
-        "lower-linconv-gd": (lambda: lower_bound_pkl(which="linconv_gd", c=0.001), OPT, False),
+        "lower-linconv-gf": (lambda: lower_bound_linconv(0.001, "gf"), OPT, False),
+        "lower-linconv-gd": (lambda: lower_bound_linconv(0.001, "gd"), OPT, False),
         "lower-quadratic-gf": (lambda: lower_bound_quadratic(10, 1e4, "gf"), OPT, False),
         "lower-quadratic-gd": (lambda: lower_bound_quadratic(10, 1e4, "gd"), OPT, False),
     }

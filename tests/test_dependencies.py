@@ -1,6 +1,8 @@
 """numpy is the only runtime dependency: every import in the package
-resolves to the standard library, numpy or gradpath itself; and the
-experiment harness does not reach the property suite."""
+resolves to the standard library, numpy or gradpath itself; the
+experiment harness does not reach the property suite; the bound
+formulas import no objective types; and only the two number converters
+catch TypeError."""
 
 import ast
 import re
@@ -51,3 +53,35 @@ def test_harness_does_not_import_properties():
     modules = {name for name, _ in _imports(PACKAGE / "harness.py")}
     assert "gradpath.properties" not in modules
     assert "gradpath.bounds" in modules  # the walk sees the package imports
+
+
+def test_bounds_imports_only_stdlib_and_errors():
+    # every bound is a formula of numbers; none needs an objective type or numpy
+    modules = {name for name, _ in _imports(PACKAGE / "bounds.py")}
+    assert {m for m in modules if m.split(".")[0] not in sys.stdlib_module_names} == {"gradpath.errors"}
+
+
+def _type_error_handlers(path):
+    """``module.function`` of each except handler in ``path`` that names
+    TypeError, with the innermost function around it."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(c, ast.Name) and c.id == "TypeError" for c in caught):
+                found.append(f"{path.stem}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def test_only_the_number_converters_catch_type_error():
+    # they turn malformed numbers into InputError; anywhere else a caught
+    # TypeError would hide a bug in the package as bad input
+    handlers = sorted(h for path in sorted(PACKAGE.glob("*.py")) for h in _type_error_handlers(path))
+    assert handlers == ["errors.finite_number", "objectives.finite_vector"]

@@ -133,7 +133,7 @@ class TestQuadraticSpec:
     def test_kappa_is_product_of_gaps(self, rng):
         sigma = np.sort(rng.uniform(0.1, 50.0, 6))[::-1]
         spec = QuadraticSpec.diagonal(sigma, np.ones(6))
-        assert spec.kappa == pytest.approx(float(np.prod(spec.kappa_js)), rel=1e-10)
+        assert spec.kappa == pytest.approx(float(np.prod(spec.sigma[:-1] / spec.sigma[1:])), rel=1e-10)
 
     def test_projection_idempotent(self, rng):
         a = rng.standard_normal((2, 4))

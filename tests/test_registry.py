@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradpath import InputError, make_instance, parse_instance
+from gradpath import InputError, make_instance, parse_instance, registry
 
 
 def test_known_names():
@@ -39,6 +39,24 @@ def test_bad_parameter_rejected():
         parse_instance("quad-geom:d~3")
     with pytest.raises(InputError, match="bad parameters"):
         parse_instance("quad-geom:radius=3")
+
+
+def test_type_error_inside_a_builder_propagates(monkeypatch):
+    # parameter names are checked against the signature; a TypeError the
+    # builder itself raises is a bug and is not reported as bad input
+    def broken(d: int = 3):
+        raise TypeError("a bug inside the builder")
+
+    monkeypatch.setitem(registry.REGISTRY, "broken", broken)
+    with pytest.raises(TypeError, match="a bug inside the builder"):
+        make_instance("broken", d=4)
+    with pytest.raises(InputError, match="bad parameters for 'broken': radius; known: d"):
+        make_instance("broken", radius=4)
+
+
+def test_objective_names_carry_the_parameters():
+    assert parse_instance("quad-geom:d=3,omega=4").objective.name == "quad-geom(d=3,omega=4.0)"
+    assert parse_instance("quad-random:d=5,kappa=50,seed=2").objective.name == "quad-random(d=5,kappa=50,seed=2)"
 
 
 @pytest.mark.parametrize("text, match", [
