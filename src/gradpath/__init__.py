@@ -33,12 +33,12 @@ from .bounds import (
 )
 from .constructions import (
     PklConstruction,
-    QuadLowerConstruction,
     build_pkl_gd_instance,
     build_pkl_gf_instance,
     build_quad_lower,
     build_quad_random,
     construction_linconv_constants,
+    gd_step,
 )
 from .errors import (
     ComputationError,

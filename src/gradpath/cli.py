@@ -259,10 +259,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    except (InputError, GradPathError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GradPathError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,20 +11,19 @@ diagonal.  The quadratic instance has a geometric spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, finite_number, positive_number
-from .objectives import Array, IntervalProductSet, ObjectiveSpec, QuadraticSpec, as_vector
+from .objectives import Array, IntervalProductSet, ObjectiveSpec, QuadraticSpec
 
 
 #: Smallest dimension of the PL lower-bound construction.
 PKL_MIN_DIM = 6
 
-#: Capture thresholds of the geometric-spectrum quadratic's checkpoint
-#: schedules: the flow's and the eta = 1/(2 a_1) descent's.
-QUAD_GF_DELTA = 0.07
+#: Capture threshold of the geometric-spectrum quadratic's checkpoint
+#: schedule under the eta = 1/(2 a_1) descent.
 QUAD_GD_DELTA = math.exp(-3.0)
 
 
@@ -277,67 +276,24 @@ def build_pkl_gd_instance(d: int, target_kappa: float | None = None) -> PklGdIns
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadLowerConstruction:
-    """Separable quadratic 0.5 * sum_i a_i x_i^2 with geometric spectrum.
-
-    a_i = omega^(d-i), x0 = (1, ..., 1), condition number omega^(d-1).
-    The checkpoint schedules replay the capture argument: the flow
-    passes coordinate i at t_i = log(1/QUAD_GF_DELTA)/a_i, the
-    eta = 1/(2 a_1) iteration at k_i = 3 omega^(i-1) steps
-    (QUAD_GD_DELTA = e^-3), which are integers whenever omega is an
-    integer.
-
-    :meth:`to_objective` evaluates the gradient elementwise as ``a * x``.
-    The spectrum is already descending, so the eigen form's basis is the
-    identity with no permutation: its two products multiply by exact 0s
-    and 1s, and ``a * x`` equals its gradient bit for bit at every finite
-    x (a zero may differ in sign only).  :meth:`to_quadratic` stays the
-    reference.
-    """
-
-    d: int
-    omega: float
-    spectrum: Array            # descending
-    x0: Array
-
-    @property
-    def kappa(self) -> float:
-        return float(self.omega ** (self.d - 1))
-
-    @property
-    def log_kappa(self) -> float:
-        return (self.d - 1) * math.log(self.omega)
-
-    @property
-    def eta(self) -> float:
-        """Descent step 1/(2 a_1)."""
-        return 1.0 / (2.0 * float(self.spectrum[0]))
-
-    @property
-    def gf_checkpoints(self) -> Array:
-        return math.log(1.0 / QUAD_GF_DELTA) / self.spectrum
-
-    @property
-    def gd_checkpoints(self) -> Array:
-        return float(self.spectrum[0]) * math.log(1.0 / QUAD_GD_DELTA) / self.spectrum
-
-    def to_quadratic(self) -> QuadraticSpec:
-        return QuadraticSpec.diagonal(self.spectrum, self.x0)
-
-    def to_objective(self) -> ObjectiveSpec:
-        a = self.spectrum
-        obj = self.to_quadratic().to_objective(name=f"quad-geom(d={self.d},omega={self.omega})")
-        return replace(obj, gradient=lambda x: a * x)
-
-
-def build_quad_lower(d: int, omega: float) -> QuadLowerConstruction:
-    """Geometric-spectrum quadratic with x0 = all-ones."""
+def build_quad_lower(d: int, omega: float) -> QuadraticSpec:
+    """Geometric-spectrum quadratic 0.5 * sum_i a_i x_i^2, a_i = omega^(d-i),
+    with x0 = all-ones and condition number omega^(d-1).  The spectrum is
+    already descending, so the spec's basis is the identity and its
+    objective evaluates the gradient elementwise.  The descent
+    eta = 1/(2 a_1) (:func:`gd_step`) passes coordinate i after
+    k_i = 3 omega^(i-1) steps (QUAD_GD_DELTA = e^-3), integers whenever
+    omega is an integer."""
     d, omega = positive_number(d, "dimension", int), finite_number(omega, "omega")
     if omega <= 1:
         raise InputError("omega must be finite and exceed 1")
     powers = np.arange(d - 1, -1, -1, dtype=float)
-    return QuadLowerConstruction(d=d, omega=omega, spectrum=np.power(omega, powers), x0=np.ones(d))
+    return QuadraticSpec.diagonal(np.power(omega, powers), np.ones(d))
+
+
+def gd_step(spec: QuadraticSpec) -> float:
+    """Descent step 1/(2 sigma_1) of the quadratic lower bounds."""
+    return 1.0 / (2.0 * float(spec.sigma[0]))
 
 
 def build_quad_random(d: int, kappa: float, seed: int) -> QuadraticSpec:

@@ -70,10 +70,13 @@ class ExperimentConfig:
             raise InputError(f"unknown experiment {self.experiment!r}; known: {', '.join(EXPERIMENTS)}")
         if self.mu_mode not in ("min", "paper_max"):
             raise InputError(f"unknown mu_mode {self.mu_mode!r}")
-        object.__setattr__(self, "dims", tuple(positive_number(d, "dims", int) for d in self.dims))
-        for name, kind in CONFIG_KEYS.items():
-            if kind in (int, float):
-                object.__setattr__(self, name, positive_number(getattr(self, name), name, kind))
+        for name, kind in CONFIG_KEYS.items():  # as a config file converts them
+            value = getattr(self, name)
+            if isinstance(kind, tuple):
+                convert = positive_number if name == "dims" else finite_number
+                object.__setattr__(self, name, tuple(convert(v, name, kind[0]) for v in value))
+            elif kind is not str:
+                object.__setattr__(self, name, positive_number(value, name, kind))
         for field in fields(self)[1:]:  # every field but the experiment id
             value = getattr(self, field.name)
             if value != field.default:
@@ -98,7 +101,8 @@ def default_config(experiment: str) -> ExperimentConfig:
 
 
 #: How a config file's value is read, per key; ``(kind,)`` is a
-#: comma-separated list.  The scalar number keys take positive values.
+#: comma-separated list.  The scalar number keys and ``dims`` take
+#: positive values.
 CONFIG_KEYS = {
     "experiment": str, "mu_mode": str, "out": str,
     "dims": (int,), "seeds": (int,), "omegas": (float,), "kappas": (float,),
@@ -233,12 +237,11 @@ def _pkl_point(point, cfg: ExperimentConfig) -> dict:
     )
 
 
-def _projected_gd_steps(c: constructions.QuadLowerConstruction, stop_coords: float) -> int:
+def _projected_gd_steps(spec, stop_coords: float) -> int:
     """A priori step estimate for the geometric-spectrum descent run."""
-    if c.d < 2:
+    if spec.dim < 2:
         return 0
-    slowest_checked = float(c.spectrum[-2])
-    rate = -math.log1p(-c.eta * slowest_checked)
+    rate = -math.log1p(-constructions.gd_step(spec) * float(spec.sigma[-2]))
     return int(math.ceil(math.log(1.0 / stop_coords) / rate))
 
 
@@ -254,30 +257,30 @@ def _quad_gd_steps(point, cfg: ExperimentConfig) -> int:
 
 
 def _quad_lower(point, flavor: str):
-    """The construction of a ``(d, omega)`` point, its spectrum, and the
-    row fields they fix: the point, kappa, dist0 and the ``flavor`` bounds
+    """The spec of a ``(d, omega)`` point and the row fields it fixes: the
+    point, the nominal kappa omega^(d-1), dist0 and the ``flavor`` bounds
     (the lower one needs kappa >= 5)."""
     d, omega = point
-    c = constructions.build_quad_lower(d, omega)
-    spec = c.to_quadratic()
-    lower = bounds.lower_bound_quadratic(d, c.kappa, flavor) if c.kappa >= 5 else None
-    return c, spec, dict(d=d, omega=omega, kappa_nominal=c.kappa, dist0=spec.dist0,
-                         bound_upper=bounds.bound_quadratic(spec.sigma, flavor), bound_lower=lower)
+    spec = constructions.build_quad_lower(d, omega)
+    kappa = float(omega) ** (d - 1)
+    lower = bounds.lower_bound_quadratic(d, kappa, flavor) if kappa >= 5 else None
+    return spec, dict(d=d, omega=omega, kappa_nominal=kappa, dist0=spec.dist0,
+                      bound_upper=bounds.bound_quadratic(spec.sigma, flavor), bound_lower=lower)
 
 
 def _quad_gf_point(point, cfg: ExperimentConfig) -> dict:
-    _, spec, row = _quad_lower(point, "gf")
+    spec, row = _quad_lower(point, "gf")
     row["kappa_effective"] = spec.kappa
     return row | _report_fields(path_length_quadratic_gf(spec, cfg.quad_abs_tol))
 
 
 def _quad_gd_point(point, cfg: ExperimentConfig) -> dict:
-    c, spec, row = _quad_lower(point, "gd")
+    spec, row = _quad_lower(point, "gd")
     row["kappa_effective"] = spec.kappa
-    if _projected_gd_steps(c, cfg.stop_coords) > cfg.safety_cap:
+    if _projected_gd_steps(spec, cfg.stop_coords) > cfg.safety_cap:
         return row | dict(stop_reason="cap")
     traj = gd_run(
-        c.to_objective(), c.x0, c.eta,
+        spec.to_objective(), spec.x0, constructions.gd_step(spec),
         StopRule.coords_below_except_last(cfg.stop_coords), safety_cap=cfg.safety_cap,
     )
     return row | _report_fields(path_length_discrete(traj, spec.optimal_set()))
@@ -295,7 +298,7 @@ def _random_point(point, cfg: ExperimentConfig) -> dict:
 
 
 def _bound_point(point, cfg: ExperimentConfig) -> dict:
-    return _quad_lower(point, "gf")[2]
+    return _quad_lower(point, "gf")[1]
 
 
 @dataclass(frozen=True)
@@ -377,13 +380,16 @@ def render_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(rows, path) -> str:
-    text = render_csv(rows)
+def _write_text(path, text: str) -> str:
+    """Write ``text`` to ``path`` with LF line ends, making its directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    path.write_text(text, newline="\n")
     return text
+
+
+def emit_csv(rows, path) -> str:
+    return _write_text(path, render_csv(rows))
 
 
 _PLOT_TEMPLATE = '''\
@@ -449,9 +455,4 @@ def render_plot_script(figure: str, csv_path: str) -> str:
 
 
 def emit_plot_script(figure: str, csv_path, out_path) -> str:
-    text = render_plot_script(figure, str(csv_path))
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="\n") as fh:
-        fh.write(text)
-    return text
+    return _write_text(out_path, render_plot_script(figure, str(csv_path)))

@@ -300,10 +300,18 @@ class QuadraticSpec:
         return AffineSet(projector=lambda x: x - basis @ (basis.T @ (x - p)))
 
     def to_objective(self, name: str = "") -> ObjectiveSpec:
+        """The spec as an objective.  With a zero projection and the identity
+        basis the gradient is evaluated elementwise as ``sigma * x``: the
+        eigen form's two products then multiply by exact 0s and 1s, so
+        ``sigma * x`` equals :meth:`gradient` bit for bit at every finite x
+        (a zero may differ in sign only).  The projection is tested first,
+        as a dense spec fails that test at once."""
+        sigma = self.sigma
+        elementwise = not self.projection.any() and np.array_equal(self.basis, np.eye(self.dim))
         return ObjectiveSpec(
             dim=self.dim,
             value=self.value,
-            gradient=self.gradient,
+            gradient=(lambda x: sigma * x) if elementwise else self.gradient,
             L=float(self.sigma[0]),
             mu=float(self.sigma[-1]),
             f_star=self.f_star,

@@ -349,8 +349,8 @@ def _check_construction_dist_bounds(dims):
 
 def _check_quad_checkpoints_integer(dims):
     for omega in (2, 3, 11):
-        c = constructions.build_quad_lower(5, float(omega))
-        ks = c.gd_checkpoints
+        sigma = constructions.build_quad_lower(5, float(omega)).sigma
+        ks = sigma[0] * math.log(1.0 / constructions.QUAD_GD_DELTA) / sigma
         if not np.allclose(ks, np.round(ks), atol=1e-9):
             return f"descent checkpoints not integral for omega={omega}"
 

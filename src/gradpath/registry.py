@@ -27,11 +27,11 @@ class Instance:
 
 
 def _quad_geom(d: int = 6, omega: float = 11.0) -> Instance:
-    built = constructions.build_quad_lower(d, omega)
+    spec = constructions.build_quad_lower(d, omega)
     return Instance(
-        objective=built.to_objective(),
-        x0=built.x0,
-        eta=built.eta,
+        objective=spec.to_objective(name=f"quad-geom(d={spec.dim},omega={float(omega)})"),
+        x0=spec.x0,
+        eta=constructions.gd_step(spec),
     )
 
 
@@ -40,7 +40,7 @@ def _quad_random(d: int = 10, kappa: float = 100.0, seed: int = 0) -> Instance:
     return Instance(
         objective=spec.to_objective(name=f"quad-random(d={spec.dim},kappa={float(kappa):g},seed={int(seed)})"),
         x0=spec.x0,
-        eta=1.0 / (2.0 * float(spec.sigma[0])),
+        eta=constructions.gd_step(spec),
     )
 
 

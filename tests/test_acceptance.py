@@ -23,6 +23,7 @@ from gradpath import (
     build_quad_lower,
     build_quad_random,
     gd_run,
+    gd_step,
     gf_integrate,
     gf_quadratic,
     hb_params,
@@ -86,16 +87,15 @@ def test_criterion_1_pl_lower_bound_reproduction():
 def test_criterion_2_quadratic_sandwich_desk_scale():
     start = time.time()
     slack = 1e-6
-    c = build_quad_lower(6, 11.0)
-    spec = c.to_quadratic()
-    kappa = c.kappa  # 11^5
+    spec = build_quad_lower(6, 11.0)
+    kappa = spec.kappa  # 11^5
 
     rep_gf = path_length_quadratic_gf(spec, abs_tol=1e-12)
     lower_gf = min(0.7 * math.sqrt(6), 0.45 * math.sqrt(math.log(kappa)))
     assert lower_gf == pytest.approx(lower_bound_quadratic(6, kappa, "gf"), rel=1e-12)
     upper_gf = bound_quadratic(spec.sigma, "gf")
 
-    traj = gd_run(c.to_objective(), c.x0, c.eta, StopRule.coords_below_except_last(1e-2))
+    traj = gd_run(spec.to_objective(), spec.x0, gd_step(spec), StopRule.coords_below_except_last(1e-2))
     rep_gd = path_length_discrete(traj, spec.optimal_set())
     lower_gd = min(0.5 * math.sqrt(6), 0.3 * math.sqrt(math.log(kappa)))
     upper_gd = bound_quadratic(spec.sigma, "gd")
@@ -122,9 +122,8 @@ def test_criterion_3_flow_curve_shape():
     ok = True
     details = []
     for omega in (1.1, 1.3, 1.6, 2.0):
-        c = build_quad_lower(20, omega)
-        rep = path_length_quadratic_gf(c.to_quadratic(), abs_tol=1e-12)
-        log_kappa = c.log_kappa
+        rep = path_length_quadratic_gf(build_quad_lower(20, omega), abs_tol=1e-12)
+        log_kappa = 19 * math.log(omega)
         lower = min(0.7 * math.sqrt(20), 0.45 * math.sqrt(log_kappa))
         upper = 1 + 2.5 * math.sqrt(log_kappa)
         ratios[omega] = rep.ratio
@@ -141,7 +140,7 @@ def test_criterion_3_flow_curve_shape():
 def test_criterion_4_randomized_separation():
     omega = 10 ** (6 / 19)  # kappa = 1e6 at d = 20
     geo = build_quad_lower(20, omega)
-    geo_ratio = path_length_quadratic_gf(geo.to_quadratic(), 1e-12).ratio
+    geo_ratio = path_length_quadratic_gf(geo, 1e-12).ratio
     random_ratios = [
         path_length_quadratic_gf(build_quad_random(20, 1e6, seed), 1e-12).ratio
         for seed in range(10)

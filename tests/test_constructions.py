@@ -14,8 +14,10 @@ from gradpath import (
     check_gradient,
     construction_linconv_constants,
     gd_run,
+    gd_step,
     gf_integrate,
 )
+from gradpath.constructions import QUAD_GD_DELTA
 
 
 class TestPklConstruction:
@@ -305,31 +307,22 @@ class TestTargetKappaReduction:
 class TestQuadLower:
     def test_geometric_spectrum(self):
         c = build_quad_lower(3, 11.0)
-        assert np.allclose(c.spectrum, [121.0, 11.0, 1.0])
+        assert np.allclose(c.sigma, [121.0, 11.0, 1.0])
         assert c.kappa == pytest.approx(121.0)
-        assert c.to_quadratic().dist0 == pytest.approx(math.sqrt(3.0))
-        assert c.eta == pytest.approx(1.0 / 242.0)
+        assert c.dist0 == pytest.approx(math.sqrt(3.0))
+        assert gd_step(c) == pytest.approx(1.0 / 242.0)
 
     def test_single_dimension(self):
         c = build_quad_lower(1, 7.0)
-        assert c.spectrum.tolist() == [1.0]
+        assert c.sigma.tolist() == [1.0]
         assert c.kappa == 1.0
-
-    def test_log_kappa_for_large_instance(self):
-        c = build_quad_lower(150, 2.0)
-        assert c.log_kappa == pytest.approx(149 * math.log(2.0), rel=1e-14)
-        assert c.kappa == pytest.approx(2.0**149, rel=1e-12)
 
     def test_integer_descent_checkpoints(self):
         for omega in (2.0, 3.0, 11.0):
             c = build_quad_lower(5, omega)
-            ks = c.gd_checkpoints
+            ks = c.sigma[0] * math.log(1.0 / QUAD_GD_DELTA) / c.sigma
             assert np.allclose(ks, 3.0 * omega ** np.arange(5), rtol=1e-12)
             assert np.allclose(ks, np.round(ks), atol=1e-6)
-
-    def test_flow_checkpoints(self):
-        c = build_quad_lower(4, 11.0)
-        assert np.allclose(c.gf_checkpoints, math.log(1 / 0.07) / c.spectrum)
 
     def test_quadratic_evaluation(self):
         c = build_quad_lower(3, 11.0)
@@ -340,11 +333,10 @@ class TestQuadLower:
 
     @pytest.mark.parametrize("d, omega", [(1, 2.0), (6, 10.0), (6, 11.0), (20, 2.0)])
     def test_elementwise_gradient_matches_eigen_form(self, d, omega):
-        c = build_quad_lower(d, omega)
-        obj, spec = c.to_objective(), c.to_quadratic()
-        ref = spec.to_objective(name=f"quad-geom(d={d},omega={omega})")
+        spec = build_quad_lower(d, omega)
+        obj = spec.to_objective()
         rng = np.random.default_rng(20240917)
-        points = [c.x0] + [
+        points = [spec.x0] + [
             rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(-150.0, 150.0, d) for _ in range(200)
         ]
         for x in points:
@@ -356,8 +348,8 @@ class TestQuadLower:
             assert not np.all(np.isfinite(obj.gradient_at(x)))
             with np.errstate(invalid="ignore"):  # the eigen form's 0 * inf
                 assert not np.all(np.isfinite(spec.gradient(x)))
-        assert (obj.L, obj.mu, obj.f_star, obj.name) == (ref.L, ref.mu, ref.f_star, ref.name)
-        assert np.array_equal(obj.optimal_set.point, ref.optimal_set.point)
+        assert (obj.L, obj.mu, obj.f_star) == (spec.sigma[0], spec.sigma[-1], 0.0)
+        assert np.array_equal(obj.optimal_set.point, np.zeros(d))
 
     def test_validation(self):
         with pytest.raises(InputError):

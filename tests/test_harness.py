@@ -356,7 +356,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("experiment, field, values, message", [
         ("bound-sweep", "dims", (6, 6.0), "dims lists 6 more than once"),
-        ("bound-sweep", "omegas", (2.0, 3.0, 2), "omegas lists 2 more than once"),
+        ("bound-sweep", "omegas", (2.0, 3.0, 2), "omegas lists 2.0 more than once"),
         ("quad-random", "kappas", (1e2, 1e4, 100.0), "kappas lists 100.0 more than once"),
         ("quad-random", "seeds", (1, 2, 1), "seeds lists 1 more than once"),
     ])
@@ -364,6 +364,21 @@ class TestConfig:
         # each repeat used to write one identical row more
         with pytest.raises(InputError, match=f"^{message}$"):
             ExperimentConfig(experiment, **{field: values})
+
+    @pytest.mark.parametrize("grid, text", [
+        (dict(dims=(6,), omegas=(11,)), "experiment = bound-sweep\ndims = 6\nomegas = 11\n"),
+        (dict(dims=(6,), kappas=(100,), seeds=(True,)), "experiment = quad-random\ndims = 6\nkappas = 100\nseeds = 1\n"),
+    ], ids=["bound-sweep", "quad-random"])
+    def test_grid_values_converted_as_a_config_file_does(self, grid, text):
+        # the library used to write omega 11, kappa_nominal 100 and seed True
+        cfg = parse_config_text(text)
+        direct = ExperimentConfig(cfg.experiment, **grid)
+        assert strip_runtime(render_csv(run_experiment(direct))) == strip_runtime(render_csv(run_experiment(cfg)))
+
+    def test_non_finite_grid_value_rejected(self):
+        # used to be accepted until its point ran
+        with pytest.raises(InputError, match="^omegas must be finite"):
+            ExperimentConfig("bound-sweep", omegas=(math.nan,))
 
 
 class TestCsv:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_convex_quadratic
 from gradpath import (
     AffineSet,
     InputError,
@@ -11,6 +12,7 @@ from gradpath import (
     QuadraticSpec,
     SingletonSet,
     build_fsep_quartic,
+    build_quad_random,
     check_gradient,
     quadratic_from_data,
 )
@@ -142,6 +144,41 @@ class TestQuadraticSpec:
         x = rng.standard_normal(4) * 3
         p1 = opt.project(x)
         assert np.allclose(opt.project(p1), p1, atol=1e-12)
+
+
+def _wide_points(d, rng):
+    """All-ones and 200 points with entries +-10^u, u uniform in [-150, 150]."""
+    return [np.ones(d)] + [rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(-150.0, 150.0, d) for _ in range(200)]
+
+
+class TestGradientChoice:
+    """``to_objective`` evaluates the gradient elementwise exactly when the
+    projection is zero and the basis is the identity."""
+
+    def test_identity_basis_zero_projection_is_elementwise(self, rng):
+        spec = QuadraticSpec.diagonal(np.sort(rng.uniform(0.1, 50.0, 6))[::-1], np.ones(6))
+        obj = spec.to_objective()
+        for x in _wide_points(6, rng):
+            assert np.array_equal(obj.gradient_at(x), spec.gradient(x))
+        # elementwise, an infinite coordinate leaves the others as they are;
+        # the eigen form's 0 * inf would make them NaN
+        x = np.ones(6)
+        x[0] = math.inf
+        assert np.array_equal(obj.gradient_at(x)[1:], spec.sigma[1:])
+
+    def test_nonzero_projection_keeps_eigen_form(self):
+        p = np.array([1.0, -2.0, 0.5])
+        spec = QuadraticSpec(dim=3, sigma=np.array([3.0, 2.0, 1.0]), basis=np.eye(3), projection=p,
+                             alpha=-p, x0=np.zeros(3))
+        assert spec.to_objective().gradient_at(p).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("make", [lambda rng: build_quad_random(6, 100.0, 0), random_convex_quadratic],
+                             ids=["quad-random", "dense"])
+    def test_other_specs_keep_eigen_form(self, make, rng):
+        spec = make(rng)
+        obj = spec.to_objective()
+        for x in _wide_points(spec.dim, rng):
+            assert np.array_equal(obj.gradient_at(x), spec.gradient(x))
 
 
 class TestOptimalSets:

@@ -20,6 +20,7 @@ from gradpath import (
     build_fsep_quartic,
     build_quad_lower,
     gd_run,
+    gd_step,
     gf_integrate,
     gf_quadratic,
     hb_params,
@@ -642,7 +643,7 @@ class TestRecordMemory:
         c = build_quad_lower(6, 5.0)
         for steps in (self.M, 8 * self.M):
             traj, peak = self.traced_peak(
-                lambda: gd_run(c.to_objective(), c.x0, c.eta, StopRule.max_steps(steps)))
+                lambda: gd_run(c.to_objective(), c.x0, gd_step(c), StopRule.max_steps(steps)))
             assert (traj.stop_reason, traj.n_steps, len(traj.points)) == ("max_steps", steps, 2)
             assert peak <= self.WORKING_SET, steps
 
@@ -894,7 +895,7 @@ class TestDiscreteStopStep:
     def test_coords_rule_on_quad_lower(self, omega):
         c = build_quad_lower(6, omega)
         eps = 1e-4
-        traj, points = run_observed(gd_run, c.to_objective(), c.x0, c.eta, StopRule.coords_below_except_last(eps))
+        traj, points = run_observed(gd_run, c.to_objective(), c.x0, gd_step(c), StopRule.coords_below_except_last(eps))
         assert traj.stop_reason == "coords_below_except_last"
         assert points.shape == (traj.n_steps + 1, 6)
         below = np.abs(points[:, :-1]).max(axis=1) < eps

@@ -54,6 +54,12 @@ def test_type_error_inside_a_builder_propagates(monkeypatch):
         make_instance("broken", radius=4)
 
 
+def test_quad_geom_name_and_step():
+    inst = make_instance("quad-geom", d=6, omega=11)
+    assert inst.objective.name == "quad-geom(d=6,omega=11.0)"
+    assert inst.eta == 1 / (2 * 11.0**5)
+
+
 def test_objective_names_carry_the_parameters():
     assert parse_instance("quad-geom:d=3,omega=4").objective.name == "quad-geom(d=3,omega=4.0)"
     assert parse_instance("quad-random:d=5,kappa=50,seed=2").objective.name == "quad-random(d=5,kappa=50,seed=2)"
