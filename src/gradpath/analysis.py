@@ -76,13 +76,14 @@ def path_length_discrete(traj: Trajectory, optimal_set: OptimalSet | None = None
     )
 
 
-def quadratic_flow_speed(spec: QuadraticSpec):
-    """Integrand t -> ||dx/dt|| of the quadratic flow, vectorised over t."""
-    s2a2 = spec.sigma**2 * spec.alpha**2
+def quadratic_flow_speed(sigma: Array, alpha: Array):
+    """Integrand t -> ||dx/dt|| of the quadratic flow with spectrum ``sigma``
+    and eigen coordinates ``alpha``, vectorised over t."""
+    s2a2 = sigma**2 * alpha**2
 
     def speed(t):
         t = np.asarray(t, dtype=float)
-        return np.sqrt(np.exp(-2.0 * np.outer(t, spec.sigma)) @ s2a2)
+        return np.sqrt(np.exp(-2.0 * np.outer(t, sigma)) @ s2a2)
 
     return speed
 
@@ -93,12 +94,21 @@ def path_length_quadratic_gf(spec: QuadraticSpec, abs_tol: float = 1e-12) -> Pat
     The improper integral is truncated at T with the analytic tail bound
     sum_i |alpha_i| exp(-sigma_min T) < abs_tol; the tail bound goes into
     the error budget, not into the reported length.
+
+    The integral runs on the spectrum scaled by 2^-k, which stretches time
+    by 2^k and leaves the length unchanged.  k centres the exponents of
+    sigma_max and sigma_min, so sigma^2 alpha^2 does not overflow once
+    sigma_max > 2^512.  A power-of-two scaling is exact, so every node,
+    weight product and error estimate, and with them the report, keeps
+    the bits of the unscaled integral wherever that one is finite.
     """
     abs_tol = positive_number(abs_tol, "abs_tol")
     alpha_l1 = float(np.abs(spec.alpha).sum())
     if alpha_l1 == 0.0:
         return PathLengthReport(0.0, 0.0, 0.0, 0.0, float("nan"), "quadrature", 0)
-    sigma_min = float(spec.sigma[-1])
+    k = (math.frexp(spec.sigma[0])[1] + math.frexp(spec.sigma[-1])[1]) // 2
+    sigma = np.ldexp(spec.sigma, -k)
+    sigma_min = float(sigma[-1])
     horizon = math.log(alpha_l1 / abs_tol) / sigma_min if alpha_l1 > abs_tol else 0.0
     if horizon <= 0.0:
         return PathLengthReport(
@@ -106,9 +116,9 @@ def path_length_quadratic_gf(spec: QuadraticSpec, abs_tol: float = 1e-12) -> Pat
             error_budget=alpha_l1,
         )
     tail_bound = alpha_l1 * math.exp(-sigma_min * horizon)
-    breakpoints = [1.0 / s for s in spec.sigma if 1.0 / s < horizon]
+    breakpoints = [1.0 / s for s in sigma if 1.0 / s < horizon]
     value, quad_err, n_eval = adaptive_quadrature(
-        quadratic_flow_speed(spec), 0.0, horizon, abs_tol, breakpoints=breakpoints,
+        quadratic_flow_speed(sigma, spec.alpha), 0.0, horizon, abs_tol, breakpoints=breakpoints,
     )
     return PathLengthReport(
         length=value,

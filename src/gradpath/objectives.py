@@ -126,8 +126,11 @@ class ObjectiveSpec:
     ``value`` maps a point of shape ``(dim,)`` to a float and ``gradient``
     to a vector of the same shape, which :meth:`gradient_at` checks.  The
     optional ``value_and_gradient`` returns both from one evaluation, for
-    :meth:`value_and_gradient_at`.  Evaluations are pure, so instances
-    may be shared freely.
+    :meth:`value_and_gradient_at`.  The optional ``gradient_into(x, out)``
+    writes ``gradient(x)``, bit for bit, into a caller's float64 vector
+    ``out`` of shape ``(dim,)``; it takes a float64 point of size ``dim``
+    as is and writes nothing but ``out``.  Evaluations are pure, so
+    instances may be shared freely.
     """
 
     dim: int
@@ -140,6 +143,7 @@ class ObjectiveSpec:
     name: str = ""
     box_halfwidth: float | None = None  # domain on which L was certified
     value_and_gradient: Callable[[Array], tuple[float, Array]] | None = None
+    gradient_into: Callable[[Array, Array], None] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dim", positive_number(self.dim, "dimension", int))
@@ -305,13 +309,33 @@ class QuadraticSpec:
         eigen form's two products then multiply by exact 0s and 1s, so
         ``sigma * x`` equals :meth:`gradient` bit for bit at every finite x
         (a zero may differ in sign only).  The projection is tested first,
-        as a dense spec fails that test at once."""
-        sigma = self.sigma
-        elementwise = not self.projection.any() and np.array_equal(self.basis, np.eye(self.dim))
+        as a dense spec fails that test at once; the basis is finite, so
+        d nonzero entries, all on a unit diagonal, make it the identity.
+
+        ``gradient_into`` writes the same bits as ``gradient``: the
+        elementwise product, or the eigen form's two gemvs in the same
+        order, the second one into ``out``."""
+        sigma, basis, p, dim = self.sigma, self.basis, self.projection, self.dim
+        elementwise = (
+            not p.any()
+            and basis.shape == (dim, dim)
+            and np.count_nonzero(basis) == dim
+            and (basis.diagonal() == 1.0).all()
+        )
+        if elementwise:
+            def gradient_into(x, out):
+                np.multiply(sigma, x, out)
+        else:
+            basis_dot, bt_dot = basis.dot, basis.T.dot
+
+            def gradient_into(x, out):
+                basis_dot(sigma * bt_dot(x - p), out)
+
         return ObjectiveSpec(
             dim=self.dim,
             value=self.value,
             gradient=(lambda x: sigma * x) if elementwise else self.gradient,
+            gradient_into=gradient_into,
             L=float(self.sigma[0]),
             mu=float(self.sigma[-1]),
             f_star=self.f_star,

@@ -12,7 +12,11 @@ built once per run (:meth:`StopRule.point_test`, a witness coordinate
 for the coords rule) and Brent's cycle detection, which stops a run
 whose state repeats.  The continuous runner, :func:`gf_integrate`, is an
 adaptive Dormand-Prince 5(4) integrator that carries the arc length as
-an augmented ODE state and accumulates the chord sum in its loop.
+an augmented ODE state and accumulates the chord sum in its loop.  It
+allocates its stage rows and stage points once per run, and one writer
+fills each stage's gradient in place: the objective's
+``gradient_into`` when it declares one (quadratics do), else a copy of
+``gradient_at``, which keeps that method's shape check.
 
 The flow writes each accepted point (x, t and the local error) as a
 row of one float64 buffer that doubles when full, 8 (d + 2) bytes a row.
@@ -457,14 +461,17 @@ _BETA = 0.04          # PI stabilisation exponent
 _ALPHA = 0.2 - 0.75 * _BETA
 
 
-def _initial_step(write_field, y0, k0, probe, tol):
+def _initial_step(into, y0, k0, probe, tol):
     """Hairer's starting step; ``k0`` is the negated field at ``y0``,
-    ``probe`` a scratch row for the negated field at the Euler probe."""
+    ``probe`` a scratch row for the negated field at the Euler probe,
+    written through the run's gradient writer ``into``."""
     scale = tol  # pure absolute scaling
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((k0 / scale) ** 2))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    write_field(y0 - h0 * k0, probe)
+    head = probe[:-1]
+    into((y0 - h0 * k0)[:-1], head)
+    probe[-1] = -math.sqrt(head.dot(head))
     d2 = np.sqrt(np.mean(((probe - k0) / scale) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -484,9 +491,15 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
     accumulated in the loop as ``path_sum``, a cross-check on the arc.
 
     Each stage row of the work array holds the *negated* augmented field,
-    (+grad, -||grad||), written in place from one gradient call, and the
-    tableau is negated once at import to match; negation is exact, so
-    every step is bit-identical to stepping with the field itself.  A
+    (+grad, -||grad||), and the tableau is negated once at import to
+    match; negation is exact, so every step is bit-identical to stepping
+    with the field itself.  One writer per run fills a row's gradient
+    head in place: the objective's ``gradient_into`` when it declares one,
+    else a copy of :meth:`ObjectiveSpec.gradient_at`, which keeps its
+    shape check.  Each stage point is formed in a buffer of its own,
+    allocated once per run with its x-view; on acceptance the last
+    stage's buffer, which holds the 5th-order solution, becomes the
+    state and the old state's buffer takes its place.  A
     step's stages are checked for finiteness with one reduction (their
     sum, non-finite whenever an entry is); the element-wise test runs
     only when the sum is not finite.  ``horizon`` rules stop exactly at
@@ -498,7 +511,6 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
     x0 = finite_vector(x0, "x0", obj.dim)
     if stop is None:
         stop = StopRule.grad_below(1e-10)
-    gradient_at = obj.gradient_at
     kind, eps = stop.kind, stop.threshold
     grad_stop, point_stop = kind == "grad_below", stop.point_test(obj.dim)
     horizon = eps if kind == "horizon" else None
@@ -508,17 +520,19 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
     horizon_reached = None if horizon is None else horizon - 1e-12 * max(1.0, abs(horizon))
     limit, limit_reason = _step_limit(stop, MAX_ODE_STEPS)
 
+    into = obj.gradient_into
+    if into is None:
+        gradient_at = obj.gradient_at
+
+        def into(x, out):
+            out[:] = gradient_at(x)
+
     y = np.concatenate([x0, [0.0]])
     n = y.size
-
-    def write_field(yy, row):
-        """Store the negated augmented field at ``yy`` in ``row``: (+g, -||g||)."""
-        g = gradient_at(yy[:-1])
-        row[:-1] = g
-        row[-1] = -math.sqrt(g.dot(g))
-
     K = np.empty((7, n))
-    write_field(y, K[0])
+    head = K[0, :-1]
+    into(y[:-1], head)
+    K[0, -1] = -math.sqrt(head.dot(head))
     n_feval = 1
     if not np.all(np.isfinite(K[0])):
         raise NonFiniteError("non-finite gradient at t=0.0")
@@ -534,9 +548,13 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
     h = None  # guessed once the first step is due
     err_old = 1e-4
     n_accepted, n_rejected, chord = 0, 0, 0.0
-    # (weights, earlier rows, row to write) of stages 2..7; the slices are
-    # views of K made once
-    stages = [(_A[i], K[:i], K[i]) for i in range(1, 7)]
+    # stages 2..7: (weights' dot, earlier rows, point buffer, its x-view,
+    # row to write, its gradient head); the slices are views made once
+    stages = []
+    for i in range(1, 7):
+        point = np.empty(n)
+        stages.append((_A[i].dot, K[:i], point, point[:-1], K[i], K[i, :-1]))
+    error_dot, e = _E.dot, np.empty(n)
 
     while True:
         # a rejected step leaves the state, and so every answer here, unchanged
@@ -553,36 +571,40 @@ def gf_integrate(obj: ObjectiveSpec, x0, tol: float = 1e-10, stop: StopRule | No
             reason = limit_reason
             break
         if h is None:
-            h = _initial_step(write_field, y, K[0], K[1], tol)
+            h = _initial_step(into, y, K[0], K[1], tol)
             n_feval += 1  # the Euler probe inside the step-size guess
         if horizon is not None:
             h = min(h, horizon - t)
         if h <= 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflowError(t)
 
-        for a, earlier, row in stages:
+        for a_dot, earlier, point, point_x, row, head in stages:
             # y + h * a.dot(earlier), computed in the stage point's own buffer
-            yi = a.dot(earlier)
-            yi *= h
-            yi += y
-            write_field(yi, row)
+            a_dot(earlier, point)
+            point *= h
+            point += y
+            into(point_x, head)
+            row[-1] = -math.sqrt(head.dot(head))
         n_feval += 6
-        if not math.isfinite(K.sum()) and not np.all(np.isfinite(K)):
+        if not math.isfinite(np.add.reduce(K, None)) and not np.all(np.isfinite(K)):
             raise NonFiniteError(f"non-finite gradient near t={t + h!r}")
 
         # sqrt(mean((h * _E.dot(K) / tol)**2)), operation by operation
-        e = _E.dot(K)
+        error_dot(K, e)
         e *= h
         e /= tol
         e *= e
-        err = math.sqrt(float(np.add.reduce(e)) / n)
+        err = math.sqrt(np.add.reduce(e) / n)
 
         if err <= 1.0:
             t += h
-            y = yi  # stage 7 uses the 5th-order solution point
             n_accepted += 1
-
-            x_prev, x = x, y[:-1]
+            # stage 7's point is the 5th-order solution (FSAL): it becomes
+            # the state, and the old state's buffer, which x_prev views,
+            # is stage 7's buffer from the next step on
+            last = stages[-1]
+            stages[-1] = (*last[:2], y, x, *last[4:])
+            y, x_prev, x = last[2], x, last[3]
             row = record.add()
             row[:d] = x
             row[d] = t

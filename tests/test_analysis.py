@@ -22,11 +22,14 @@ from gradpath import (
     StopRule,
     Trajectory,
     bound_linconv_gd,
+    bound_quadratic,
     build_pkl_gd_instance,
+    build_quad_lower,
     construction_linconv_constants,
     effective_pkl_mu,
     gd_run,
     lower_bound_linconv,
+    lower_bound_quadratic,
     path_length_discrete,
     path_length_quadratic_gf,
     self_contracted_check,
@@ -138,6 +141,27 @@ class TestPathLengthQuadraticGf:
         spec = QuadraticSpec.diagonal([1.0], [1.0])
         with pytest.raises(InputError, match="abs_tol"):
             path_length_quadratic_gf(spec, abs_tol=bad)
+
+    @pytest.mark.parametrize("j", [-40, 7, 100])
+    @pytest.mark.parametrize("make", [
+        lambda rng: build_quad_lower(20, 2.0),
+        lambda rng: build_quad_lower(6, 11.0),
+        random_convex_quadratic,
+    ], ids=["quad-lower-20-2", "quad-lower-6-11", "dense"])
+    def test_spectrum_scaled_by_a_power_of_two(self, make, j, rng):
+        # sigma -> 2^j sigma stretches time by 2^-j and keeps the length;
+        # the report keeps every bit
+        spec = make(rng)
+        scaled = dataclasses.replace(spec, sigma=np.ldexp(spec.sigma, j))
+        assert repr(path_length_quadratic_gf(scaled, 1e-10)) == repr(path_length_quadratic_gf(spec, 1e-10))
+
+    @pytest.mark.filterwarnings("error")
+    def test_spectrum_above_two_to_the_512(self):
+        # sigma_max = 11^149 > 2^515, so sigma^2 alpha^2 overflows unless scaled
+        spec = build_quad_lower(150, 11.0)
+        rep = path_length_quadratic_gf(spec)
+        assert math.isfinite(rep.length) and rep.error_budget <= 2e-12
+        assert lower_bound_quadratic(150, spec.kappa) <= rep.ratio <= bound_quadratic(spec.sigma)
 
 
 class TestAdaptiveQuadrature:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gradpath import (
     QuadraticSpec,
     SingletonSet,
     build_fsep_quartic,
+    build_quad_lower,
     build_quad_random,
     check_gradient,
     quadratic_from_data,
@@ -179,6 +181,55 @@ class TestGradientChoice:
         obj = spec.to_objective()
         for x in _wide_points(spec.dim, rng):
             assert np.array_equal(obj.gradient_at(x), spec.gradient(x))
+
+
+def _flow_quadratic(rng, d=10, kappa=3e3):
+    """Dense spec built as the flow benchmark builds its instances: extreme
+    eigenvalues 1 and 1/kappa with a log-uniform interior, a random rotation
+    and a random projection."""
+    interior = 10 ** rng.uniform(-math.log10(kappa), 0.0, d - 2)
+    sigma = np.sort(np.concatenate([[1.0, 1.0 / kappa], interior]))[::-1]
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    projection = rng.standard_normal(d)
+    x0 = projection + basis @ rng.standard_normal(d)
+    return QuadraticSpec(dim=d, sigma=sigma, basis=basis, projection=projection,
+                         alpha=basis.T @ (x0 - projection), x0=x0)
+
+
+class TestGradientInto:
+    """``to_objective``'s ``gradient_into`` writes the bits of its ``gradient``."""
+
+    @pytest.mark.parametrize("make", [
+        _flow_quadratic,
+        random_convex_quadratic,
+        lambda rng: build_quad_random(6, 100.0, 0),
+        lambda rng: build_quad_lower(6, 11.0),
+    ], ids=["flow-dense", "dense", "quad-random", "quad-lower"])
+    def test_bits_equal_gradient(self, make, rng):
+        spec = make(rng)
+        obj = spec.to_objective()
+        out = np.empty(spec.dim)
+        points = [rng.standard_normal(spec.dim) for _ in range(50)] + _wide_points(spec.dim, rng)
+        for x in points:
+            before = x.tobytes()
+            obj.gradient_into(x, out)
+            assert out.tobytes() == obj.gradient(x).tobytes()
+            assert x.tobytes() == before
+
+    def test_identity_test_allocates_no_square_matrix(self):
+        # a d x d identity to compare with would take 72 MB at d = 3000
+        spec = build_quad_lower(3000, 1.001)
+        tracemalloc.start()
+        try:
+            obj = spec.to_objective()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # still elementwise: an infinite coordinate leaves the others finite
+        x = np.ones(3000)
+        x[0] = math.inf
+        assert np.array_equal(obj.gradient(x)[1:], spec.sigma[1:])
 
 
 class TestOptimalSets:

@@ -1060,3 +1060,32 @@ class TestFlowBitsPinned:
         obj = ObjectiveSpec(dim=3, value=lambda x: float(x @ x), gradient=lambda x: 2.0 * x[:1])
         with pytest.raises(InputError, match="shape"):
             gf_integrate(obj, [1.0, -2.0, 0.5], 1e-10, StopRule.grad_below(1e-8))
+
+
+class TestFlowGradientWriter:
+    """A flow writes each stage's gradient through one writer: the
+    objective's ``gradient_into``, else a copy of ``gradient_at``."""
+
+    @pytest.mark.parametrize("case", ["dense", "elementwise"])
+    def test_adapter_gives_the_same_bits(self, case):
+        if case == "dense":
+            spec, stop = _dense_quadratic(7, 4, 1e2), StopRule.grad_below(1e-9)
+        else:
+            spec, stop = build_quad_lower(6, 3.0), StopRule.coords_below_except_last(1e-4)
+        obj = spec.to_objective()
+        assert obj.gradient_into is not None
+        runs = [gf_integrate(o, spec.x0, 1e-10, stop)
+                for o in (obj, dataclasses.replace(obj, gradient_into=None))]
+        got = [
+            (t.points.tobytes(), t.times.tobytes(), t.local_errors.tobytes(), t.arc_length, t.path_sum,
+             t.n_steps, t.n_rejected, t.n_feval, t.stop_reason)
+            for t in runs
+        ]
+        assert got[0] == got[1]
+        assert runs[0].n_steps > 100
+
+    def test_column_gradient_rejected(self):
+        # a (3, 1) gradient does not fit a stage row; the adapter's check names it
+        obj = ObjectiveSpec(dim=3, value=lambda x: float(x @ x), gradient=lambda x: 2.0 * x[:, None])
+        with pytest.raises(InputError, match=r"^gradient returned shape \(3, 1\) at a point of shape \(3,\)$"):
+            gf_integrate(obj, [1.0, -2.0, 0.5], 1e-10, StopRule.grad_below(1e-8))
