@@ -222,8 +222,10 @@ class PlRatio:
         if gap > 1e-300:
             # the same bits as np.sum(g**2), without np.sum's wrapper
             ratio = float(np.add.reduce(g * g)) / (2.0 * gap)
-            self.lo = min(self.lo, ratio)
-            self.hi = max(self.hi, ratio)
+            if ratio < self.lo:
+                self.lo = ratio
+            if ratio > self.hi:
+                self.hi = ratio
             self.count += 1
 
     def aggregate(self, mode: str = "min") -> float:

@@ -5,7 +5,8 @@ function g that is quadratic near the origin, tapers through a concave
 and then a linear stretch, and rejoins a shallow quadratic tail; the
 initial point staggers the coordinates so that they are captured one
 per stage, which makes the trajectory follow cube edges rather than the
-diagonal.  The quadratic instance has a geometric spectrum.
+diagonal; g and g' are written in place, one index run per piece of
+the sorted coordinates.  The quadratic instance has a geometric spectrum.
 """
 
 from __future__ import annotations
@@ -49,17 +50,16 @@ class PklConstruction:
     continuously differentiable at gamma.  Globally L = 2 and the PL
     constant is mu = 2/(3 d^2).
 
-    :meth:`_values` and :meth:`_derivs` write each piece's formula once, on
-    the coordinates :meth:`_pieces` selects; :meth:`g` and :meth:`g_deriv`
-    each run one of them, and :meth:`g_and_deriv` both over one
-    selection.  For a 1-D input in ascending order each piece is one
-    contiguous index run, found with 4 binary searches instead of one
-    lookup per coordinate.  Descent on the staircase stays on that path: the
-    staggered x0 is ascending (unless a reduced construction is lifted,
-    which appends zeros), and with eta * L <= 1 the scalar map
-    x -> x - eta g'(x) is nondecreasing, so every iterate is ascending
-    too.  The order test, not that argument, makes each call correct;
-    any other input takes per-coordinate masks.
+    :meth:`_write` writes g and g' of an ascending vector into the caller's
+    outputs, one index run per piece found with 4 binary searches, by
+    positional ``out`` ufuncs on the run's slices.  Descent on the staircase
+    takes that path as it is: the staggered x0 is ascending (unless a
+    reduced construction is lifted, which appends zeros), and with
+    eta * L <= 1 the scalar map x -> x - eta g'(x) is nondecreasing, so
+    every iterate is ascending too.  The order test, not that argument,
+    makes each call correct; any other input is written in one stable sort
+    order and scattered back, which keeps every bit, as the writer is
+    elementwise.
     """
 
     d: int
@@ -90,62 +90,72 @@ class PklConstruction:
     def breakpoints(self) -> tuple[float, float, float, float]:
         return (0.0, 0.5, 1.0 - self.delta, self.gamma)
 
-    def _pieces(self, x: Array) -> list:
-        """Selectors of the five pieces of g at ``x``: piece i holds the x
-        with b_(i-1) < x <= b_i (piece 4: x > gamma, and NaN).  Slices when
-        ``x`` is a 1-D array in ascending order, else boolean masks."""
-        if x.ndim == 1 and (x[:-1] <= x[1:]).all():
-            e1, e2, e3, e4 = x.searchsorted(self._edges, "right").tolist()
-            return [slice(0, e1), slice(e1, e2), slice(e2, e3), slice(e3, e4), slice(e4, x.size)]
-        piece = np.searchsorted(self._edges, x)
-        return [piece == i for i in range(5)]
+    def _write(self, xs: Array, value: Array | None, deriv: Array) -> None:
+        """g (unless ``value`` is None) and g' at an ascending 1-D ``xs``, into
+        float64 outputs of its shape, by each piece's IEEE operations in the
+        formula's order.  Piece i is the run b_(i-1) < x <= b_i (piece 4 also
+        holds NaN, which sorts last); an empty run is not touched."""
+        e1, e2, e3, e4 = xs.searchsorted(self._edges, "right").tolist()
+        delta, coeff = self.delta, self.quad_coeff
+        if e1:
+            deriv[:e1].fill(0.0)
+            if value is not None:
+                value[:e1].fill(0.0)
+        if e1 < e2:  # x^2
+            x = xs[e1:e2]
+            if value is not None:
+                np.square(x, value[e1:e2])
+            np.multiply(2.0, x, deriv[e1:e2])
+        if e2 < e3:  # 0.5 - (1 - x)^2
+            u = np.subtract(1.0, xs[e2:e3], deriv[e2:e3])
+            if value is not None:
+                v = np.square(u, value[e2:e3])
+                np.subtract(0.5, v, v)
+            np.multiply(2.0, u, u)
+        if e3 < e4:  # (0.5 - delta^2) + 2 delta (x - (1 - delta))
+            if value is not None:
+                v = np.subtract(xs[e3:e4], 1.0 - delta, value[e3:e4])
+                np.multiply(2.0 * delta, v, v)
+                np.add(0.5 - delta**2, v, v)
+            deriv[e3:e4].fill(2.0 * delta)
+        if e4 < xs.size:  # quad_offset + quad_coeff x^2
+            x = xs[e4:]
+            if value is not None:
+                v = np.square(x, value[e4:])
+                np.multiply(coeff, v, v)
+                np.add(self.quad_offset, v, v)
+            np.multiply(2.0 * coeff, x, deriv[e4:])
 
-    def _values(self, x: Array, pieces: list) -> Array:
-        """g at ``x``, piece by selected piece; an empty piece (on the
-        descent, always the tail) is not written."""
-        value = np.empty(x.shape)
-        zero, quad, cap, linear, tail = pieces
-        if _occupied(zero):
-            value[zero] = 0.0
-        if _occupied(quad):
-            value[quad] = x[quad] ** 2
-        if _occupied(cap):
-            value[cap] = 0.5 - (1.0 - x[cap]) ** 2
-        if _occupied(linear):
-            value[linear] = (0.5 - self.delta**2) + 2.0 * self.delta * (x[linear] - (1.0 - self.delta))
-        if _occupied(tail):
-            value[tail] = self.quad_offset + self.quad_coeff * x[tail] ** 2
-        return value
-
-    def _derivs(self, x: Array, pieces: list) -> Array:
-        """g' at ``x``, piece by selected piece."""
-        deriv = np.empty(x.shape)
-        zero, quad, cap, linear, tail = pieces
-        if _occupied(zero):
-            deriv[zero] = 0.0
-        if _occupied(quad):
-            deriv[quad] = 2.0 * x[quad]
-        if _occupied(cap):
-            deriv[cap] = 2.0 * (1.0 - x[cap])
-        if _occupied(linear):
-            deriv[linear] = 2.0 * self.delta
-        if _occupied(tail):
-            deriv[tail] = (2.0 * self.quad_coeff) * x[tail]
-        return deriv
+    def _evaluate(self, x: Array, value: Array | None, deriv: Array) -> None:
+        """:meth:`_write` for any float64 ``x``: an ascending vector as it is,
+        any other input (unsorted, with a NaN, a batch or 0-d) in the order
+        of one stable sort of its entries, scattered back."""
+        if x.ndim == 1 and np.count_nonzero(x[:-1] <= x[1:]) == x.size - 1:
+            return self._write(x, value, deriv)
+        flat = x.ravel()
+        order = np.argsort(flat, kind="stable")
+        sorted_value = None if value is None else np.empty(x.size)
+        sorted_deriv = np.empty(x.size)
+        self._write(flat[order], sorted_value, sorted_deriv)
+        deriv.reshape(-1)[order] = sorted_deriv
+        if value is not None:
+            value.reshape(-1)[order] = sorted_value
 
     def g_and_deriv(self, x) -> tuple[Array, Array]:
         """``(g(x), g'(x))`` from one selection of the pieces."""
         x = np.asarray(x, dtype=float)
-        pieces = self._pieces(x)
-        return self._values(x, pieces), self._derivs(x, pieces)
+        value, deriv = np.empty(x.shape), np.empty(x.shape)
+        self._evaluate(x, value, deriv)
+        return value, deriv
 
     def g(self, x) -> Array:
-        x = np.asarray(x, dtype=float)
-        return self._values(x, self._pieces(x))
+        return self.g_and_deriv(x)[0]
 
     def g_deriv(self, x) -> Array:
         x = np.asarray(x, dtype=float)
-        return self._derivs(x, self._pieces(x))
+        deriv = np.empty(x.shape)
+        self._evaluate(x, None, deriv)
+        return deriv
 
     def to_objective(self, name: str, dim: int | None = None) -> ObjectiveSpec:
         """The separable objective sum_i g(x_i) in dimension ``dim``.
@@ -159,13 +169,14 @@ class PklConstruction:
 
         def value_and_gradient(x):
             value, deriv = self.g_and_deriv(x)
-            return value.sum(axis=-1), deriv
+            return np.add.reduce(value, -1), deriv
 
         return ObjectiveSpec(
             dim=dim,
             value=lambda x: self.g(x).sum(axis=-1),
             gradient=self.g_deriv,
             value_and_gradient=value_and_gradient,
+            gradient_into=lambda x, out: self._evaluate(x, None, out),
             L=self.L,
             mu=self.mu,
             f_star=0.0,
@@ -174,11 +185,6 @@ class PklConstruction:
             ),
             name=name,
         )
-
-
-def _occupied(piece) -> bool:
-    """Whether a selector of :meth:`PklConstruction._pieces` selects anything."""
-    return piece.start < piece.stop if type(piece) is slice else bool(piece.any())
 
 
 def _active_dimension(d: int, target_kappa: float | None) -> int:

@@ -14,9 +14,9 @@ whose state repeats.  The continuous runner, :func:`gf_integrate`, is an
 adaptive Dormand-Prince 5(4) integrator that carries the arc length as
 an augmented ODE state and accumulates the chord sum in its loop.  It
 allocates its stage rows and stage points once per run, and one writer
-fills each stage's gradient in place: the objective's
-``gradient_into`` when it declares one (quadratics do), else a copy of
-``gradient_at``, which keeps that method's shape check.
+fills each stage's gradient in place: the objective's ``gradient_into``
+when it declares one (quadratics and the PL staircase do), else a copy
+of ``gradient_at``, which keeps that method's shape check.
 
 The flow writes each accepted point (x, t and the local error) as a
 row of one float64 buffer that doubles when full, 8 (d + 2) bytes a row.

@@ -372,6 +372,16 @@ class TestPlRatio:
         with pytest.raises(InputError, match="mode"):
             pl.aggregate("median")
 
+    def test_nan_ratio_leaves_the_extremes(self):
+        # inf / inf: the running min and max keep what min() and max() keep
+        obj = ObjectiveSpec(dim=1, value=lambda x: float(x[0] ** 2), gradient=lambda x: 2 * x, f_star=0.0)
+        pl = PlRatio(obj)
+        pl(np.ones(1), math.inf, np.full(1, math.inf))
+        assert (pl.lo, pl.hi) == (math.inf, -math.inf)
+        pl(np.ones(1), 1.0, 2 * np.ones(1))
+        pl(np.ones(1), math.inf, np.full(1, math.inf))
+        assert (pl.count, pl.lo, pl.hi) == (3, 2.0, 2.0)
+
     def test_requires_declared_minimum(self):
         obj = ObjectiveSpec(dim=1, value=lambda x: float(x[0] ** 2), gradient=lambda x: 2 * x)
         with pytest.raises(InputError, match="minimum value"):

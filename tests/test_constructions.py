@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -89,9 +90,31 @@ def _select_g_deriv(kind, x):
     )
 
 
+@contextlib.contextmanager
+def _recorded_selection(monkeypatch):
+    """Lists of the stable sorts taken and of the arrays ``_write`` gets,
+    filled while the context is open."""
+    sorts, writes = [], []
+    argsort, write = np.argsort, PklConstruction._write
+
+    def counted_argsort(*args, **kwargs):
+        sorts.append(1)
+        return argsort(*args, **kwargs)
+
+    def recorded_write(kind, xs, value, deriv):
+        writes.append(xs)
+        return write(kind, xs, value, deriv)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "argsort", counted_argsort)
+        m.setattr(PklConstruction, "_write", recorded_write)
+        yield sorts, writes
+
+
 class TestPklIntervalLookup:
-    """g and g' select each piece once, by index runs for an ascending vector
-    and by masks otherwise; their bits must equal the select's."""
+    """g and g' select each piece once, as index runs of an ascending vector;
+    any other input is written in one stable sort order.  Their bits must
+    equal the select's."""
 
     @staticmethod
     def _assert_same_bits(got, want):
@@ -99,6 +122,14 @@ class TestPklIntervalLookup:
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @staticmethod
+    def _selection(monkeypatch, kind, xs):
+        """(stable sorts, [whether ``_write`` got ``xs`` itself, per call]) of
+        one ``g_and_deriv(xs)``."""
+        with _recorded_selection(monkeypatch) as (sorts, writes):
+            kind.g_and_deriv(xs)
+        return len(sorts), [ys is xs for ys in writes]
 
     def _assert_matches_select(self, kind, xs):
         value, deriv = kind.g_and_deriv(xs)
@@ -122,10 +153,10 @@ class TestPklIntervalLookup:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("d", [6, 148, 2000])
-    def test_sorted_edges_and_special_values(self, d):
+    def test_sorted_edges_and_special_values(self, d, monkeypatch):
         kind = PklConstruction.build(d)
         xs = np.sort(self._edge_values(kind))
-        assert all(isinstance(sel, slice) for sel in kind._pieces(xs))
+        assert self._selection(monkeypatch, kind, xs) == (0, [True])
         self._assert_matches_select(kind, xs)
 
     @pytest.mark.parametrize("d", [6, 148, 2000])
@@ -137,16 +168,16 @@ class TestPklIntervalLookup:
         self._assert_matches_select(kind, xs.reshape(100, -1))
 
     @pytest.mark.parametrize("d", [6, 148, 2000])
-    def test_sorted_seeded_uniforms(self, d):
+    def test_sorted_seeded_uniforms(self, d, monkeypatch):
         kind = PklConstruction.build(d)
         xs = np.sort(np.random.default_rng(d).uniform(-1.0, 40.0, 10**5))
-        assert all(isinstance(sel, slice) for sel in kind._pieces(xs))
+        assert self._selection(monkeypatch, kind, xs) == (0, [True])
         self._assert_matches_select(kind, xs)
 
     @pytest.mark.parametrize("case", ["unsorted", "nan", "batched"])
-    def test_near_sorted_input_takes_masks(self, case):
+    def test_near_sorted_input_takes_one_permutation(self, case, monkeypatch):
         # one swap, a trailing NaN, or a second axis sends an otherwise
-        # ascending input to the masks, with the same bits
+        # ascending input through one stable sort, with the same bits
         kind = PklConstruction.build(148)
         xs = np.sort(np.random.default_rng(1).uniform(-1.0, 40.0, 1000))
         if case == "unsorted":
@@ -155,7 +186,7 @@ class TestPklIntervalLookup:
             xs[-1] = math.nan
         else:
             xs = xs.reshape(10, -1)
-        assert not any(isinstance(sel, slice) for sel in kind._pieces(xs))
+        assert self._selection(monkeypatch, kind, xs) == (1, [False])
         self._assert_matches_select(kind, xs)
 
     def test_zero_dimensional_input(self):
@@ -163,6 +194,20 @@ class TestPklIntervalLookup:
         for x in (-0.5, 0.3, 0.7, 1.0, 5.0, 20.0, math.nan):
             self._assert_matches_select(kind, np.asarray(x))
             assert float(kind.g(x)) == float(kind.g(np.asarray(x))) or math.isnan(x)
+
+    @pytest.mark.parametrize("order", ["sorted", "shuffled"])
+    def test_fresh_outputs(self, order):
+        # nothing is cached: each call returns arrays of its own
+        kind = PklConstruction.build(148)
+        x = build_pkl_gd_instance(148).x0
+        if order == "shuffled":
+            x = np.random.default_rng(3).permutation(x)
+        first, second = kind.g_and_deriv(x), kind.g_and_deriv(x)
+        arrays = [*first, *second]
+        assert all(a.flags.owndata for a in arrays)
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:] + [x])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
 
     def test_descent_iterates_stay_sorted(self):
         # every iterate of the staircase descent takes the index-run path,
@@ -183,18 +228,13 @@ class TestPklIntervalLookup:
     def test_one_piece_selection_per_observed_iterate(self, monkeypatch):
         # the loop takes f and g for its observer from one evaluation, so
         # the pieces of each iterate are selected once, not once for g and
-        # once more for g'
-        selections = []
-        pieces = PklConstruction._pieces
-
-        def counted(kind, x):
-            selections.append(x.size)
-            return pieces(kind, x)
-
-        monkeypatch.setattr(PklConstruction, "_pieces", counted)
+        # once more for g', and no iterate needs a sort
         inst = build_pkl_gd_instance(148)
-        traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6), observe=lambda x, f, g: None)
-        assert len(selections) == traj.n_steps + 1 == 1037
+        with _recorded_selection(monkeypatch) as (sorts, writes):
+            traj = gd_run(inst.objective, inst.x0, inst.eta, StopRule.norm_below(1e-6),
+                          observe=lambda x, f, g: None)
+        assert len(writes) == traj.n_steps + 1 == 1037
+        assert not sorts
 
 
 class TestFlowInstance:

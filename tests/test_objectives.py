@@ -10,12 +10,16 @@ from gradpath import (
     InputError,
     IntervalProductSet,
     ObjectiveSpec,
+    PklConstruction,
     QuadraticSpec,
     SingletonSet,
+    StopRule,
     build_fsep_quartic,
+    build_pkl_gd_instance,
     build_quad_lower,
     build_quad_random,
     check_gradient,
+    gd_run,
     quadratic_from_data,
 )
 from gradpath.objectives import as_vector
@@ -230,6 +234,46 @@ class TestGradientInto:
         x = np.ones(3000)
         x[0] = math.inf
         assert np.array_equal(obj.gradient(x)[1:], spec.sigma[1:])
+
+
+class TestStaircaseGradientInto:
+    """The PL staircase's ``gradient_into`` writes the bits of its ``gradient``
+    into the caller's row and nothing else."""
+
+    @staticmethod
+    def _assert_writes_gradient(obj, x):
+        # out is a row view with sentinels on both sides and rows around it
+        before = x.tobytes()
+        rows = np.full((3, obj.dim + 2), -7.25)
+        out = rows[1, 1:-1]
+        obj.gradient_into(x, out)
+        assert out.tobytes() == obj.gradient(x).tobytes()
+        out[:] = -7.25
+        assert (rows == -7.25).all()
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("d", [148, 2000])
+    def test_descent_iterates(self, d):
+        inst = build_pkl_gd_instance(d)
+        obj, seen = inst.objective, []
+
+        def observe(x, f, g):
+            self._assert_writes_gradient(obj, x)
+            seen.append(1)
+
+        traj = gd_run(obj, inst.x0, inst.eta, StopRule.norm_below(1e-6), observe=observe)
+        assert len(seen) == traj.n_steps + 1 > 1000
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_special_and_shuffled_values(self, rng):
+        kind = PklConstruction.build(148)
+        values = [0.0, -0.0, math.inf, -math.inf, math.nan]
+        for b in kind.breakpoints:
+            values += [b, float(np.nextafter(b, -math.inf)), float(np.nextafter(b, math.inf))]
+        obj = kind.to_objective("staircase")
+        x = rng.choice(values, 148)
+        for point in (np.sort(x), x, rng.permutation(build_pkl_gd_instance(148).x0)):
+            self._assert_writes_gradient(obj, point)
 
 
 class TestOptimalSets:

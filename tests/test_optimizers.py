@@ -1066,13 +1066,15 @@ class TestFlowGradientWriter:
     """A flow writes each stage's gradient through one writer: the
     objective's ``gradient_into``, else a copy of ``gradient_at``."""
 
-    @pytest.mark.parametrize("case", ["dense", "elementwise"])
+    @pytest.mark.parametrize("case", ["dense", "elementwise", "staircase"])
     def test_adapter_gives_the_same_bits(self, case):
         if case == "dense":
             spec, stop = _dense_quadratic(7, 4, 1e2), StopRule.grad_below(1e-9)
-        else:
+        elif case == "elementwise":
             spec, stop = build_quad_lower(6, 3.0), StopRule.coords_below_except_last(1e-4)
-        obj = spec.to_objective()
+        else:
+            spec, stop = build_pkl_gf_instance(20), StopRule.norm_below(1e-6)
+        obj = spec.objective if case == "staircase" else spec.to_objective()
         assert obj.gradient_into is not None
         runs = [gf_integrate(o, spec.x0, 1e-10, stop)
                 for o in (obj, dataclasses.replace(obj, gradient_into=None))]
