@@ -285,11 +285,11 @@ def build_pkl_gd_instance(d: int, target_kappa: float | None = None) -> PklGdIns
 def build_quad_lower(d: int, omega: float) -> QuadraticSpec:
     """Geometric-spectrum quadratic 0.5 * sum_i a_i x_i^2, a_i = omega^(d-i),
     with x0 = all-ones and condition number omega^(d-1).  The spectrum is
-    already descending, so the spec's basis is the identity and its
-    objective evaluates the gradient elementwise.  The descent
-    eta = 1/(2 a_1) (:func:`gd_step`) passes coordinate i after
-    k_i = 3 omega^(i-1) steps (QUAD_GD_DELTA = e^-3), integers whenever
-    omega is an integer."""
+    already descending, so the basis is the identity permutation (d
+    integers); like every diagonal spec's, its objective evaluates the
+    gradient elementwise.  The descent eta = 1/(2 a_1) (:func:`gd_step`)
+    passes coordinate i after k_i = 3 omega^(i-1) steps
+    (QUAD_GD_DELTA = e^-3), integers whenever omega is an integer."""
     d, omega = positive_number(d, "dimension", int), finite_number(omega, "omega")
     if omega <= 1:
         raise InputError("omega must be finite and exceed 1")

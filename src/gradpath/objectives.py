@@ -10,6 +10,7 @@ flow and bound computation for them works per eigencomponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -227,11 +228,15 @@ class QuadraticSpec:
     """Convex quadratic objective normalised to eigen coordinates.
 
     The objective is f(x) = f* + 0.5 (x-p)^T H (x-p) with
-    H = basis @ diag(sigma) @ basis.T, where ``sigma`` holds the nonzero
-    spectrum in descending order, ``basis`` the corresponding orthonormal
+    H = B diag(sigma) B^T, where ``sigma`` holds the nonzero spectrum in
+    descending order, the columns of B the corresponding orthonormal
     eigenvectors and ``p = projection`` the projection of the designated
     initial point onto the optimal set.  ``alpha`` are the eigen
     coordinates of ``x0 - p``, so ``||alpha|| = dist(x0, X*)``.
+
+    ``basis`` is B as a dense (dim, d+) matrix or, for a diagonal spec, a
+    1-D integer permutation ``order`` of range(dim): eigenvector j is the
+    coordinate axis e_order[j], so d+ = dim, and p must be zero.
     """
 
     dim: int
@@ -249,12 +254,19 @@ class QuadraticSpec:
             raise InputError("spectrum must be nonempty and strictly positive")
         if np.any(np.diff(sigma) > 0):
             raise InputError("spectrum must be sorted in descending order")
-        basis = _finite(np.asarray(self.basis, float), "basis")
-        if basis.shape != (self.dim, sigma.size):
-            raise InputError("basis must have shape (dim, d+)")
+        object.__setattr__(self, "projection", finite_vector(self.projection, "projection", self.dim))
+        basis = np.asarray(self.basis)
+        if basis.ndim == 1:
+            # bincount, not a sort: numpy's sort kernels would add their code pages to a run's peak RSS
+            if not (basis.dtype.kind in "iu" and sigma.size == self.dim == basis.size and not self.projection.any()
+                    and 0 <= basis.min() and basis.max() < self.dim and np.bincount(basis, minlength=self.dim).all()):
+                raise InputError("a 1-D basis must be an integer permutation of range(dim), with a zero projection")
+        else:
+            basis = _finite(np.asarray(basis, float), "basis")
+            if basis.shape != (self.dim, sigma.size):
+                raise InputError("basis must have shape (dim, d+)")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "projection", finite_vector(self.projection, "projection", self.dim))
         object.__setattr__(self, "alpha", finite_vector(self.alpha, "alpha", sigma.size))
         object.__setattr__(self, "x0", finite_vector(self.x0, "x0", self.dim))
         object.__setattr__(self, "f_star", finite_number(self.f_star, "f_star"))
@@ -275,19 +287,25 @@ class QuadraticSpec:
 
     # -- evaluation ----------------------------------------------------------
 
-    # ``value`` and ``gradient`` take a float64 vector of size ``dim`` as
-    # is; ``to_objective``'s ``value_at`` / ``gradient_at`` validate it.
-    # The flow calls ``gradient`` six times per step: ``ndarray.dot`` skips
-    # the matmul ufunc's dispatch, which dominates at small d, and reaches
-    # the same BLAS gemv as ``@``, so the bits are the same.
+    # ``value`` and ``gradient`` take a float64 vector of size ``dim`` as is
+    # (``value_at`` / ``gradient_at`` validate it) and reach the basis only
+    # through two maps, basis^T v and basis w along the last axis of w: an
+    # exact gather and scatter for a permutation basis, products for a dense one.
+
+    def _to_eigen(self, v: Array) -> Array:
+        return v[self.basis] if self.basis.ndim == 1 else self.basis.T.dot(v)
+
+    def _from_eigen(self, w: Array) -> Array:
+        if self.basis.ndim == 1:
+            return w[..., np.argsort(self.basis, kind="stable")]
+        return self.basis.dot(w) if w.ndim == 1 else w @ self.basis.T
 
     def value(self, x: Array) -> float:
-        z = self.basis.T @ (x - self.projection)
+        z = self._to_eigen(x - self.projection)
         return self.f_star + 0.5 * float(z @ (self.sigma * z))
 
     def gradient(self, x: Array) -> Array:
-        z = self.basis.T.dot(x - self.projection)
-        return self.basis.dot(self.sigma * z)
+        return self._from_eigen(self.sigma * self._to_eigen(x - self.projection))
 
     def value_from_data(self, x) -> float:
         """Evaluate via the raw (A, y) data; available for cross-checks."""
@@ -300,32 +318,22 @@ class QuadraticSpec:
     def optimal_set(self) -> OptimalSet:
         if self.dplus == self.dim:
             return SingletonSet(point=self.projection.copy())
-        basis, p = self.basis, self.projection
-        return AffineSet(projector=lambda x: x - basis @ (basis.T @ (x - p)))
+        return AffineSet(projector=lambda x: x - self._from_eigen(self._to_eigen(x - self.projection)))
 
     def to_objective(self, name: str = "") -> ObjectiveSpec:
-        """The spec as an objective.  With a zero projection and the identity
-        basis the gradient is evaluated elementwise as ``sigma * x``: the
-        eigen form's two products then multiply by exact 0s and 1s, so
-        ``sigma * x`` equals :meth:`gradient` bit for bit at every finite x
-        (a zero may differ in sign only).  The projection is tested first,
-        as a dense spec fails that test at once; the basis is finite, so
-        d nonzero entries, all on a unit diagonal, make it the identity.
-
-        ``gradient_into`` writes the same bits as ``gradient``: the
-        elementwise product, or the eigen form's two gemvs in the same
-        order, the second one into ``out``."""
-        sigma, basis, p, dim = self.sigma, self.basis, self.projection, self.dim
-        elementwise = (
-            not p.any()
-            and basis.shape == (dim, dim)
-            and np.count_nonzero(basis) == dim
-            and (basis.diagonal() == 1.0).all()
-        )
-        if elementwise:
-            def gradient_into(x, out):
-                np.multiply(sigma, x, out)
+        """The spec as an objective.  A diagonal spec's ``gradient`` and
+        ``gradient_into`` are one elementwise product ``a * x``, ``a`` the
+        spectrum in coordinate order: the products, so the bits, of
+        :meth:`gradient`'s gather and scatter.  A dense spec's ``gradient_into``
+        writes :meth:`gradient`'s bits by the same two gemvs, the second into
+        ``out``; the flow writes every DP5 stage through it, where ``.dot``
+        skips the matmul ufunc's dispatch, which dominates at small d."""
+        sigma, basis, p = self.sigma, self.basis, self.projection
+        if basis.ndim == 1:
+            # a stable argsort, as in _from_eigen: the default one adds quicksort code pages to peak RSS
+            gradient = gradient_into = partial(np.multiply, sigma[np.argsort(basis, kind="stable")])
         else:
+            gradient = self.gradient
             basis_dot, bt_dot = basis.dot, basis.T.dot
 
             def gradient_into(x, out):
@@ -334,7 +342,7 @@ class QuadraticSpec:
         return ObjectiveSpec(
             dim=self.dim,
             value=self.value,
-            gradient=(lambda x: sigma * x) if elementwise else self.gradient,
+            gradient=gradient,
             gradient_into=gradient_into,
             L=float(self.sigma[0]),
             mu=float(self.sigma[-1]),
@@ -354,7 +362,7 @@ class QuadraticSpec:
         return cls(
             dim=a.size,
             sigma=a[order],
-            basis=np.eye(a.size)[:, order],
+            basis=order,
             projection=np.zeros(a.size),
             alpha=x0[order],
             x0=x0,

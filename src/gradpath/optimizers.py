@@ -430,13 +430,10 @@ def gf_quadratic(spec: QuadraticSpec, t):
         raise InputError("time must be finite")
     if np.any(t_arr < 0):
         raise InputError("time must be nonnegative")
-    if t_arr.ndim == 0:
-        if float(t_arr) == 0.0:
-            return spec.x0.copy()
-        decay = spec.alpha * np.exp(-float(t_arr) * spec.sigma)
-        return spec.projection + spec.basis @ decay
-    decay = spec.alpha * np.exp(-np.outer(t_arr, spec.sigma))
-    return spec.projection + decay @ spec.basis.T
+    if t_arr.ndim == 0 and float(t_arr) == 0.0:
+        return spec.x0.copy()
+    decay = spec.alpha * np.exp(-np.multiply.outer(t_arr, spec.sigma))
+    return spec.projection + spec._from_eigen(decay)
 
 
 # Dormand-Prince 5(4) tableau, negated because the stage rows hold the

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,14 @@ def random_convex_quadratic(rng, d_min=2, d_max=5, sigma_range=(0.2, 5.0)):
         dim=d, sigma=sigma, basis=q, projection=p,
         alpha=q.T @ (x0 - p), x0=x0,
     )
+
+
+def dense_reference(spec):
+    """A diagonal ``spec`` with its permutation basis written out as the dense
+    matrix of coordinate axes, so that it evaluates through the eigen form's
+    products: an independent reference for the gather, scatter and
+    elementwise paths."""
+    return dataclasses.replace(spec, basis=np.eye(spec.dim)[:, spec.basis])
 
 
 def scalar_objective(value, deriv):

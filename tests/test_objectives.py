@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_convex_quadratic
+from conftest import dense_reference, random_convex_quadratic
 from gradpath import (
     AffineSet,
     InputError,
@@ -20,6 +20,7 @@ from gradpath import (
     build_quad_random,
     check_gradient,
     gd_run,
+    gf_quadratic,
     quadratic_from_data,
 )
 from gradpath.objectives import as_vector
@@ -122,6 +123,42 @@ class TestQuadraticSpec:
         with pytest.raises(InputError, match="must be finite"):
             QuadraticSpec(**fields)
 
+    @pytest.mark.parametrize("basis, projection", [
+        (np.array([2.0, 0.0, 1.0]), np.zeros(3)),
+        (np.array([2, 0, 0]), np.zeros(3)),
+        (np.array([3, 0, 1]), np.zeros(3)),
+        (np.array([-1, 0, 1]), np.zeros(3)),
+        (np.array([1, 0]), np.zeros(3)),
+        (np.array([2, 0, 1, 3]), np.zeros(3)),
+        (np.array([2, 0, 1, 1]), np.zeros(3)),
+        (np.array([2**40, 0, 1]), np.zeros(3)),
+        (np.array([2, 0, 1]), np.array([0.0, 0.5, 0.0])),
+    ], ids=["float", "repeated", "out-of-range", "negative", "short", "long", "long-covering", "huge",
+            "nonzero-projection"])
+    def test_bad_permutation_basis_rejected(self, basis, projection):
+        with pytest.raises(InputError, match="permutation"):
+            QuadraticSpec(dim=3, sigma=[3.0, 2.0, 1.0], basis=basis, projection=projection,
+                          alpha=np.ones(3), x0=np.ones(3))
+
+    def test_permutation_basis_needs_full_rank(self):
+        # a permutation of range(d+) with d+ < dim is not a (dim, d+) basis
+        with pytest.raises(InputError, match="permutation"):
+            QuadraticSpec(dim=3, sigma=[2.0, 1.0], basis=np.array([1, 0]), projection=np.zeros(3),
+                          alpha=np.ones(2), x0=np.ones(3))
+
+    @pytest.mark.parametrize("basis", [np.array(0), np.array(1.0), np.ones((1, 1, 1))], ids=["0-d-int", "0-d", "3-D"])
+    def test_basis_rank_rejected(self, basis):
+        with pytest.raises(InputError, match=r"shape \(dim, d\+\)"):
+            QuadraticSpec(dim=1, sigma=[1.0], basis=basis, projection=np.zeros(1), alpha=np.ones(1), x0=np.ones(1))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
+    def test_permutation_basis_kept_as_given(self, dtype):
+        order = np.array([1, 2, 0], dtype=dtype)
+        spec = QuadraticSpec(dim=3, sigma=[3.0, 2.0, 1.0], basis=order, projection=np.zeros(3),
+                             alpha=np.ones(3), x0=np.ones(3))
+        assert spec.basis is order
+        assert spec.to_objective().gradient_at([1.0, 1.0, 1.0]).tolist() == [1.0, 3.0, 2.0]
+
     def test_gradient_at_validates_the_point(self):
         obj = QuadraticSpec.diagonal([2.0, 1.0], [1.0, 1.0]).to_objective()
         assert obj.gradient_at([1, 1]).tolist() == [2.0, 1.0]
@@ -131,7 +168,7 @@ class TestQuadraticSpec:
             obj.value_at([1.0])
 
     def test_alpha_norm_is_distance(self, rng):
-        from conftest import random_convex_quadratic
+        from conftest import dense_reference, random_convex_quadratic
 
         spec = random_convex_quadratic(rng)
         assert spec.dist0 == pytest.approx(
@@ -159,18 +196,38 @@ def _wide_points(d, rng):
 
 class TestGradientChoice:
     """``to_objective`` evaluates the gradient elementwise exactly when the
-    projection is zero and the basis is the identity."""
+    basis is a permutation; the dense reference (the same spec with its
+    basis written out as coordinate axes) checks the bits."""
 
-    def test_identity_basis_zero_projection_is_elementwise(self, rng):
-        spec = QuadraticSpec.diagonal(np.sort(rng.uniform(0.1, 50.0, 6))[::-1], np.ones(6))
-        obj = spec.to_objective()
-        for x in _wide_points(6, rng):
-            assert np.array_equal(obj.gradient_at(x), spec.gradient(x))
+    @pytest.mark.parametrize("make", [
+        lambda rng: QuadraticSpec.diagonal(np.sort(rng.uniform(0.1, 50.0, 6))[::-1], np.ones(6)),
+        lambda rng: build_quad_random(6, 100.0, 0),
+        lambda rng: build_quad_random(40, 1e4, 3),
+        lambda rng: build_quad_lower(6, 11.0),
+    ], ids=["descending", "quad-random", "quad-random-40", "quad-lower"])
+    def test_diagonal_spec_is_elementwise(self, make, rng):
+        spec = make(rng)
+        ref = dense_reference(spec)
+        obj, out = spec.to_objective(), np.empty(spec.dim)
+        for x in [spec.x0] + _wide_points(spec.dim, rng):
+            want = ref.gradient(x)
+            assert np.array_equal(spec.gradient(x), want)
+            assert np.array_equal(obj.gradient_at(x), want)
+            obj.gradient_into(x, out)
+            assert np.array_equal(out, want)
+            assert float(spec.value(x)).hex() == float(ref.value(x)).hex()
+            assert obj.value_at(x).hex() == float(ref.value(x)).hex()
         # elementwise, an infinite coordinate leaves the others as they are;
         # the eigen form's 0 * inf would make them NaN
-        x = np.ones(6)
-        x[0] = math.inf
-        assert np.array_equal(obj.gradient_at(x)[1:], spec.sigma[1:])
+        coefficients = ref.gradient(np.ones(spec.dim))
+        for bad in (math.inf, -math.inf, math.nan):
+            x = np.ones(spec.dim)
+            x[0] = bad
+            for g in (obj.gradient_at(x), spec.gradient(x)):
+                assert np.array_equal(g[1:], coefficients[1:])
+                assert not math.isfinite(g[0])
+            with np.errstate(invalid="ignore"):
+                assert not np.all(np.isfinite(ref.gradient(x)))
 
     def test_nonzero_projection_keeps_eigen_form(self):
         p = np.array([1.0, -2.0, 0.5])
@@ -178,8 +235,7 @@ class TestGradientChoice:
                              alpha=-p, x0=np.zeros(3))
         assert spec.to_objective().gradient_at(p).tolist() == [0.0, 0.0, 0.0]
 
-    @pytest.mark.parametrize("make", [lambda rng: build_quad_random(6, 100.0, 0), random_convex_quadratic],
-                             ids=["quad-random", "dense"])
+    @pytest.mark.parametrize("make", [random_convex_quadratic], ids=["dense"])
     def test_other_specs_keep_eigen_form(self, make, rng):
         spec = make(rng)
         obj = spec.to_objective()
@@ -211,6 +267,9 @@ class TestGradientInto:
     ], ids=["flow-dense", "dense", "quad-random", "quad-lower"])
     def test_bits_equal_gradient(self, make, rng):
         spec = make(rng)
+        # a diagonal spec's own gradient is elementwise too; the dense
+        # reference evaluates the eigen form
+        ref = dense_reference(spec) if spec.basis.ndim == 1 else spec
         obj = spec.to_objective()
         out = np.empty(spec.dim)
         points = [rng.standard_normal(spec.dim) for _ in range(50)] + _wide_points(spec.dim, rng)
@@ -218,20 +277,23 @@ class TestGradientInto:
             before = x.tobytes()
             obj.gradient_into(x, out)
             assert out.tobytes() == obj.gradient(x).tobytes()
+            assert np.array_equal(out, ref.gradient(x))
             assert x.tobytes() == before
 
-    def test_identity_test_allocates_no_square_matrix(self):
-        # a d x d identity to compare with would take 72 MB at d = 3000
-        spec = build_quad_lower(3000, 1.001)
+    def test_permutation_basis_allocates_no_square_matrix(self):
+        # a dense basis of coordinate axes would take 525 MB at d = 8103
         tracemalloc.start()
         try:
+            spec = build_quad_lower(8103, 1.09)
             obj = spec.to_objective()
+            spec.optimal_set()
+            gf_quadratic(spec, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        # still elementwise: an infinite coordinate leaves the others finite
-        x = np.ones(3000)
+        # elementwise: an infinite coordinate leaves the others finite
+        x = np.ones(8103)
         x[0] = math.inf
         assert np.array_equal(obj.gradient(x)[1:], spec.sigma[1:])
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_convex_quadratic, run_observed, scalar_objective
+from conftest import dense_reference, random_convex_quadratic, run_observed, scalar_objective
 from gradpath import (
     DivergenceError,
     InputError,
@@ -19,6 +19,7 @@ from gradpath import (
     build_pkl_gf_instance,
     build_fsep_quartic,
     build_quad_lower,
+    build_quad_random,
     gd_run,
     gd_step,
     gf_integrate,
@@ -738,6 +739,56 @@ class TestGfQuadratic:
             gf_quadratic(spec, bad)
         with pytest.raises(InputError, match="finite"):
             gf_quadratic(spec, np.array([0.0, 1.0, bad]))
+
+
+_DIAGONAL = [lambda: build_quad_random(40, 1e4, 3), lambda: build_quad_lower(6, 11.0)]
+
+
+class TestPermutationBasis:
+    """A diagonal spec's closed form, flows and descents have the bits of the
+    same spec with its basis written out as dense coordinate axes."""
+
+    @pytest.mark.parametrize("make", _DIAGONAL, ids=["quad-random", "quad-lower"])
+    def test_closed_form(self, make):
+        spec = make()
+        ref = dense_reference(spec)
+        for t in (0.0, 1e-3, 0.5, 7.0, 1e4):
+            assert gf_quadratic(spec, t).tobytes() == gf_quadratic(ref, t).tobytes()
+        times = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 40)])
+        assert gf_quadratic(spec, times).tobytes() == gf_quadratic(ref, times).tobytes()
+
+    # quad-lower's kappa = 11^5 takes the flow tens of thousands of steps
+    # to a small gradient, so it runs to a horizon
+    @pytest.mark.parametrize("make, stop", [
+        (_DIAGONAL[0], StopRule.grad_below(1e-6)),
+        (_DIAGONAL[1], StopRule.horizon(0.1)),
+    ], ids=["quad-random", "quad-lower"])
+    def test_flow_bytes(self, make, stop):
+        def flow(s):
+            t = gf_integrate(s.to_objective(), s.x0, 1e-8, stop)
+            return (t.points.tobytes(), t.times.tobytes(), t.local_errors.tobytes(), t.arc_length,
+                    t.path_sum, t.n_steps, t.n_rejected, t.n_feval, t.stop_reason)
+
+        spec = make()
+        got, want = flow(spec), flow(dense_reference(spec))
+        assert got == want
+        assert got[5] > 100
+
+    @pytest.mark.parametrize("make", _DIAGONAL, ids=["quad-random", "quad-lower"])
+    def test_descent_bytes(self, make):
+        def descent(s):
+            seen = []
+            traj = gd_run(s.to_objective(), s.x0, gd_step(s), StopRule.max_steps(2000),
+                          observe=lambda x, f, g: seen.append((x.tobytes(), float(f).hex(), g.copy())))
+            return traj, seen
+
+        spec = make()
+        (traj, seen), (ref_traj, ref_seen) = descent(spec), descent(dense_reference(spec))
+        assert len(seen) == len(ref_seen) == 2001
+        for (x, f, g), (ref_x, ref_f, ref_g) in zip(seen, ref_seen):
+            assert (x, f) == (ref_x, ref_f)
+            assert np.array_equal(g, ref_g)  # a zero may differ in sign only
+        assert (traj.points.tobytes(), traj.path_sum) == (ref_traj.points.tobytes(), ref_traj.path_sum)
 
 
 class TestGfIntegrate:
