@@ -5,18 +5,20 @@ O(d), while the running path-length accumulator is exact.  An
 ``observe(x, f, g)`` callback sees every iterate with its value and
 gradient, both from one evaluation inside the loop; it is the one way to
 read the iterates in between, so diagnostics need no stored points.  The
-loop takes one dot product per vector: the squared norms of the
-gradient, the new iterate and the step serve the finiteness, stop,
-step-norm and divergence checks; the iterate's serves the point-stop test
-built once per run (:meth:`StopRule.point_test`, a witness coordinate
-for the coords rule) and Brent's cycle detection, which stops a run
-whose state repeats.  The continuous runner, :func:`gf_integrate`, is an
-adaptive Dormand-Prince 5(4) integrator that carries the arc length as
-an augmented ODE state and accumulates the chord sum in its loop.  It
-allocates its stage rows and stage points once per run, and one writer
-fills each stage's gradient in place: the objective's ``gradient_into``
-when it declares one (quadratics and the PL staircase do), else a copy
-of ``gradient_at``, which keeps that method's shape check.
+loop takes a squared norm only where a check reads it: the step's, every
+step, for the path sum, the stationary test, Brent's cycle detection (which
+stops a run whose state repeats) and finiteness; the gradient's for
+``grad_below``, an observer or a projector; the iterate's for ``norm_below``
+and, once ||x_0|| + path_sum reaches half the divergence radius, the
+divergence test.  The point-stop test is built once per run
+(:meth:`StopRule.point_test`, a witness coordinate for the coords rule).
+The continuous runner, :func:`gf_integrate`, is an adaptive Dormand-Prince
+5(4) integrator that carries the arc length as an augmented ODE state and
+accumulates the chord sum in its loop.  It allocates its stage rows and
+stage points once per run, and one writer fills each stage's gradient in
+place: the objective's ``gradient_into`` when it declares one (quadratics
+and the PL staircase do), else a copy of ``gradient_at``, which keeps that
+method's shape check.
 
 The flow writes each accepted point (x, t and the local error) as a
 row of one float64 buffer that doubles when full, 8 (d + 2) bytes a row.
@@ -226,6 +228,7 @@ def _discrete_run(
     *,
     safety_cap: int,
     observe: Callable[[Array, float, Array], None] | None,
+    projected: bool = False,
 ) -> Trajectory:
     if stop.kind == "horizon":
         raise InputError("horizon stop rules apply to flows only")
@@ -236,15 +239,21 @@ def _discrete_run(
     kind, eps = stop.kind, stop.threshold
     grad_stop, point_stop = kind == "grad_below", stop.point_test(obj.dim)
     limit, limit_reason = _step_limit(stop, safety_cap)
-    # Each vector's squared norm is taken once and serves every check on
-    # it: sqrt(v.dot(v)) is what np.linalg.norm(v) computes for a real
-    # vector, and a vector with a NaN or an infinite entry has a
-    # non-finite square (a finite one may overflow; the exact check decides).
+    # A squared norm is taken only where a check reads it; sqrt(v.dot(v)) is
+    # np.linalg.norm(v), non-finite if v is (if it overflows, the exact check
+    # decides).  The step's, dsq, is taken every step: x_k is finite, so d is
+    # non-finite iff x_{k+1} is, as it is when g is unless a projector clips
+    # it.  gsq is taken for PGD, grad_below and an observer, which never sees
+    # a non-finite g; else the last g is checked after the loop.  xsq serves
+    # norm_below and, once ||x_0|| + path_sum >= R/2, the divergence test:
+    # below that ||x_k|| < R, by a margin far above the sums' rounding.
+    check_g = grad_stop or observe is not None or projected
     xsq = float(x.dot(x))
+    far = -math.inf if kind == "norm_below" else DIVERGENCE_RADIUS / 2 - math.sqrt(xsq)  # xsq once path_sum >= far
     # Brent's cycle detection: the pair (x_{k-1}, x_k) is the whole state
     # of every update here, so once it repeats the run repeats forever.
     # The pair after step k is saved at each power of two k and compared
-    # with every later pair, squared norm first and bytes only on a tie.
+    # with every later pair, the step's square first and bytes only on a tie.
     saved, saved_sq, save_at, cycle = None, math.nan, 1, False
     while True:
         # every iterate the run returns, x_N included, is evaluated once
@@ -252,15 +261,16 @@ def _discrete_run(
             g = gradient_at(x)
         else:
             f, g = value_and_gradient_at(x)
-        gsq = float(g.dot(g))
-        if not math.isfinite(gsq):
-            _check_finite(g, k)
+        if check_g:
+            gsq = float(g.dot(g))
+            if not math.isfinite(gsq):
+                _check_finite(g, k)
         if observe is not None:
             observe(x, f, g)
         if cycle:
             reason = "cycle"
             break
-        if point_stop is not None and point_stop(x, xsq):
+        if point_stop is not None and point_stop(x, xsq):  # coords ignores xsq
             reason = kind
             break
         if k >= limit:
@@ -270,22 +280,27 @@ def _discrete_run(
             reason = kind
             break
         x_new = update(x, x_prev, g)
-        xsq = float(x_new.dot(x_new))
-        if not math.isfinite(xsq):
-            _check_finite(x_new, k + 1, "iterate")
         d = x_new - x
-        step_norm = math.sqrt(float(d.dot(d)))
+        dsq = float(d.dot(d))
+        if not math.isfinite(dsq):
+            _check_finite(g, k)
+            _check_finite(x_new, k + 1, "iterate")
+        step_norm = math.sqrt(dsq)
         if step_norm == 0.0:
             reason = "stationary"
             break
         k += 1
         path_sum += step_norm
-        if math.sqrt(xsq) > DIVERGENCE_RADIUS:
-            raise DivergenceError(f"trajectory norm exceeded {DIVERGENCE_RADIUS:g} at iterate {k}")
+        if path_sum >= far:
+            xsq = float(x_new.dot(x_new))
+            if math.sqrt(xsq) > DIVERGENCE_RADIUS:
+                raise DivergenceError(f"trajectory norm exceeded {DIVERGENCE_RADIUS:g} at iterate {k}")
         x_prev, x = x, x_new
-        cycle = xsq == saved_sq and x.tobytes() == saved[1].tobytes() and x_prev.tobytes() == saved[0].tobytes()
+        cycle = dsq == saved_sq and x.tobytes() == saved[1].tobytes() and x_prev.tobytes() == saved[0].tobytes()
         if k == save_at:
-            saved, saved_sq, save_at = (x_prev, x), xsq, 2 * k
+            saved, saved_sq, save_at = (x_prev, x), dsq, 2 * k
+    if not check_g and not math.isfinite(float(g.dot(g))):
+        _check_finite(g, k)
     return Trajectory(
         kind="discrete",
         times=np.array([0, k] if k else [0], dtype=np.int64),
@@ -403,7 +418,7 @@ def pgd_run(
     return _discrete_run(
         obj, x0, stop,
         lambda x, x_prev, g: np.array(projector(x - eta * g), dtype=float),
-        safety_cap=safety_cap, observe=observe,
+        safety_cap=safety_cap, observe=observe, projected=True,
     )
 
 

@@ -329,6 +329,43 @@ class TestLoopChecks:
         assert traj.path_sum == math.sqrt(2.0)
         assert traj.final_point.tolist() == [-1.0, -1.0]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("stop", [
+        StopRule.max_steps(2), StopRule.coords_below_except_last(0.3),
+        StopRule.max_steps(10), StopRule.coords_below_except_last(0.01),
+    ])
+    def test_non_finite_gradient_of_an_unobserved_run(self, bad, stop):
+        # x_1 = (0.5, 0.5); x_2 = (0.25, 0.25) for GD and (0.2, 0.2) for heavy
+        # ball with beta > 0, where the gradient turns non-finite.  The first
+        # two rules stop at x_2, so no step follows its gradient; under the
+        # last two the run would go on, and the step from x_2 is non-finite.
+        obj = vector_objective(2, lambda x: np.where(x[0] > 0.3, x, bad))
+        with pytest.raises(NonFiniteError, match="^non-finite gradient at iterate 2$"):
+            gd_run(obj, [1.0, 1.0], 0.5, stop)
+        with pytest.raises(NonFiniteError, match="^non-finite gradient at iterate 2$"):
+            heavy_ball_run(obj, [1.0, 1.0], 0.5, 0.1, stop)
+
+    def test_observer_never_sees_a_non_finite_gradient(self):
+        obj = vector_objective(2, lambda x: np.where(x[0] > 0.3, x, np.nan))
+        seen = []
+        with pytest.raises(NonFiniteError, match="^non-finite gradient at iterate 2$"):
+            gd_run(obj, [1.0, 1.0], 0.5, StopRule.max_steps(10), observe=lambda x, f, g: seen.append(g.copy()))
+        assert np.isfinite(seen).all() and len(seen) == 2
+
+    def test_divergence_long_after_the_path_passes_half_the_radius(self):
+        # x_k = (-1.5)^k: 1 + path_sum = 5 * 1.5^k - 4 reaches 5e11 about six
+        # steps before |x_k| passes 1e12
+        first = next(k for k in range(1, 100) if 1.5**k > 1e12)
+        assert 5 * 1.5 ** (first - 5) - 4 > 5e11
+        with pytest.raises(DivergenceError, match=f"at iterate {first}$"):
+            gd_run(half_square(), [1.0], 2.5, StopRule.max_steps(10**6))
+
+    def test_divergence_from_a_start_far_out(self):
+        # x_k = 9e11 * 1.1^k passes 1e12 at k = 2, when path_sum is only 1.89e11
+        obj = scalar_objective(lambda x: -0.5 * x * x, lambda x: -x)
+        with pytest.raises(DivergenceError, match="at iterate 2$"):
+            gd_run(obj, [9e11], 0.1, StopRule.max_steps(10))
+
     def test_divergence_reported_at_its_iterate(self):
         # x_k = 2^k; the first k with 2^k > 1e12
         first = next(k for k in range(1, 100) if 2.0**k > 1e12)
@@ -937,6 +974,17 @@ class TestCycleStop:
         assert points[:, 0].tolist() == [1.0, -1.0, 1.0, -1.0, 1.0]
         assert traj.path_sum == 8.0
 
+    def test_unobserved_cycles_under_a_step_limit(self):
+        # the same two cycles without an observer, where the loop filters
+        # pairs by the step's squared norm
+        traj = gd_run(half_square(), [1.0], 2.0, StopRule.max_steps(100))
+        assert (traj.stop_reason, traj.n_steps, traj.path_sum) == ("cycle", 4, 8.0)
+        spec = _dense_quadratic(1, 5, 1e2)
+        obj = spec.to_objective()
+        alpha, beta = hb_params(obj.mu, obj.L)
+        traj = heavy_ball_run(obj, spec.x0, alpha, beta, StopRule.max_steps(10**6))
+        assert (traj.stop_reason, traj.n_steps) == ("cycle", 526)
+
 
 class TestDiscreteStopStep:
     """The stop step of an observed run, checked against the rule's own
@@ -963,7 +1011,8 @@ class TestDiscreteStopStep:
 
 
 class TestDiscreteBitsPinned:
-    """Heavy-ball and PGD outputs pinned to the bit: the discrete loop's arithmetic is fixed."""
+    """Heavy-ball and PGD outputs pinned to the bit: the discrete loop's arithmetic is fixed.
+    The unobserved ``max_steps`` heavy-ball run takes no gradient or iterate square."""
 
     # (n_steps, stop_reason, path_sum.hex(), final_point bytes as hex)
     PINNED = {
@@ -971,6 +1020,11 @@ class TestDiscreteBitsPinned:
             137, "grad_below", "0x1.4050f9375cb3ap+8",
             "0fa7a6aa5e45f13ff61c611b03bedfbf216a03017c08dc3f"
             "3135b2c89463f3bf10f53520bdf2e53f67e35770b48b02c0",
+        ),
+        "hb-max-steps": (
+            120, "max_steps", "0x1.4050f93340d5ap+8",
+            "948f23a95e45f13fd5c2a52903bedfbf1684e2017c08dc3f"
+            "a696a8c49463f3bf015ec827bdf2e53f848bf06fb48b02c0",
         ),
         "pgd": (
             200, "max_steps", "0x1.5f34c932c898ep+2",
@@ -986,6 +1040,9 @@ class TestDiscreteBitsPinned:
         if method == "hb":
             alpha, beta = hb_params(obj.mu, obj.L)
             traj = heavy_ball_run(obj, spec.x0, alpha, beta, StopRule.grad_below(1e-9))
+        elif method == "hb-max-steps":
+            alpha, beta = hb_params(obj.mu, obj.L)
+            traj = heavy_ball_run(obj, spec.x0, alpha, beta, StopRule.max_steps(120))
         else:
             lo, hi = float(spec.x0.min()), float(spec.x0.max())
             box = box_projector(np.full(spec.dim, lo), np.full(spec.dim, hi))
